@@ -163,10 +163,6 @@ def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def relu(x):
-    return x.relu()
-
-
 def grad_reversal(x, lam):
     """Identity in the forward pass; scales the backward gradient by -lam."""
     if lam < 0:

@@ -3,9 +3,11 @@
 Exit codes: 0 success, 1 runtime failure (missing/malformed files),
 2 usage or config error, 3 divergence-guard stop.
 
-Every run echoes its effective configuration to <out_dir>/config.echo as
-flat key=value lines; a config file with the same syntax can seed any
-command and individual flags override file values.
+Each command declares its settings once, in an option table. The setting
+some_key is the flag --some-key and the line some_key=value in a --config
+file; a flag overrides the file, which overrides the default. `gen` and
+`train` echo their effective settings to <out_dir>/config.echo as flat
+key=value lines; `eval` has no out-dir and writes no echo.
 """
 
 import argparse
@@ -14,6 +16,7 @@ import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +39,37 @@ class UsageError(Exception):
     pass
 
 
-def read_config_file(path, allowed):
-    """Flat key=value file; blank lines and #-comments ignored."""
+def parse_bool(text):
+    value = text.strip().lower()
+    if value not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return value == "true"
+
+
+class Opt(NamedTuple):
+    """One setting of a command: its config-file key, the parser for its
+    text (int, float, str or parse_bool), its default and its help text."""
+    key: str
+    type: object
+    default: object
+    help: str
+
+
+def add_options(parser, table):
+    parser.add_argument("--config",
+                        help="key=value settings file; flags override it")
+    for opt in table:
+        kind = ({"action": "store_const", "const": True}
+                if opt.type is parse_bool else {"type": opt.type})
+        suffix = "" if opt.default is None else f" (default {opt.default})"
+        parser.add_argument("--" + opt.key.replace("_", "-"), dest=opt.key,
+                            help=opt.help + suffix, **kind)
+
+
+def read_config_file(path, table):
+    """Flat key=value file; blank lines and #-comments ignored. Each value is
+    parsed with its option's type; errors name the file and line."""
+    types = {opt.key: opt.type for opt in table}
     values = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -46,62 +78,66 @@ def read_config_file(path, allowed):
                 continue
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
+            key, _, text = line.partition("=")
             key = key.strip()
-            if key not in allowed:
+            if key not in types:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = val.strip()
+            try:
+                values[key] = types[key](text.strip())
+            except ValueError as e:
+                raise UsageError(f"{path}:{lineno}: bad {key}: {e}") from None
+    return values
+
+
+def resolve_options(table, args):
+    """Effective settings: defaults, then the --config file, then flags."""
+    values = {opt.key: opt.default for opt in table}
+    if args.config:
+        values.update(read_config_file(args.config, table))
+    flags = vars(args)
+    values.update({opt.key: flags[opt.key] for opt in table
+                   if flags[opt.key] is not None})
     return values
 
 
 def write_config_echo(out_dir, values):
+    """Sorted key=value lines in the --config syntax, unset values left out."""
     with open(os.path.join(out_dir, "config.echo"), "w") as f:
         for key in sorted(values):
-            f.write(f"{key}={values[key]}\n")
-
-
-def _merge(file_vals, flag_vals):
-    merged = dict(file_vals)
-    merged.update({k: v for k, v in flag_vals.items() if v is not None})
-    return merged
+            value = values[key]
+            if value is not None:
+                text = str(value).lower() if isinstance(value, bool) else value
+                f.write(f"{key}={text}\n")
 
 
 # ---- gen ----
 
-GEN_KEYS = ("ids_real", "ids_synth", "per_id", "dim", "seed", "cluster_sep",
-            "noise_sigma", "shift_offset", "colors", "types",
-            "orientation_bins")
+GEN_OPTIONS = (
+    Opt("ids_real", int, ToySpec.num_ids_real, "real-domain identities"),
+    Opt("ids_synth", int, ToySpec.num_ids_synth, "synthetic identities"),
+    Opt("per_id", int, ToySpec.samples_per_id, "samples per identity"),
+    Opt("dim", int, ToySpec.input_dim, "feature dimension"),
+    Opt("seed", int, ToySpec.seed, "generator seed"),
+    Opt("cluster_sep", float, ToySpec.cluster_sep, "min centre distance"),
+    Opt("noise_sigma", float, ToySpec.noise_sigma, "per-sample noise std"),
+    Opt("shift_offset", float, 0.0, "synthetic feature offset, 0 = no shift"),
+    Opt("colors", int, ToySpec.num_colors, "color classes"),
+    Opt("types", int, ToySpec.num_types, "vehicle type classes"),
+    Opt("orientation_bins", int, ToySpec.num_orientation_bins, "angle bins"),
+)
 
 
 def cmd_gen(args):
-    file_vals = read_config_file(args.config, GEN_KEYS) if args.config else {}
-    vals = _merge(file_vals, {
-        "ids_real": args.ids_real, "ids_synth": args.ids_synth,
-        "per_id": args.per_id, "dim": args.dim, "seed": args.seed,
-        "cluster_sep": args.cluster_sep, "noise_sigma": args.noise_sigma,
-        "shift_offset": args.shift_offset, "colors": args.colors,
-        "types": args.types, "orientation_bins": args.orientation_bins,
-    })
-    defaults = {"ids_real": 8, "ids_synth": 8, "per_id": 8, "dim": 16,
-                "seed": 0, "cluster_sep": 4.0, "noise_sigma": 0.5,
-                "shift_offset": 0.0, "colors": 12, "types": 11,
-                "orientation_bins": 6}
-    for k, v in defaults.items():
-        vals.setdefault(k, v)
-
-    dim = int(vals["dim"])
-    offset = float(vals["shift_offset"])
-    shift = None
-    if offset != 0.0:
-        shift = (np.eye(dim), np.full(dim, offset))
+    vals = resolve_options(GEN_OPTIONS, args)
+    dim, offset = vals["dim"], vals["shift_offset"]
+    shift = (np.eye(dim), np.full(dim, offset)) if offset != 0.0 else None
     spec = ToySpec(
-        num_ids_real=int(vals["ids_real"]), num_ids_synth=int(vals["ids_synth"]),
-        samples_per_id=int(vals["per_id"]), input_dim=dim,
-        num_colors=int(vals["colors"]), num_types=int(vals["types"]),
-        num_orientation_bins=int(vals["orientation_bins"]),
-        cluster_sep=float(vals["cluster_sep"]),
-        domain_shift=shift, noise_sigma=float(vals["noise_sigma"]),
-        seed=int(vals["seed"]))
+        num_ids_real=vals["ids_real"], num_ids_synth=vals["ids_synth"],
+        samples_per_id=vals["per_id"], input_dim=dim,
+        num_colors=vals["colors"], num_types=vals["types"],
+        num_orientation_bins=vals["orientation_bins"],
+        cluster_sep=vals["cluster_sep"], domain_shift=shift,
+        noise_sigma=vals["noise_sigma"], seed=vals["seed"])
 
     samples, manifest = generate_toy_dataset(spec)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -109,7 +145,7 @@ def cmd_gen(args):
     synth = [s for s in samples if s.domain == SYNTHETIC]
     write_dataset(real, manifest, os.path.join(args.out_dir, "real.jsonl"))
     write_dataset(synth, manifest, os.path.join(args.out_dir, "synth.jsonl"))
-    write_config_echo(args.out_dir, {k: str(vals[k]) for k in vals})
+    write_config_echo(args.out_dir, vals)
     print(f"wrote {len(real)} real and {len(synth)} synthetic samples "
           f"to {args.out_dir}")
     return EXIT_OK
@@ -117,9 +153,22 @@ def cmd_gen(args):
 
 # ---- train ----
 
-TRAIN_KEYS = ("losses", "epochs", "iterations", "seed", "n", "m", "margin",
-              "grl_lambda", "disjoint_weight", "base_lr", "hidden_dims",
-              "embed_dim", "normalize_embeddings", "orientation_bins")
+TRAIN_OPTIONS = (
+    Opt("losses", str, "V", "comma list from V,D,O,C,T (V required)"),
+    Opt("epochs", int, TrainConfig.epochs, "training epochs"),
+    Opt("iterations", int, None, "per epoch; unset: one pass over the data"),
+    Opt("seed", int, TrainConfig.seed, "initialisation and sampling seed"),
+    Opt("n", int, 2, "identities per domain per batch"),
+    Opt("m", int, 4, "samples per identity per batch"),
+    Opt("margin", float, LossWeights.triplet_margin, "triplet margin"),
+    Opt("grl_lambda", float, LossWeights.grl_lambda, "reversal strength"),
+    Opt("disjoint_weight", float, LossWeights.disjoint_weight, "O/C/T weight"),
+    Opt("base_lr", float, LrSchedule.base_lr, "lr; x0.1 at epochs 20 and 40"),
+    Opt("hidden_dims", str, "32", "comma list of hidden layer widths"),
+    Opt("embed_dim", int, 16, "embedding width"),
+    Opt("normalize_embeddings", parse_bool, False, "L2-normalise embeddings"),
+    Opt("orientation_bins", int, None, "angle bins; unset: the manifest's"),
+)
 
 
 def _parse_losses(text):
@@ -134,52 +183,38 @@ def _parse_losses(text):
 
 
 def build_train_config(vals, manifest, use_synthetic):
-    disjoint, use_domain = _parse_losses(vals.get("losses", "V"))
-    hidden = [int(h) for h in str(vals.get("hidden_dims", "32")).split(",")
-              if str(h).strip()]
+    disjoint, use_domain = _parse_losses(vals["losses"])
+    hidden = [int(h) for h in vals["hidden_dims"].split(",") if h.strip()]
     num_ids = max(manifest["real_id_range"][1], manifest["synth_id_range"][1])
-    bins = int(vals.get("orientation_bins",
-                        manifest.get("num_orientation_bins", 6)))
+    bins = vals["orientation_bins"]
+    if bins is None:
+        bins = manifest.get("num_orientation_bins", 6)
     model = ModelConfig(
         input_dim=manifest["input_dim"], hidden_dims=hidden,
-        embed_dim=int(vals.get("embed_dim", 16)),
+        embed_dim=vals["embed_dim"],
         head_class_counts={
             "id": num_ids, "domain": 2,
             "color": max(1, manifest.get("num_colors", 1)),
             "type": max(1, manifest.get("num_types", 1)),
             "orientation": bins,
         },
-        normalize_embeddings=str(vals.get("normalize_embeddings",
-                                          "false")).lower() == "true")
+        normalize_embeddings=vals["normalize_embeddings"])
     return TrainConfig(
         model=model,
-        batch=BatchSpec(n=int(vals.get("n", 2)), m=int(vals.get("m", 4))),
-        weights=LossWeights(
-            disjoint_weight=float(vals.get("disjoint_weight", 1.0)),
-            grl_lambda=float(vals.get("grl_lambda", 1.0)),
-            triplet_margin=float(vals.get("margin", 0.3))),
-        schedule=LrSchedule(base_lr=float(vals.get("base_lr", 3e-4))),
-        epochs=int(vals.get("epochs", 60)),
-        iterations_per_epoch=(int(vals["iterations"])
-                              if vals.get("iterations") else None),
-        seed=int(vals.get("seed", 0)),
+        batch=BatchSpec(n=vals["n"], m=vals["m"]),
+        weights=LossWeights(disjoint_weight=vals["disjoint_weight"],
+                            grl_lambda=vals["grl_lambda"],
+                            triplet_margin=vals["margin"]),
+        schedule=LrSchedule(base_lr=vals["base_lr"]),
+        epochs=vals["epochs"],
+        iterations_per_epoch=vals["iterations"] or None,
+        seed=vals["seed"],
         disjoint=disjoint, use_domain_loss=use_domain,
         use_synthetic=use_synthetic, num_orientation_bins=bins)
 
 
 def cmd_train(args):
-    file_vals = read_config_file(args.config, TRAIN_KEYS) if args.config else {}
-    vals = _merge(file_vals, {
-        "losses": args.losses, "epochs": args.epochs,
-        "iterations": args.iterations, "seed": args.seed, "n": args.n,
-        "m": args.m, "margin": args.margin, "grl_lambda": args.grl_lambda,
-        "disjoint_weight": args.disjoint_weight, "base_lr": args.base_lr,
-        "hidden_dims": args.hidden_dims, "embed_dim": args.embed_dim,
-        "normalize_embeddings": args.normalize_embeddings,
-        "orientation_bins": None,
-    })
-    vals = {k: v for k, v in vals.items() if v is not None}
-
+    vals = resolve_options(TRAIN_OPTIONS, args)
     real_data, manifest = read_dataset(args.data)
     synth_data = []
     if args.synth:
@@ -190,10 +225,9 @@ def cmd_train(args):
     config = build_train_config(vals, manifest, use_synthetic=bool(args.synth))
 
     os.makedirs(args.out_dir, exist_ok=True)
-    echo = dict(vals)
-    echo.update({"data": args.data, "synth": args.synth or "",
-                 "use_synthetic": str(bool(args.synth)).lower()})
-    write_config_echo(args.out_dir, {k: str(v) for k, v in echo.items()})
+    write_config_echo(args.out_dir, {
+        **vals, "data": args.data, "synth": args.synth or "",
+        "use_synthetic": bool(args.synth)})
 
     start = time.monotonic()
     try:
@@ -242,31 +276,30 @@ def _final_report(params, real_data, config):
 
 # ---- eval ----
 
-EVAL_KEYS = ("topk", "metric", "rerank", "k1", "k2", "lambda", "exclude_self")
+EVAL_OPTIONS = (
+    Opt("topk", int, EvalConfig.top_k, "K of mAP@K"),
+    Opt("metric", str, EvalConfig.metric, "euclidean or squared-euclidean"),
+    Opt("rerank", parse_bool, False, "k-reciprocal re-ranking"),
+    Opt("k1", int, RerankParams.k1, "re-ranking neighbourhood size"),
+    Opt("k2", int, RerankParams.k2, "re-ranking query-expansion size"),
+    Opt("lambda", float, RerankParams.lambda_orig, "original-distance weight"),
+    Opt("exclude_self", parse_bool, False, "skip each query's own row"),
+)
 
 
 def cmd_eval(args):
-    file_vals = read_config_file(args.config, EVAL_KEYS) if args.config else {}
-    vals = _merge(file_vals, {
-        "topk": args.topk, "metric": args.metric,
-        "rerank": str(args.rerank).lower() if args.rerank else None,
-        "k1": args.k1, "k2": args.k2, "lambda": args.lam,
-        "exclude_self": (str(args.exclude_self).lower()
-                         if args.exclude_self else None),
-    })
+    vals = resolve_options(EVAL_OPTIONS, args)
     params, _ = load_checkpoint(args.checkpoint)
     query, _ = read_dataset(args.query)
     gallery, _ = read_dataset(args.gallery)
 
     rerank = None
-    if str(vals.get("rerank", "false")).lower() == "true":
-        rerank = RerankParams(k1=int(vals.get("k1", 20)),
-                              k2=int(vals.get("k2", 6)),
-                              lambda_orig=float(vals.get("lambda", 0.3)))
-    config = EvalConfig(top_k=int(vals.get("topk", 100)),
-                        metric=vals.get("metric", "euclidean"),
+    if vals["rerank"]:
+        rerank = RerankParams(k1=vals["k1"], k2=vals["k2"],
+                              lambda_orig=vals["lambda"])
+    config = EvalConfig(top_k=vals["topk"], metric=vals["metric"],
                         rerank=rerank)
-    exclude_self = str(vals.get("exclude_self", "false")).lower() == "true"
+    exclude_self = vals["exclude_self"]
     report = evaluate(params, query, gallery, config,
                       exclude_self=exclude_self)
 
@@ -311,57 +344,25 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a two-domain toy dataset")
-    g.add_argument("--config")
     g.add_argument("--out-dir", required=True)
-    g.add_argument("--ids-real", type=int, dest="ids_real")
-    g.add_argument("--ids-synth", type=int, dest="ids_synth")
-    g.add_argument("--per-id", type=int, dest="per_id")
-    g.add_argument("--dim", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--cluster-sep", type=float, dest="cluster_sep")
-    g.add_argument("--noise-sigma", type=float, dest="noise_sigma")
-    g.add_argument("--shift-offset", type=float, dest="shift_offset")
-    g.add_argument("--colors", type=int)
-    g.add_argument("--types", type=int)
-    g.add_argument("--orientation-bins", type=int, dest="orientation_bins")
+    add_options(g, GEN_OPTIONS)
     g.set_defaults(func=cmd_gen)
 
     t = sub.add_parser("train", help="train a model")
-    t.add_argument("--config")
     t.add_argument("--data", required=True, help="real-domain JSONL dataset")
     t.add_argument("--synth", help="synthetic-domain JSONL dataset")
     t.add_argument("--out-dir", required=True)
-    t.add_argument("--losses", help="comma list from V,D,O,C,T (V required)")
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--iterations", type=int)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--n", type=int, help="identities per domain per batch")
-    t.add_argument("--m", type=int, help="samples per identity per batch")
-    t.add_argument("--margin", type=float)
-    t.add_argument("--grl-lambda", type=float, dest="grl_lambda")
-    t.add_argument("--disjoint-weight", type=float, dest="disjoint_weight")
-    t.add_argument("--base-lr", type=float, dest="base_lr")
-    t.add_argument("--hidden-dims", dest="hidden_dims")
-    t.add_argument("--embed-dim", type=int, dest="embed_dim")
-    t.add_argument("--normalize-embeddings", action="store_const",
-                   const="true", dest="normalize_embeddings")
+    add_options(t, TRAIN_OPTIONS)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
-    e.add_argument("--config")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--query", required=True)
     e.add_argument("--gallery", required=True)
-    e.add_argument("--topk", type=int)
-    e.add_argument("--metric")
-    e.add_argument("--rerank", action="store_true")
-    e.add_argument("--k1", type=int)
-    e.add_argument("--k2", type=int)
-    e.add_argument("--lambda", type=float, dest="lam")
-    e.add_argument("--exclude-self", action="store_true", dest="exclude_self")
     e.add_argument("--out", default="report.json")
     e.add_argument("--per-query-csv", dest="per_query_csv")
     e.add_argument("--pr-csv", dest="pr_csv")
+    add_options(e, EVAL_OPTIONS)
     e.set_defaults(func=cmd_eval)
     return parser
 

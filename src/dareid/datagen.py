@@ -166,12 +166,15 @@ def _record_to_sample(rec, lineno):
         if absent:
             fail(f"synthetic sample missing fields {absent}")
     try:
-        return Sample(_DOMAIN_CODES[domain], int(rec["id"]),
-                      np.asarray(rec["features"], dtype=np.float64),
-                      color=disjoint["color"], type=disjoint["type"],
-                      orientation_deg=disjoint["orientation_deg"])
+        features = np.asarray(rec["features"], dtype=np.float64)
+        sample = Sample(_DOMAIN_CODES[domain], int(rec["id"]), features,
+                        color=disjoint["color"], type=disjoint["type"],
+                        orientation_deg=disjoint["orientation_deg"])
     except (TypeError, ValueError) as e:
         fail(str(e))
+    if features.ndim != 1 or not np.isfinite(features).all():
+        fail("features must be a flat list of finite numbers")
+    return sample
 
 
 def write_dataset(samples, manifest, path):
@@ -193,7 +196,11 @@ def read_dataset(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DatasetFormatError(f"line {lineno}: invalid JSON ({e})")
-            samples.append(_record_to_sample(rec, lineno))
+            sample = _record_to_sample(rec, lineno)
+            if samples and len(sample.features) != len(samples[0].features):
+                raise DatasetFormatError(f"line {lineno}: feature count "
+                                         "differs from the first sample's")
+            samples.append(sample)
 
     mpath = manifest_path_for(path)
     if os.path.exists(mpath):

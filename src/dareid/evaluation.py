@@ -29,7 +29,6 @@ class RerankParams:
 class EvalConfig:
     top_k: int = 100
     metric: str = "euclidean"
-    same_camera_exclusion: bool = False
     rerank: Optional[RerankParams] = None
 
     def __post_init__(self):
@@ -176,7 +175,11 @@ def k_reciprocal_rerank(queries, gallery, rerank=None, metric="euclidean"):
     nq = q.shape[0]
     allf = np.concatenate([q, g])
     original = pairwise_distances(allf, allf, metric) ** 2
-    original = (original / original.max(axis=0)).T
+    col_max = original.max(axis=0)
+    if not np.all(col_max > 0):
+        raise ValueError("k-reciprocal re-ranking needs distinct embeddings, "
+                         "but all query and gallery embeddings are identical")
+    original = (original / col_max).T
     rank = np.argsort(original, axis=1, kind="stable")
 
     v = _encode_neighbors(original, rank, rerank.k1)
@@ -207,7 +210,6 @@ def evaluate_retrieval(query_feats, gallery_feats, query_ids, gallery_ids,
     cfg_echo = {
         "top_k": config.top_k,
         "metric": config.metric,
-        "same_camera_exclusion": config.same_camera_exclusion,
         "rerank": None if config.rerank is None else {
             "k1": config.rerank.k1, "k2": config.rerank.k2,
             "lambda_orig": config.rerank.lambda_orig,

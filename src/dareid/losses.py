@@ -125,8 +125,7 @@ def triplet_batch_hard(embeddings, ids, margin, squared=False, reduction="sum"):
 
 def total_loss(embeddings, id_logits, disjoint_logits, domain_head, batch,
                weights, enabled_disjoint=("color", "type", "orientation"),
-               use_domain=True, triplet_features=None, squared_triplet=False,
-               triplet_reduction="sum"):
+               use_domain=True):
     """Combine joint and disjoint losses into one scalar node plus a breakdown.
 
     disjoint_logits maps "color"/"type"/"orientation" to logit tensors; terms
@@ -143,10 +142,8 @@ def total_loss(embeddings, id_logits, disjoint_logits, domain_head, batch,
         terms.append(l_dom)
         l_dom_val = l_dom.item()
 
-    tri_in = embeddings if triplet_features is None else triplet_features
-    l_tri = triplet_batch_hard(tri_in, batch.id_labels, weights.triplet_margin,
-                               squared=squared_triplet,
-                               reduction=triplet_reduction)
+    l_tri = triplet_batch_hard(embeddings, batch.id_labels,
+                               weights.triplet_margin)
     terms.append(l_tri)
 
     labels = {"color": batch.color_labels, "type": batch.type_labels,

@@ -21,7 +21,6 @@ class LrSchedule:
     base_lr: float = 3e-4
     decay: float = 0.1
     milestones: tuple = (20, 40)
-    total_epochs: int = 60
 
 
 def lr_at_epoch(schedule, epoch):

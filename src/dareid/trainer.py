@@ -43,9 +43,6 @@ class TrainConfig:
     disjoint: tuple = DISJOINT_NAMES
     use_domain_loss: bool = True
     use_synthetic: bool = True
-    triplet_on_logits: bool = False
-    squared_triplet: bool = False
-    triplet_reduction: str = "sum"
     num_orientation_bins: int = 6
 
     def __post_init__(self):
@@ -78,10 +75,7 @@ def _iteration_step(config, params, batch):
     return total_loss(
         emb, id_logits, disjoint_logits, params.heads["domain"], batch,
         config.weights, enabled_disjoint=config.disjoint,
-        use_domain=config.use_domain_loss,
-        triplet_features=id_logits if config.triplet_on_logits else None,
-        squared_triplet=config.squared_triplet,
-        triplet_reduction=config.triplet_reduction)
+        use_domain=config.use_domain_loss)
 
 
 def train(config, real_data, synth_data=None, resume_from=None):

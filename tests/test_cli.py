@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from dareid.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
-                        main)
+from dareid.cli import (EVAL_OPTIONS, EXIT_DIVERGED, EXIT_OK, EXIT_RUNTIME,
+                        EXIT_USAGE, GEN_OPTIONS, TRAIN_OPTIONS, build_parser,
+                        main, parse_bool, resolve_options)
 
 
 def run_gen(tmp_path, name="data", extra=()):
@@ -185,3 +186,73 @@ class TestUsage:
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["gen", "--out-dir", str(tmp_path), "--bogus"]) \
             == EXIT_USAGE
+
+
+BAD_ROWS = {
+    "nan": lambda f: f[:1] + [float("nan")] + f[2:],
+    "inf": lambda f: f[:1] + [float("-inf")] + f[2:],
+    "short": lambda f: f[:-1],
+    "nested": lambda f: [f],
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("edit", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+    def test_bad_feature_row_names_its_line(self, trained, tmp_path, capsys,
+                                            command, edit):
+        data, ckpt, _ = trained
+        lines = (data / "real.jsonl").read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["features"] = edit(rec["features"])
+        lines[2] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        if command == "train":
+            argv = ["train", "--data", str(bad), "--out-dir", str(tmp_path)]
+        else:
+            argv = ["eval", "--checkpoint", str(ckpt), "--query", str(bad),
+                    "--gallery", str(data / "real.jsonl"),
+                    "--out", str(tmp_path / "e.json")]
+        assert main(argv) == EXIT_RUNTIME
+        assert "line 3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,line", [
+        ("gen", "per_id=abc"), ("train", "normalize_embeddings=yes")])
+    def test_bad_config_value_names_file_and_line(self, tmp_path, capsys,
+                                                  command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# settings\n{line}\n")
+        argv = {"gen": ["gen"],
+                "train": ["train", "--data", str(tmp_path / "d.jsonl")]}
+        code = main(argv[command] + ["--config", str(cfg),
+                                     "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert f"error: {cfg}:2: bad {line.split('=')[0]}:" \
+            in capsys.readouterr().err
+
+
+TABLES = {"gen": GEN_OPTIONS, "train": TRAIN_OPTIONS, "eval": EVAL_OPTIONS}
+REQUIRED_ARGS = {"gen": ["--out-dir", "o"],
+                 "train": ["--data", "d", "--out-dir", "o"],
+                 "eval": ["--checkpoint", "c", "--query", "q",
+                          "--gallery", "g"]}
+SAMPLE_TEXT = {int: "7", float: "0.25", str: "V,D", parse_bool: "true"}
+
+
+@pytest.mark.parametrize("command,opt", [
+    pytest.param(command, opt, id=f"{command}-{opt.key}")
+    for command, table in TABLES.items() for opt in table])
+def test_flag_and_config_file_set_the_same_value(tmp_path, command, opt):
+    text = SAMPLE_TEXT[opt.type]
+    name = "--" + opt.key.replace("_", "-")
+    flag = [name] if opt.type is parse_bool else [name, text]
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{opt.key}={text}\n")
+    parser = build_parser()
+    base = [command, *REQUIRED_ARGS[command]]
+    by_flag = resolve_options(TABLES[command], parser.parse_args(base + flag))
+    by_file = resolve_options(TABLES[command],
+                              parser.parse_args(base + ["--config", str(cfg)]))
+    assert by_flag[opt.key] != opt.default
+    assert by_flag == by_file

@@ -193,6 +193,11 @@ class TestRerank:
             k_reciprocal_rerank(np.zeros((1, 2)), np.zeros((5, 2)),
                                 RerankParams(k1=5, k2=2))
 
+    def test_identical_embeddings_rejected(self):
+        same = np.ones((8, 3))
+        with pytest.raises(ValueError, match="identical"):
+            k_reciprocal_rerank(same[:2], same[2:], RerankParams(k1=3, k2=2))
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             RerankParams(lambda_orig=1.5)
