@@ -29,7 +29,8 @@ python3 -m dareid.cli eval \
     --gallery "$WORK/data/real.jsonl" \
     --exclude-self --rerank --k1 6 --k2 2 \
     --out "$WORK/eval.json" \
-    --per-query-csv "$WORK/per_query.csv"
+    --per-query-csv "$WORK/per_query.csv" \
+    --pr-csv "$WORK/pr.csv"
 
 echo "--- evaluation report ---"
 cat "$WORK/eval.json"

@@ -299,9 +299,8 @@ def cmd_eval(args):
                               lambda_orig=vals["lambda"])
     config = EvalConfig(top_k=vals["topk"], metric=vals["metric"],
                         rerank=rerank)
-    exclude_self = vals["exclude_self"]
     report = evaluate(params, query, gallery, config,
-                      exclude_self=exclude_self)
+                      exclude_self=vals["exclude_self"])
 
     with open(args.out, "w") as f:
         f.write(report.to_json() + "\n")
@@ -312,25 +311,18 @@ def cmd_eval(args):
             for i, ap in enumerate(report.per_query_ap):
                 writer.writerow([i, ap])
     if args.pr_csv:
-        _write_pr_csv(args.pr_csv, params, query, gallery, config,
-                      exclude_self)
+        _write_pr_csv(args.pr_csv, report)
     print(f"mAP@{config.top_k} = {report.map_at_k:.6f}")
     return EXIT_OK
 
 
-def _write_pr_csv(path, params, query, gallery, config, exclude_self):
-    from .evaluation import pairwise_distances, _ranked_matches
-    from .trainer import embed_samples
-    q = embed_samples(params, query)
-    g = embed_samples(params, gallery)
-    dist = pairwise_distances(q, g, config.metric)
-    exclude = np.eye(len(query), dtype=bool) if exclude_self else None
-    ranked = _ranked_matches(dist, [s.id for s in query],
-                             [s.id for s in gallery], exclude)
+def _write_pr_csv(path, report):
+    """Recall/precision points of each query, from the ranking the report
+    scored (re-ranked when it was)."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["query_index", "recall", "precision"])
-        for qi, matches in enumerate(ranked):
+        for qi, matches in enumerate(report.ranked):
             for recall, precision in precision_recall_points(matches):
                 writer.writerow([qi, recall, precision])
 

@@ -6,7 +6,7 @@ Ranking always sorts distances ascending with ties broken by gallery index
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -45,6 +45,8 @@ class EvalReport:
     cmc: dict                 # rank -> hit rate
     config: dict
     reranked: bool
+    # the _ranked_matches rows the metrics were computed from; not serialised
+    ranked: list = field(repr=False, compare=False)
 
     def to_json(self):
         return json.dumps({
@@ -70,18 +72,24 @@ def pairwise_distances(queries, gallery, metric="euclidean"):
     raise ValueError(f"unknown metric {metric!r}")
 
 
+CMC_RANKS = (1, 5, 10)
+
+
 def _ranked_matches(dist, query_ids, gallery_ids, exclude):
-    """Per query: relevance of gallery items in ranked order, exclusions removed."""
+    """Per query: relevance of gallery items in ranked order, exclusions
+    removed. The only place this module ranks: every metric and the PR
+    points come from these rows. Errors if a query has no relevant item."""
     query_ids = np.asarray(query_ids).reshape(-1)
     gallery_ids = np.asarray(gallery_ids).reshape(-1)
     order = np.argsort(dist, axis=1, kind="stable")
-    out = []
-    for qi in range(dist.shape[0]):
-        row = order[qi]
-        if exclude is not None:
-            row = row[~exclude[qi][row]]
-        out.append(gallery_ids[row] == query_ids[qi])
-    return out
+    ranked = list(gallery_ids[order] == query_ids[:, None])
+    if exclude is not None:
+        kept = ~np.take_along_axis(exclude, order, axis=1)
+        ranked = [m[k] for m, k in zip(ranked, kept)]
+    empty = [qi for qi, m in enumerate(ranked) if not m.any()]
+    if empty:
+        raise ValueError(f"queries with no relevant gallery items: {empty}")
+    return ranked
 
 
 def average_precision_at_k(matches, k):
@@ -95,24 +103,27 @@ def average_precision_at_k(matches, k):
     return float(precisions.sum() / min(num_rel, k))
 
 
-def mean_average_precision(dist, query_ids, gallery_ids, k, exclude=None):
-    """mAP@k plus per-query APs; errors if any query lacks relevant items."""
-    ranked = _ranked_matches(dist, query_ids, gallery_ids, exclude)
-    empty = [qi for qi, m in enumerate(ranked) if not m.any()]
-    if empty:
-        raise ValueError(f"queries with no relevant gallery items: {empty}")
+def _map_of_ranked(ranked, k):
     aps = [average_precision_at_k(m, k) for m in ranked]
     return float(np.mean(aps)), aps
 
 
-def cmc(dist, query_ids, gallery_ids, ranks=(1, 5, 10), exclude=None):
-    """Fraction of queries whose first relevant item appears within each rank."""
-    ranked = _ranked_matches(dist, query_ids, gallery_ids, exclude)
-    empty = [qi for qi, m in enumerate(ranked) if not m.any()]
-    if empty:
-        raise ValueError(f"queries with no relevant gallery items: {empty}")
-    first_hit = np.array([int(np.flatnonzero(m)[0]) for m in ranked])
+def _cmc_of_ranked(ranked, ranks):
+    # argmax is the first hit, as _ranked_matches leaves no row without one
+    first_hit = np.array([int(m.argmax()) for m in ranked])
     return {r: float((first_hit < r).mean()) for r in ranks}
+
+
+def mean_average_precision(dist, query_ids, gallery_ids, k, exclude=None):
+    """mAP@k plus per-query APs; errors if any query lacks relevant items."""
+    return _map_of_ranked(
+        _ranked_matches(dist, query_ids, gallery_ids, exclude), k)
+
+
+def cmc(dist, query_ids, gallery_ids, ranks=CMC_RANKS, exclude=None):
+    """Fraction of queries whose first relevant item appears within each rank."""
+    return _cmc_of_ranked(
+        _ranked_matches(dist, query_ids, gallery_ids, exclude), ranks)
 
 
 def precision_recall_points(matches):
@@ -200,19 +211,10 @@ def evaluate_retrieval(query_feats, gallery_feats, query_ids, gallery_ids,
     if config.rerank is not None:
         dist = k_reciprocal_rerank(query_feats, gallery_feats, config.rerank,
                                    config.metric)
-        reranked = True
     else:
         dist = pairwise_distances(query_feats, gallery_feats, config.metric)
-        reranked = False
-    map_k, aps = mean_average_precision(dist, query_ids, gallery_ids,
-                                        config.top_k, exclude)
-    cmc_points = cmc(dist, query_ids, gallery_ids, exclude=exclude)
-    cfg_echo = {
-        "top_k": config.top_k,
-        "metric": config.metric,
-        "rerank": None if config.rerank is None else {
-            "k1": config.rerank.k1, "k2": config.rerank.k2,
-            "lambda_orig": config.rerank.lambda_orig,
-        },
-    }
-    return EvalReport(map_k, aps, cmc_points, cfg_echo, reranked)
+    ranked = _ranked_matches(dist, query_ids, gallery_ids, exclude)
+    map_k, aps = _map_of_ranked(ranked, config.top_k)
+    cmc_points = _cmc_of_ranked(ranked, CMC_RANKS)
+    return EvalReport(map_k, aps, cmc_points, asdict(config),
+                      config.rerank is not None, ranked)

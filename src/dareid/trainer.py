@@ -130,9 +130,10 @@ def embed_samples(params, samples):
 def evaluate(params, query_samples, gallery_samples, eval_config=None,
              exclude_self=False):
     """Embed both sets and delegate to the retrieval evaluator."""
-    if query_samples and (len(query_samples[0].features)
-                          != params.config.input_dim):
-        raise ValueError("checkpoint input_dim does not match dataset")
+    for name, samples in (("query", query_samples),
+                          ("gallery", gallery_samples)):
+        if samples and len(samples[0].features) != params.config.input_dim:
+            raise ValueError(f"checkpoint input_dim does not match {name} set")
     q = embed_samples(params, query_samples)
     g = embed_samples(params, gallery_samples)
     qids = np.array([s.id for s in query_samples])

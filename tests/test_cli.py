@@ -170,6 +170,45 @@ class TestEval:
         assert pq_lines[0] == "query_index,ap" and len(pq_lines) == 17
         assert pr.read_text().splitlines()[0] == "query_index,recall,precision"
 
+    def test_pr_csv_follows_rerank(self, trained):
+        data, ckpt, tmp_path = trained
+        pq, pr = tmp_path / "rr_pq.csv", tmp_path / "rr_pr.csv"
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--query", str(data / "real.jsonl"),
+                     "--gallery", str(data / "real.jsonl"),
+                     "--exclude-self", "--rerank", "--k1", "4", "--k2", "2",
+                     "--lambda", "0.0", "--topk", "16",
+                     "--out", str(tmp_path / "rr.json"),
+                     "--per-query-csv", str(pq), "--pr-csv", str(pr)])
+        assert code == EXIT_OK
+        aps = [float(line.split(",")[1])
+               for line in pq.read_text().splitlines()[1:]]
+        precisions = {}
+        for line in pr.read_text().splitlines()[1:]:
+            qi, _, precision = line.split(",")
+            precisions.setdefault(int(qi), []).append(float(precision))
+        assert sorted(precisions) == list(range(len(aps)))
+        for qi, ap in enumerate(aps):
+            mean = sum(precisions[qi]) / len(precisions[qi])
+            assert mean == pytest.approx(ap, abs=1e-12), qi
+
+    @pytest.mark.parametrize("narrow_set", ["query", "gallery"])
+    def test_width_differs_from_checkpoint(self, trained, capsys,
+                                           narrow_set):
+        data, ckpt, tmp_path = trained
+        _, narrow = run_gen(tmp_path, "narrow", ("--dim", "5"))
+        sets = {"query": data / "real.jsonl", "gallery": data / "real.jsonl"}
+        sets[narrow_set] = narrow / "real.jsonl"
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--query", str(sets["query"]),
+                     "--gallery", str(sets["gallery"]),
+                     "--out", str(tmp_path / "narrow.json")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert (f"error: checkpoint input_dim does not match {narrow_set} set"
+                in err)
+        assert "Traceback" not in err
+
     def test_missing_checkpoint_is_runtime_error(self, trained):
         data, _, tmp_path = trained
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.bin"),

@@ -228,3 +228,38 @@ class TestEvaluateRetrieval:
         parsed = json.loads(report.to_json())
         assert parsed["mAP"] == report.map_at_k
         assert parsed["config"]["top_k"] == 5
+
+    def test_tied_distances_with_exclusions_match_the_metric_functions(self):
+        rng = np.random.default_rng(14)
+        # integer points repeat, so many distances tie exactly
+        g = rng.integers(0, 3, size=(12, 2)).astype(float)
+        q = rng.integers(0, 3, size=(6, 2)).astype(float)
+        gids = np.tile(np.arange(3), 4)
+        qids = np.arange(6) % 3
+        exclude = rng.uniform(size=(6, 12)) < 0.3
+        exclude[:, :3] = False          # each query keeps a relevant item
+        dist = pairwise_distances(q, g)
+        assert len(np.unique(dist)) < dist.size
+        config = EvalConfig(top_k=4)
+        report = evaluate_retrieval(q, g, qids, gids, config, exclude)
+        map_k, aps = mean_average_precision(dist, qids, gids, 4, exclude)
+        assert report.per_query_ap == aps
+        assert report.map_at_k == map_k
+        assert report.cmc == cmc(dist, qids, gids, exclude=exclude)
+        assert aps == pytest.approx(
+            [ap_brute_force(dist[i], qids[i], gids, 4, exclude[i])
+             for i in range(6)], abs=1e-12)
+
+    def test_each_distance_matrix_is_sorted_once(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return argsort(*args, **kwargs)
+        monkeypatch.setattr(np, "argsort", counting)
+        rng = np.random.default_rng(15)
+        g = rng.normal(size=(8, 3))
+        evaluate_retrieval(g, g, np.arange(8) % 4, np.arange(8) % 4,
+                           EvalConfig(), np.eye(8, dtype=bool))
+        assert len(calls) == 1
