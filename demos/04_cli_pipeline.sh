@@ -4,6 +4,7 @@
 set -e
 
 WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
 echo "working in $WORK"
 
 python3 -m dareid.cli gen \

@@ -58,18 +58,48 @@ class EvalReport:
         }, indent=2)
 
 
+# pairwise_distances works on blocks of query rows whose Nb x Ng x D
+# difference tensor stays within this many bytes (one row at least),
+# whatever the number of queries.
+BLOCK_BYTES = 4 * 2**20
+
+
 def pairwise_distances(queries, gallery, metric="euclidean"):
-    """Distance matrix between query rows and gallery rows."""
+    """Distance matrix between query rows and gallery rows.
+
+    Each entry is summed over the same D contiguous differences as the
+    unblocked broadcast, so the result does not depend on the block size;
+    memory is the Nq x Ng output plus one block.
+    """
     q = np.asarray(queries, dtype=np.float64)
     g = np.asarray(gallery, dtype=np.float64)
     if q.shape[1] != g.shape[1]:
         raise ValueError(f"dimension mismatch: {q.shape[1]} vs {g.shape[1]}")
-    sq = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
-    if metric == "squared-euclidean":
-        return sq
+    if metric not in ("euclidean", "squared-euclidean"):
+        raise ValueError(f"unknown metric {metric!r}")
+    out = np.empty((q.shape[0], g.shape[0]))
+    rows = max(1, BLOCK_BYTES // max(1, g.nbytes))
+    for start in range(0, q.shape[0], rows):
+        block = q[start:start + rows]
+        ((block[:, None, :] - g[None, :, :]) ** 2).sum(
+            axis=2, out=out[start:start + rows])
     if metric == "euclidean":
-        return np.sqrt(np.maximum(sq, 0.0))
-    raise ValueError(f"unknown metric {metric!r}")
+        np.sqrt(np.maximum(out, 0.0, out=out), out=out)
+    return out
+
+
+def _stable_argsort(dist):
+    """Row-wise ascending order of a 2-D array, ties broken by column index.
+
+    Equal to np.argsort(dist, axis=1, kind="stable"): a row whose values
+    strictly increase once sorted has exactly one sorted order, so only rows
+    with a tie (or a NaN, which compares false) are sorted again, stably.
+    """
+    order = np.argsort(dist, axis=1)
+    v = np.take_along_axis(dist, order, axis=1)
+    for i in np.flatnonzero(~(v[:, 1:] > v[:, :-1]).all(axis=1)):
+        order[i] = np.argsort(dist[i], kind="stable")
+    return order
 
 
 CMC_RANKS = (1, 5, 10)
@@ -81,7 +111,7 @@ def _ranked_matches(dist, query_ids, gallery_ids, exclude):
     points come from these rows. Errors if a query has no relevant item."""
     query_ids = np.asarray(query_ids).reshape(-1)
     gallery_ids = np.asarray(gallery_ids).reshape(-1)
-    order = np.argsort(dist, axis=1, kind="stable")
+    order = _stable_argsort(np.asarray(dist))
     ranked = list(gallery_ids[order] == query_ids[:, None])
     if exclude is not None:
         kept = ~np.take_along_axis(exclude, order, axis=1)
@@ -191,7 +221,7 @@ def k_reciprocal_rerank(queries, gallery, rerank=None, metric="euclidean"):
         raise ValueError("k-reciprocal re-ranking needs distinct embeddings, "
                          "but all query and gallery embeddings are identical")
     original = (original / col_max).T
-    rank = np.argsort(original, axis=1, kind="stable")
+    rank = _stable_argsort(original)
 
     v = _encode_neighbors(original, rank, rerank.k1)
     if rerank.k2 != 1:

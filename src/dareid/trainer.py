@@ -122,34 +122,41 @@ def train(config, real_data, synth_data=None, resume_from=None):
     return TrainResult(params, optim, run_log, config.epochs, config)
 
 
+def _features(samples):
+    return np.stack([s.features for s in samples])
+
+
 def embed_samples(params, samples):
-    feats = np.stack([s.features for s in samples])
-    return embed(params, Tensor(feats)).data
+    return embed(params, Tensor(_features(samples))).data
 
 
 def evaluate(params, query_samples, gallery_samples, eval_config=None,
              exclude_self=False):
-    """Embed both sets and delegate to the retrieval evaluator."""
+    """Embed both sets and delegate to the retrieval evaluator. A gallery
+    that is the query set (same ids and features, in order) is embedded
+    once; only then may each query's own row be excluded."""
     for name, samples in (("query", query_samples),
                           ("gallery", gallery_samples)):
         if samples and len(samples[0].features) != params.config.input_dim:
             raise ValueError(f"checkpoint input_dim does not match {name} set")
-    q = embed_samples(params, query_samples)
-    g = embed_samples(params, gallery_samples)
     qids = np.array([s.id for s in query_samples])
     gids = np.array([s.id for s in gallery_samples])
+    same_set = (np.array_equal(qids, gids) and np.array_equal(
+        _features(query_samples), _features(gallery_samples)))
     exclude = None
     if exclude_self:
-        if len(query_samples) != len(gallery_samples):
+        if not same_set:
             raise ValueError("self-exclusion requires query set == gallery set")
         exclude = np.eye(len(qids), dtype=bool)
+    q = embed_samples(params, query_samples)
+    g = q if same_set else embed_samples(params, gallery_samples)
     return evaluate_retrieval(q, g, qids, gids, eval_config or EvalConfig(),
                               exclude)
 
 
 def id_accuracy(params, samples):
     """Top-1 accuracy of the ID head over a sample list."""
-    emb = embed(params, Tensor(np.stack([s.features for s in samples])))
+    emb = embed(params, Tensor(_features(samples)))
     logits = head_logits(params, emb, "id").data
     pred = logits.argmax(axis=1)
     truth = np.array([s.id for s in samples])

@@ -209,6 +209,18 @@ class TestEval:
                 in err)
         assert "Traceback" not in err
 
+    def test_exclude_self_needs_the_query_set_as_gallery(self, trained,
+                                                         capsys):
+        data, ckpt, tmp_path = trained
+        _, other = run_gen(tmp_path, "other", ("--seed", "1"))
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--query", str(data / "real.jsonl"),
+                     "--gallery", str(other / "real.jsonl"),
+                     "--exclude-self", "--out", str(tmp_path / "ex.json")])
+        assert code == EXIT_USAGE
+        assert ("error: self-exclusion requires query set == gallery set"
+                in capsys.readouterr().err)
+
     def test_missing_checkpoint_is_runtime_error(self, trained):
         data, _, tmp_path = trained
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.bin"),

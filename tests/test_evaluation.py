@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import (ap_brute_force, cmc_brute_force, naive_distances,
                      rerank_reference)
 
-from dareid.evaluation import (EvalConfig, RerankParams, cmc,
+from dareid import evaluation
+from dareid.evaluation import (EvalConfig, RerankParams, _ranked_matches, cmc,
                                evaluate_retrieval, k_reciprocal_rerank,
                                mean_average_precision, pairwise_distances,
                                precision_recall_points)
@@ -37,6 +40,29 @@ class TestPairwiseDistances:
         a, b = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
         assert np.allclose(pairwise_distances(a, b),
                            pairwise_distances(b, a).T, atol=1e-12)
+
+    def test_blocked_equals_unblocked_broadcast_bitwise(self):
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(4096, 8))
+        rows = evaluation.BLOCK_BYTES // g.nbytes
+        # three full blocks and a ragged fourth
+        q = rng.normal(size=(3 * rows + rows // 2, 8))
+        sq = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(pairwise_distances(q, g, "squared-euclidean"),
+                              sq)
+        assert np.array_equal(pairwise_distances(q, g),
+                              np.sqrt(np.maximum(sq, 0.0)))
+
+    def test_memory_is_the_output_plus_one_block(self):
+        rng = np.random.default_rng(4)
+        q, g = rng.normal(size=(256, 32)), rng.normal(size=(8192, 32))
+        tracemalloc.start()
+        try:
+            pairwise_distances(q, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 8192 * 8 + 16 * 2**20
 
 
 class TestMeanAveragePrecision:
@@ -142,6 +168,22 @@ class TestCmc:
         qids = rng.integers(6, size=5)
         map1, _ = mean_average_precision(dist, qids, gids, k=1)
         assert cmc(dist, qids, gids)[1] == pytest.approx(map1, abs=1e-12)
+
+
+class TestRanking:
+    def test_rows_follow_the_stable_sort(self):
+        rng = np.random.default_rng(5)
+        dist = rng.normal(size=(6, 40))                  # untied rows
+        dist[1] = rng.integers(0, 3, size=40)            # many ties
+        dist[2, 10:20] = dist[2, 5]                      # one run of ties
+        dist[3, ::7] = np.nan
+        dist[4] = 0.0
+        gids = np.arange(40) % 5
+        qids = np.array([0, 1, 2, 3, 4, 0])
+        ranked = _ranked_matches(dist, qids, gids, None)
+        for qid, row, got in zip(qids, dist, ranked):
+            assert np.array_equal(
+                got, gids[np.argsort(row, kind="stable")] == qid)
 
 
 class TestPrecisionRecallPoints:

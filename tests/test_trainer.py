@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dareid.datagen import ToySpec, generate_toy_dataset
-from dareid.evaluation import EvalConfig, RerankParams
+from dareid import trainer
+from dareid.evaluation import EvalConfig, RerankParams, evaluate_retrieval
 from dareid.losses import LossWeights
 from dareid.network import ModelConfig, checkpoint_dict
 from dareid.optimizer import LrSchedule
@@ -131,6 +132,24 @@ class TestEvaluateHelpers:
         a = evaluate(result.params, real, real, exclude_self=True)
         b = evaluate(result.params, real, real, exclude_self=True)
         assert a.map_at_k == b.map_at_k and a.per_query_ap == b.per_query_ap
+
+    def test_query_set_as_gallery_is_embedded_once(self, monkeypatch):
+        real, _, _ = toy_data()
+        result = train(small_train_config(use_synthetic=False, epochs=3), real)
+        ids = np.array([s.id for s in real])
+        both = evaluate_retrieval(embed_samples(result.params, real),
+                                  embed_samples(result.params, real), ids, ids,
+                                  EvalConfig(), np.eye(len(real), dtype=bool))
+        calls = []
+
+        def counting(params, samples):
+            calls.append(len(samples))
+            return embed_samples(params, samples)
+        monkeypatch.setattr(trainer, "embed_samples", counting)
+        report = evaluate(result.params, real, list(real), exclude_self=True)
+        assert calls == [len(real)]
+        assert report.per_query_ap == both.per_query_ap
+        assert report.cmc == both.cmc
 
     def test_self_retrieval_with_exclusion_beats_chance(self):
         real, _, _ = toy_data()
