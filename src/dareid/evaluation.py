@@ -97,8 +97,9 @@ def _stable_argsort(dist):
     """
     order = np.argsort(dist, axis=1)
     v = np.take_along_axis(dist, order, axis=1)
-    for i in np.flatnonzero(~(v[:, 1:] > v[:, :-1]).all(axis=1)):
-        order[i] = np.argsort(dist[i], kind="stable")
+    tied = ~(v[:, 1:] > v[:, :-1]).all(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
     return order
 
 
@@ -221,7 +222,7 @@ def k_reciprocal_rerank(queries, gallery, rerank=None, metric="euclidean"):
         raise ValueError("k-reciprocal re-ranking needs distinct embeddings, "
                          "but all query and gallery embeddings are identical")
     original = (original / col_max).T
-    rank = _stable_argsort(original)
+    rank = np.argsort(original, axis=1, kind="stable")
 
     v = _encode_neighbors(original, rank, rerank.k1)
     if rerank.k2 != 1:

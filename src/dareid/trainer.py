@@ -141,8 +141,9 @@ def evaluate(params, query_samples, gallery_samples, eval_config=None,
             raise ValueError(f"checkpoint input_dim does not match {name} set")
     qids = np.array([s.id for s in query_samples])
     gids = np.array([s.id for s in gallery_samples])
-    same_set = (np.array_equal(qids, gids) and np.array_equal(
-        _features(query_samples), _features(gallery_samples)))
+    same_set = np.array_equal(qids, gids) and all(
+        np.array_equal(a.features, b.features)
+        for a, b in zip(query_samples, gallery_samples))
     exclude = None
     if exclude_self:
         if not same_set:
