@@ -22,12 +22,14 @@ import numpy as np
 
 from .datagen import (DatasetFormatError, ToySpec, generate_toy_dataset,
                       read_dataset, write_dataset)
-from .evaluation import EvalConfig, RerankParams, precision_recall_points
+from .evaluation import (EvalConfig, RerankParams, evaluate_retrieval,
+                         precision_recall_points)
 from .losses import LossWeights
 from .network import ModelConfig, load_checkpoint, save_checkpoint
 from .optimizer import LrSchedule
 from .sampling import REAL, SYNTHETIC, BatchSpec
-from .trainer import (DivergenceError, TrainConfig, evaluate, train)
+from .trainer import (DivergenceError, TrainConfig, embed_samples, evaluate,
+                      train)
 
 EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_DIVERGED = 0, 1, 2, 3
 
@@ -261,16 +263,18 @@ def _write_run_log(out_dir, run_log):
 
 def _final_report(params, real_data, config):
     """Self-retrieval snapshot on the real training split, with and without
-    re-ranking when the gallery is large enough."""
-    rep = evaluate(params, real_data, real_data, EvalConfig(),
-                   exclude_self=True)
+    re-ranking when the gallery is large enough. The split is embedded once
+    and each query's own row is excluded."""
+    emb = embed_samples(params, real_data)
+    ids = np.array([s.id for s in real_data])
+    exclude = np.eye(len(ids), dtype=bool)
+    rep = evaluate_retrieval(emb, emb, ids, ids, EvalConfig(), exclude)
     out = {"mAP": rep.map_at_k, "cmc": {str(r): v for r, v in rep.cmc.items()},
            "config": rep.config, "mAP_reranked": None}
     rr = RerankParams()
     if rr.k1 < len(real_data):
-        rep_rr = evaluate(params, real_data, real_data,
-                          EvalConfig(rerank=rr), exclude_self=True)
-        out["mAP_reranked"] = rep_rr.map_at_k
+        out["mAP_reranked"] = evaluate_retrieval(
+            emb, emb, ids, ids, EvalConfig(rerank=rr), exclude).map_at_k
     return out
 
 

@@ -21,8 +21,10 @@ class RerankParams:
     def __post_init__(self):
         if not 0.0 <= self.lambda_orig <= 1.0:
             raise ValueError("lambda_orig must be in [0, 1]")
-        if self.k2 > self.k1:
-            raise ValueError("k2 must not exceed k1")
+        if self.k1 < 1:
+            raise ValueError("k1 must be >= 1")
+        if not 1 <= self.k2 <= self.k1:
+            raise ValueError("k2 must be in [1, k1]")
 
 
 @dataclass
@@ -167,46 +169,134 @@ def precision_recall_points(matches):
 
 # ---- k-reciprocal re-ranking ----
 
-def _reciprocal_set(rank, i, k):
-    forward = rank[i, :k + 1]
-    back = rank[forward, :k + 1]
-    return forward[np.any(back == i, axis=1)]
+def _top_k(dist, k):
+    """First k columns of np.argsort(dist, axis=1, kind="stable"), for a 2-D
+    array without NaN. Only the candidates are sorted: the k smallest values
+    of each row, widened to every value tied with the k-th, so that ties keep
+    their index order."""
+    part = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(dist, part, axis=1).max(axis=1)
+    width = int((dist <= kth[:, None]).sum(axis=1).max())
+    if width > k:
+        part = np.argpartition(dist, width - 1, axis=1)[:, :width]
+    part.sort(axis=1)
+    order = np.argsort(np.take_along_axis(dist, part, axis=1), axis=1,
+                      kind="stable")[:, :k]
+    return np.take_along_axis(part, order, axis=1)
 
 
-def _encode_neighbors(original, rank, k1):
-    """Row-normalized Gaussian weights over expanded k-reciprocal sets."""
-    n = original.shape[0]
+def _reciprocal(near):
+    """mask[i, a]: row i is itself among the neighbours of near[i, a]."""
+    n, k = near.shape
+    rows = np.repeat(np.arange(n), k)
+    cols = near.ravel()
+    return np.isin(cols * n + rows, rows * n + cols).reshape(n, k)
+
+
+def _ranges(starts, lengths):
+    """The concatenation of arange(s, s + l) over the (s, l) pairs."""
+    ends = np.cumsum(lengths)
+    return (np.repeat(starts - ends + lengths, lengths)
+            + np.arange(lengths.sum()))
+
+
+def _row_ptr(rows, n):
+    """CSR row pointer of entries whose ascending row numbers are `rows`."""
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+
+
+def _block_rows(n):
+    """Rows of an n-wide float64 block that fit in BLOCK_BYTES (one at least)."""
+    return max(1, BLOCK_BYTES // (8 * n))
+
+
+def _distance_pass(allf, nq, k, metric):
+    """One pass over the all-vs-all squared distances, a block of rows at a
+    time, each row divided by its maximum. The matrix is exactly symmetric,
+    so these are the column maxima the dense algorithm divides by. Returns
+    the maxima, each row's top k neighbours and the query rows' normalised
+    distances to the gallery rows."""
+    n = allf.shape[0]
+    row_max = np.empty(n)
+    near = np.empty((n, k), dtype=np.intp)
+    query_rows = np.empty((nq, n - nq))
+    rows = _block_rows(n)
+    for start in range(0, n, rows):
+        block = pairwise_distances(allf[start:start + rows], allf, metric) ** 2
+        peak = block.max(axis=1)
+        if not np.isfinite(peak).all():
+            raise ValueError("k-reciprocal re-ranking needs finite distances, "
+                             "but the squared distances overflow")
+        if not (peak > 0).all():
+            raise ValueError("k-reciprocal re-ranking needs distinct "
+                             "embeddings, but all query and gallery "
+                             "embeddings are identical")
+        block /= peak[:, None]
+        row_max[start:start + rows] = peak
+        near[start:start + rows] = _top_k(block, k)
+        if start < nq:
+            query_rows[start:start + rows] = block[:nq - start, nq:]
+    return row_max, near, query_rows
+
+
+def _encode_weights(allf, near, row_max, k1, metric):
+    """V as CSR arrays: per row, Gaussian weights over its expanded
+    k-reciprocal set in ascending column order, normalised to sum to one.
+    Each weight is recomputed from the features by pairwise_distances, so it
+    is the entry of the normalised all-vs-all matrix bit for bit."""
     half = int(round(k1 / 2.0))
-    recip = [_reciprocal_set(rank, i, k1) for i in range(n)]
-    recip_half = [_reciprocal_set(rank, i, half) for i in range(n)]
-    v = np.zeros_like(original)
-    for i in range(n):
-        expanded = recip[i]
-        for cand in recip[i]:
-            overlap = np.intersect1d(recip_half[cand], recip[i])
-            if len(overlap) > (2.0 / 3.0) * len(recip_half[cand]):
-                expanded = np.append(expanded, recip_half[cand])
-        expanded = np.unique(expanded)
-        weight = np.exp(-original[i, expanded])
-        v[i, expanded] = weight / weight.sum()
-    return v
+    recip = [r[m].tolist() for r, m in zip(near, _reciprocal(near))]
+    recip_half = [r[m].tolist() for r, m in
+                  zip(near[:, :half + 1], _reciprocal(near[:, :half + 1]))]
+    indices, data = [], []
+    for i, forward in enumerate(recip):
+        own = set(forward)
+        expanded = set(forward)
+        for cand in forward:
+            if len(own.intersection(recip_half[cand])) > (
+                    2.0 / 3.0) * len(recip_half[cand]):
+                expanded.update(recip_half[cand])
+        cols = np.array(sorted(expanded), dtype=np.intp)
+        weight = np.exp(-(pairwise_distances(allf[i:i + 1], allf[cols],
+                                             metric)[0] ** 2 / row_max[i]))
+        indices.append(cols)
+        data.append(weight / weight.sum())
+    indptr = np.concatenate([[0], np.cumsum([len(c) for c in indices])])
+    return indptr, np.concatenate(indices), np.concatenate(data)
 
 
-def _jaccard_distances(v, num_queries):
-    n = v.shape[0]
-    owners = [np.flatnonzero(v[:, j]) for j in range(n)]
-    jac = np.zeros((num_queries, n))
-    for i in range(num_queries):
-        overlap = np.zeros(n)
-        for j in np.flatnonzero(v[i]):
-            overlap[owners[j]] += np.minimum(v[i, j], v[owners[j], j])
-        jac[i] = 1.0 - overlap / (2.0 - overlap)
-    return jac
+def _mean_rows(indptr, indices, data, nearest):
+    """CSR arrays whose row i is the mean of the rows nearest[i]. A block of
+    rows is summed densely by bincount, which adds in input order: the
+    rows in the order of nearest[i], as the dense mean over rows does (an
+    absent entry there adds 0.0, which changes no value)."""
+    n, k = nearest.shape
+    rows = _block_rows(n)
+    out_rows, out_cols, out_data = [], [], []
+    for start in range(0, n, rows):
+        src = nearest[start:start + rows].ravel()
+        lens = indptr[src + 1] - indptr[src]
+        take = _ranges(indptr[src], lens)
+        block_n = len(src) // k
+        owner = np.repeat(np.arange(block_n), k).repeat(lens)
+        total = np.bincount(owner * n + indices[take], weights=data[take],
+                            minlength=block_n * n).reshape(block_n, n)
+        r, c = np.nonzero(total)
+        out_rows.append(r + start)
+        out_cols.append(c)
+        out_data.append(total[r, c] / k)
+    return (_row_ptr(np.concatenate(out_rows), n), np.concatenate(out_cols),
+            np.concatenate(out_data))
 
 
 def k_reciprocal_rerank(queries, gallery, rerank=None, metric="euclidean"):
     """Blend the original distances with a Jaccard distance over k-reciprocal
     neighbor sets (with local query expansion), returning an Nq x Ng matrix.
+
+    Bitwise equal to the dense algorithm over the all-vs-all matrix, in
+    O(Nq x N + N x k1) memory: only the query rows and each row's top k1+1
+    neighbours are kept of the distances, and the neighbour weights are
+    sparse rows.
     """
     if rerank is None:
         rerank = RerankParams()
@@ -216,22 +306,37 @@ def k_reciprocal_rerank(queries, gallery, rerank=None, metric="euclidean"):
         raise ValueError(f"k1={rerank.k1} must be below gallery size {g.shape[0]}")
     nq = q.shape[0]
     allf = np.concatenate([q, g])
-    original = pairwise_distances(allf, allf, metric) ** 2
-    col_max = original.max(axis=0)
-    if not np.all(col_max > 0):
-        raise ValueError("k-reciprocal re-ranking needs distinct embeddings, "
-                         "but all query and gallery embeddings are identical")
-    original = (original / col_max).T
-    rank = np.argsort(original, axis=1, kind="stable")
-
-    v = _encode_neighbors(original, rank, rerank.k1)
+    if not np.isfinite(allf).all():
+        raise ValueError("k-reciprocal re-ranking needs finite embeddings, "
+                         "but the embeddings are not finite")
+    n = allf.shape[0]
+    row_max, near, final = _distance_pass(allf, nq, rerank.k1 + 1, metric)
+    indptr, indices, data = _encode_weights(allf, near, row_max, rerank.k1,
+                                            metric)
+    # local query expansion; with k2 == 1 a row stays as it is, though its
+    # nearest row may be a lower-index duplicate
     if rerank.k2 != 1:
-        v = np.stack([v[rank[i, :rerank.k2]].mean(axis=0)
-                      for i in range(v.shape[0])])
-    jac = _jaccard_distances(v, nq)
-    final = (rerank.lambda_orig * original[:nq]
-             + (1.0 - rerank.lambda_orig) * jac)
-    return final[:, nq:]
+        indptr, indices, data = _mean_rows(indptr, indices, data,
+                                           near[:, :rerank.k2])
+
+    # Jaccard distance of each query row to every row, the overlap summed in
+    # ascending column order through a column index of V
+    by_col = np.argsort(indices, kind="stable")
+    col_ptr = _row_ptr(indices[by_col], n)
+    col_rows = np.repeat(np.arange(n), np.diff(indptr))[by_col]
+    col_data = data[by_col]
+    lam = rerank.lambda_orig
+    for i in range(nq):
+        cols = indices[indptr[i]:indptr[i + 1]]
+        counts = col_ptr[cols + 1] - col_ptr[cols]
+        take = _ranges(col_ptr[cols], counts)
+        overlap = np.bincount(
+            col_rows[take], minlength=n,
+            weights=np.minimum(np.repeat(data[indptr[i]:indptr[i + 1]],
+                                         counts), col_data[take]))[nq:]
+        final[i] = lam * final[i] + (1.0 - lam) * (
+            1.0 - overlap / (2.0 - overlap))
+    return final
 
 
 def evaluate_retrieval(query_feats, gallery_feats, query_ids, gallery_ids,

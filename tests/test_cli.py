@@ -3,9 +3,13 @@ import os
 
 import pytest
 
+from dareid import cli
 from dareid.cli import (EVAL_OPTIONS, EXIT_DIVERGED, EXIT_OK, EXIT_RUNTIME,
                         EXIT_USAGE, GEN_OPTIONS, TRAIN_OPTIONS, build_parser,
                         main, parse_bool, resolve_options)
+from dareid.datagen import read_dataset
+from dareid.network import load_checkpoint
+from dareid.trainer import embed_samples
 
 
 def run_gen(tmp_path, name="data", extra=()):
@@ -106,6 +110,27 @@ class TestTrain:
         code = main(["train", "--data", str(tmp_path / "nope.jsonl"),
                      "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_RUNTIME
+
+    def test_final_report_embeds_the_split_once(self, tmp_path,
+                                                monkeypatch):
+        # 24 real samples: enough for the default k1=20, so the report is
+        # computed plain and re-ranked
+        _, data = run_gen(tmp_path, extra=("--per-id", "6"))
+        out = tmp_path / "run"
+        assert run_train(data, out) == EXIT_OK
+        params, _ = load_checkpoint(str(out / "checkpoint.bin"))
+        real, _ = read_dataset(str(data / "real.jsonl"))
+        calls = []
+
+        def counting(params, samples):
+            calls.append(len(samples))
+            return embed_samples(params, samples)
+        monkeypatch.setattr(cli, "embed_samples", counting)
+        report = cli._final_report(params, real, None)
+        assert calls == [24]
+        assert report["mAP_reranked"] is not None
+        written = json.loads((out / "report.json").read_text())
+        assert {**report, "status": "completed"} == written
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_exit_code_and_report(self, tmp_path):
@@ -220,6 +245,19 @@ class TestEval:
         assert code == EXIT_USAGE
         assert ("error: self-exclusion requires query set == gallery set"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("sizes", [("--k2", "0"), ("--k2", "-1"),
+                                       ("--k1", "-3", "--k2", "-3")])
+    def test_rerank_sizes_below_one_are_usage_errors(self, trained, capsys,
+                                                     sizes):
+        data, ckpt, tmp_path = trained
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--query", str(data / "real.jsonl"),
+                     "--gallery", str(data / "real.jsonl"),
+                     "--rerank", *sizes, "--out", str(tmp_path / "k.json")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: k" in err and "Traceback" not in err
 
     def test_missing_checkpoint_is_runtime_error(self, trained):
         data, _, tmp_path = trained

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,9 @@ from oracles import (ap_brute_force, cmc_brute_force, naive_distances,
                      rerank_reference)
 
 from dareid import evaluation
-from dareid.evaluation import (EvalConfig, RerankParams, _ranked_matches, cmc,
-                               evaluate_retrieval, k_reciprocal_rerank,
+from dareid.evaluation import (EvalConfig, RerankParams, _ranked_matches,
+                               _top_k, cmc, evaluate_retrieval,
+                               k_reciprocal_rerank,
                                mean_average_precision, pairwise_distances,
                                precision_recall_points)
 
@@ -221,6 +223,7 @@ class TestRerank:
                                                          lambda_orig=0.3))
             ref = rerank_reference(q, g, k1=3, k2=2, lambda_value=0.3)
             assert np.allclose(got, ref, atol=1e-9)
+            assert np.array_equal(got, ref)
 
     def test_default_parameters_against_reference(self):
         rng = np.random.default_rng(11)
@@ -229,6 +232,44 @@ class TestRerank:
         got = k_reciprocal_rerank(q, g)
         ref = rerank_reference(q, g)
         assert np.allclose(got, ref, atol=1e-9)
+        assert np.array_equal(got, ref)
+
+    def test_query_set_as_gallery_matches_stably_ranked_reference(
+            self, monkeypatch):
+        # each row of the all-vs-all matrix holds every distance twice, so
+        # the neighbour lists follow the tie rule: lower index first
+        g = np.random.default_rng(16).normal(size=(40, 4))
+        got = k_reciprocal_rerank(g, g, RerankParams(k1=6, k2=3))
+        monkeypatch.setattr(np, "argsort",
+                            functools.partial(np.argsort, kind="stable"))
+        assert np.array_equal(got, rerank_reference(g, g, k1=6, k2=3))
+
+    def test_no_row_of_the_all_vs_all_matrix_is_sorted(self, monkeypatch):
+        row_widths = []
+        argsort = np.argsort
+
+        def recording(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                row_widths.append(np.shape(a)[1])
+            return argsort(a, *args, **kwargs)
+        monkeypatch.setattr(np, "argsort", recording)
+        rng = np.random.default_rng(17)
+        q, g = rng.normal(size=(8, 3)), rng.normal(size=(56, 3))
+        k_reciprocal_rerank(q, g, RerankParams(k1=6, k2=3))
+        # the rows hold 64 distances; only the top-7 candidates are sorted
+        assert row_widths and max(row_widths) < 64
+
+    def test_memory_stays_below_one_dense_matrix(self):
+        rng = np.random.default_rng(18)
+        q, g = rng.normal(size=(64, 32)), rng.normal(size=(4032, 32))
+        tracemalloc.start()
+        try:
+            k_reciprocal_rerank(q, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 4096 x 4096 float64 matrix is 128 MiB
+        assert peak < 32 * 2**20
 
     def test_k1_must_be_below_gallery_size(self):
         with pytest.raises(ValueError):
@@ -240,11 +281,63 @@ class TestRerank:
         with pytest.raises(ValueError, match="identical"):
             k_reciprocal_rerank(same[:2], same[2:], RerankParams(k1=3, k2=2))
 
+    def test_non_finite_embeddings_rejected(self):
+        rng = np.random.default_rng(19)
+        for bad in (np.nan, np.inf, -np.inf):
+            g = rng.normal(size=(8, 3))
+            g[5, 1] = bad
+            with pytest.raises(ValueError, match="not finite"):
+                k_reciprocal_rerank(g[:2], g[2:], RerankParams(k1=3, k2=2))
+
+    def test_overflowing_distances_rejected(self):
+        g = np.random.default_rng(20).normal(size=(8, 3))
+        g[5, 1] = 1e200
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="overflow"):
+            k_reciprocal_rerank(g[:2], g[2:], RerankParams(k1=3, k2=2))
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             RerankParams(lambda_orig=1.5)
-        with pytest.raises(ValueError):
-            RerankParams(k1=3, k2=4)
+        for k1, k2 in ((3, 4), (0, 0), (-3, -3), (-3, 1), (5, 0), (5, -1)):
+            with pytest.raises(ValueError, match="k1 must|k2 must"):
+                RerankParams(k1=k1, k2=k2)
+
+    def test_smallest_neighbourhoods_accepted(self):
+        rng = np.random.default_rng(24)
+        q, g = rng.normal(size=(3, 4)), rng.normal(size=(9, 4))
+        got = k_reciprocal_rerank(q, g, RerankParams(k1=1, k2=1))
+        ref = rerank_reference(q, g, k1=1, k2=1)
+        assert np.array_equal(got, ref)
+
+
+class TestTopK:
+    @staticmethod
+    def expected(dist, k):
+        return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+    def test_untied_rows(self):
+        dist = np.random.default_rng(21).normal(size=(7, 50))
+        for k in (1, 5, 21, 50):
+            assert np.array_equal(_top_k(dist, k), self.expected(dist, k))
+
+    def test_integer_valued_rows(self):
+        dist = np.random.default_rng(22).integers(0, 4, size=(9, 40))
+        dist = dist.astype(float)
+        for k in (1, 3, 10, 39, 40):
+            assert np.array_equal(_top_k(dist, k), self.expected(dist, k))
+
+    def test_ties_across_the_boundary(self):
+        rng = np.random.default_rng(23)
+        k = 6
+        dist = rng.uniform(size=(5, 30))
+        dist[0, [3, 9, 17, 25]] = np.sort(dist[0])[k - 1]  # k-th value x5
+        dist[1] = 0.5                                      # one value
+        dist[2, ::2] = 0.0                                 # 15 zeros
+        dist[3, [29, 0]] = dist[3].min()                   # tie at rank one
+        kth = np.sort(dist, axis=1)[:, k - 1]
+        assert ((dist <= kth[:, None]).sum(axis=1)[:3] > k).all()
+        assert np.array_equal(_top_k(dist, k), self.expected(dist, k))
 
 
 class TestEvaluateRetrieval:
