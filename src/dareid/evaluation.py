@@ -60,18 +60,19 @@ class EvalReport:
         }, indent=2)
 
 
-# pairwise_distances works on blocks of query rows whose Nb x Ng x D
-# difference tensor stays within this many bytes (one row at least),
-# whatever the number of queries.
+# The work space of pairwise_distances (nine arrays of a block of query rows
+# by Ng) and of the re-ranker's blocks stays within this many bytes (one row
+# at least), whatever the number of queries.
 BLOCK_BYTES = 4 * 2**20
 
 
 def pairwise_distances(queries, gallery, metric="euclidean"):
     """Distance matrix between query rows and gallery rows.
 
-    Each entry is summed over the same D contiguous differences as the
-    unblocked broadcast, so the result does not depend on the block size;
-    memory is the Nq x Ng output plus one block.
+    Equal, bit for bit, to summing the broadcast Nq x Ng x D squared
+    differences over their last axis, but one block of query rows at a time
+    and one dimension at a time, so that no reduction runs over a short
+    axis: memory is the Nq x Ng output plus nine block-sized arrays.
     """
     q = np.asarray(queries, dtype=np.float64)
     g = np.asarray(gallery, dtype=np.float64)
@@ -80,14 +81,64 @@ def pairwise_distances(queries, gallery, metric="euclidean"):
     if metric not in ("euclidean", "squared-euclidean"):
         raise ValueError(f"unknown metric {metric!r}")
     out = np.empty((q.shape[0], g.shape[0]))
-    rows = max(1, BLOCK_BYTES // max(1, g.nbytes))
+    gt = np.ascontiguousarray(g.T)
+    rows = max(1, BLOCK_BYTES // (9 * 8 * max(1, g.shape[0])))
+    work = np.empty((9, rows, g.shape[0]))
     for start in range(0, q.shape[0], rows):
         block = q[start:start + rows]
-        ((block[:, None, :] - g[None, :, :]) ** 2).sum(
-            axis=2, out=out[start:start + rows])
+        _sum_squares(block, gt, out[start:start + rows],
+                     work[:, :block.shape[0]])
     if metric == "euclidean":
-        np.sqrt(np.maximum(out, 0.0, out=out), out=out)
+        np.sqrt(out, out=out)
     return out
+
+
+def _sum_squares(q, gt, dest, work):
+    """dest[a, b] = the sum over j of (q[a, j] - gt[j, b])**2, the n terms
+    added in the order of NumPy's pairwise summation over a contiguous axis
+    of length n (pairwise_sum in numpy/_core/src/umath/loops_utils.h.src):
+    in order below 8 terms; up to 128, accumulator k takes terms k, k+8, ...,
+    the eight are combined as a tree and the tail of n % 8 terms is added in
+    order; above 128, the two parts (split at half of n, rounded down to a
+    multiple of 8) are summed apart and added. work holds eight accumulators
+    and a difference buffer; a right part of over 128 terms is held in one
+    more array."""
+    n = q.shape[1]
+    *acc, diff = work
+
+    def term(j, into):
+        np.subtract(q[:, j, None], gt[j], out=into)
+        return np.multiply(into, into, out=into)
+
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        _sum_squares(q[:, :half], gt[:half], dest, work)
+        right = acc[0] if n - half <= 128 else np.empty_like(dest)
+        _sum_squares(q[:, half:], gt[half:], right, work)
+        np.add(dest, right, out=dest)
+        return
+    if n >= 8:
+        for k in range(8):
+            term(k, acc[k])
+        done = n - n % 8
+        for j in range(8, done):
+            np.add(acc[j % 8], term(j, diff), out=acc[j % 8])
+        r0, r1, r2, r3, r4, r5, r6, r7 = acc
+        np.add(r0, r1, out=r0)
+        np.add(r2, r3, out=r2)
+        np.add(r4, r5, out=r4)
+        np.add(r6, r7, out=r6)
+        np.add(r0, r2, out=r0)
+        np.add(r4, r6, out=r4)
+        np.add(r0, r4, out=dest)
+    elif n:
+        term(0, dest)
+        done = 1
+    else:
+        dest.fill(0.0)
+        done = 0
+    for j in range(done, n):
+        np.add(dest, term(j, diff), out=dest)
 
 
 def _stable_argsort(dist):
@@ -210,6 +261,15 @@ def _block_rows(n):
     return max(1, BLOCK_BYTES // (8 * n))
 
 
+def _original_distances(sq, metric):
+    """The re-ranker's original distance, in place: the squared Euclidean
+    distances sq under either metric, though under "euclidean" taken through
+    the square root and back, as the published algorithm computes them."""
+    if metric == "euclidean":
+        np.square(np.sqrt(sq, out=sq), out=sq)
+    return sq
+
+
 def _distance_pass(allf, nq, k, metric):
     """One pass over the all-vs-all squared distances, a block of rows at a
     time, each row divided by its maximum. The matrix is exactly symmetric,
@@ -222,7 +282,9 @@ def _distance_pass(allf, nq, k, metric):
     query_rows = np.empty((nq, n - nq))
     rows = _block_rows(n)
     for start in range(0, n, rows):
-        block = pairwise_distances(allf[start:start + rows], allf, metric) ** 2
+        block = _original_distances(
+            pairwise_distances(allf[start:start + rows], allf,
+                               "squared-euclidean"), metric)
         peak = block.max(axis=1)
         if not np.isfinite(peak).all():
             raise ValueError("k-reciprocal re-ranking needs finite distances, "
@@ -242,27 +304,34 @@ def _distance_pass(allf, nq, k, metric):
 def _encode_weights(allf, near, row_max, k1, metric):
     """V as CSR arrays: per row, Gaussian weights over its expanded
     k-reciprocal set in ascending column order, normalised to sum to one.
-    Each weight is recomputed from the features by pairwise_distances, so it
-    is the entry of the normalised all-vs-all matrix bit for bit."""
+    Each weight's squared distance is summed over the same D contiguous
+    differences as pairwise_distances, so it is the entry of the normalised
+    all-vs-all matrix bit for bit."""
     half = int(round(k1 / 2.0))
     recip = [r[m].tolist() for r, m in zip(near, _reciprocal(near))]
     recip_half = [r[m].tolist() for r, m in
                   zip(near[:, :half + 1], _reciprocal(near[:, :half + 1]))]
-    indices, data = [], []
-    for i, forward in enumerate(recip):
+    indices = []
+    for forward in recip:
         own = set(forward)
         expanded = set(forward)
         for cand in forward:
             if len(own.intersection(recip_half[cand])) > (
                     2.0 / 3.0) * len(recip_half[cand]):
                 expanded.update(recip_half[cand])
-        cols = np.array(sorted(expanded), dtype=np.intp)
-        weight = np.exp(-(pairwise_distances(allf[i:i + 1], allf[cols],
-                                             metric)[0] ** 2 / row_max[i]))
-        indices.append(cols)
-        data.append(weight / weight.sum())
-    indptr = np.concatenate([[0], np.cumsum([len(c) for c in indices])])
-    return indptr, np.concatenate(indices), np.concatenate(data)
+        indices.append(np.array(sorted(expanded), dtype=np.intp))
+    cols = np.concatenate(indices)
+    rows = np.repeat(np.arange(len(indices)), [len(c) for c in indices])
+    indptr = _row_ptr(rows, len(indices))
+    dist = np.empty(len(cols))
+    step = _block_rows(allf.shape[1])
+    for start in range(0, len(cols), step):
+        diff = allf[rows[start:start + step]]
+        diff -= allf[cols[start:start + step]]
+        np.square(diff, out=diff).sum(axis=1, out=dist[start:start + step])
+    weight = np.exp(-(_original_distances(dist, metric) / row_max[rows]))
+    data = [w / w.sum() for w in np.split(weight, indptr[1:-1])]
+    return indptr, cols, np.concatenate(data)
 
 
 def _mean_rows(indptr, indices, data, nearest):

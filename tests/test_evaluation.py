@@ -46,14 +46,23 @@ class TestPairwiseDistances:
     def test_blocked_equals_unblocked_broadcast_bitwise(self):
         rng = np.random.default_rng(3)
         g = rng.normal(size=(4096, 8))
-        rows = evaluation.BLOCK_BYTES // g.nbytes
+        rows = evaluation.BLOCK_BYTES // (9 * 8 * len(g))
         # three full blocks and a ragged fourth
-        q = rng.normal(size=(3 * rows + rows // 2, 8))
-        sq = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
-        assert np.array_equal(pairwise_distances(q, g, "squared-euclidean"),
-                              sq)
-        assert np.array_equal(pairwise_distances(q, g),
-                              np.sqrt(np.maximum(sq, 0.0)))
+        cases = [(rng.normal(size=(3 * rows + rows // 2, 8)), g)]
+        # every branch of NumPy's pairwise summation order: no term, fewer
+        # than 8, up to 128 with and without a D % 8 tail, above 128 (one
+        # split) and above 256 (a split within a split)
+        for d in (0, 1, 7, 8, 9, 32, 129, 300):
+            cases.append((rng.normal(size=(5, d)), rng.normal(size=(64, d))))
+        # integer values: repeated rows, equal distances and zeros
+        ints = rng.integers(-2, 3, size=(64, 9)).astype(float)
+        cases.append((ints[:16], ints))
+        for q, g in cases:
+            sq = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
+            assert np.array_equal(
+                pairwise_distances(q, g, "squared-euclidean"), sq)
+            assert np.array_equal(pairwise_distances(q, g),
+                                  np.sqrt(np.maximum(sq, 0.0)))
 
     def test_memory_is_the_output_plus_one_block(self):
         rng = np.random.default_rng(4)
@@ -302,6 +311,35 @@ class TestRerank:
         for k1, k2 in ((3, 4), (0, 0), (-3, -3), (-3, 1), (5, 0), (5, -1)):
             with pytest.raises(ValueError, match="k1 must|k2 must"):
                 RerankParams(k1=k1, k2=k2)
+
+    def test_squared_metric_blends_squared_distances(self):
+        # at lambda 1 the output is the original distance: the squared
+        # distance divided by its row maximum over the query and gallery rows
+        rng = np.random.default_rng(26)
+        q, g = rng.normal(size=(2, 4)), rng.normal(size=(6, 4))
+        got = k_reciprocal_rerank(
+            q, g, RerankParams(k1=3, k2=1, lambda_orig=1.0),
+            "squared-euclidean")
+        allf = np.concatenate([q, g])
+        d2 = pairwise_distances(allf, allf, "squared-euclidean")[:2]
+        assert np.allclose(got, d2[:, 2:] / d2.max(axis=1)[:, None],
+                           rtol=0, atol=1e-12)
+
+    def test_distances_are_computed_once_per_block_of_rows(self, monkeypatch):
+        calls = []
+        original = evaluation.pairwise_distances
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(evaluation, "pairwise_distances", counting)
+        rng = np.random.default_rng(27)
+        q, g = rng.normal(size=(512, 8)), rng.normal(size=(1536, 8))
+        k_reciprocal_rerank(q, g)
+        n = len(q) + len(g)
+        assert sum(calls) == n
+        blocks = -(-n // evaluation._block_rows(n))
+        assert blocks == 8 and len(calls) <= blocks
 
     def test_smallest_neighbourhoods_accepted(self):
         rng = np.random.default_rng(24)
