@@ -326,8 +326,8 @@ def _write_pr_csv(path, report):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["query_index", "recall", "precision"])
-        for qi, matches in enumerate(report.ranked):
-            for recall, precision in precision_recall_points(matches):
+        for qi, positions in enumerate(report.positions):
+            for recall, precision in precision_recall_points(positions):
                 writer.writerow([qi, recall, precision])
 
 

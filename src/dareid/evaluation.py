@@ -1,8 +1,8 @@
 """Retrieval evaluation: distance matrices, rank-K mAP, CMC, and
 k-reciprocal re-ranking.
 
-Ranking always sorts distances ascending with ties broken by gallery index
-(stable sort), so results are deterministic.
+Ranking orders distances ascending with ties broken by gallery index and
+NaN last (the order of a stable sort), so results are deterministic.
 """
 
 import json
@@ -47,8 +47,10 @@ class EvalReport:
     cmc: dict                 # rank -> hit rate
     config: dict
     reranked: bool
-    # the _ranked_matches rows the metrics were computed from; not serialised
-    ranked: list = field(repr=False, compare=False)
+    # per query, the ascending positions of its relevant items in the
+    # ranking the metrics were computed from (exclusions removed); not
+    # serialised
+    positions: list = field(repr=False, compare=False)
 
     def to_json(self):
         return json.dumps({
@@ -141,81 +143,127 @@ def _sum_squares(q, gt, dest, work):
         np.add(dest, term(j, diff), out=dest)
 
 
-def _stable_argsort(dist):
-    """Row-wise ascending order of a 2-D array, ties broken by column index.
-
-    Equal to np.argsort(dist, axis=1, kind="stable"): a row whose values
-    strictly increase once sorted has exactly one sorted order, so only rows
-    with a tie (or a NaN, which compares false) are sorted again, stably.
-    """
-    order = np.argsort(dist, axis=1)
-    v = np.take_along_axis(dist, order, axis=1)
-    tied = ~(v[:, 1:] > v[:, :-1]).all(axis=1)
-    if tied.any():
-        order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
-    return order
-
-
 CMC_RANKS = (1, 5, 10)
 
 
-def _ranked_matches(dist, query_ids, gallery_ids, exclude):
-    """Per query: relevance of gallery items in ranked order, exclusions
-    removed. The only place this module ranks: every metric and the PR
-    points come from these rows. Errors if a query has no relevant item."""
+def _checked_ids(nq, ng, query_ids, gallery_ids, exclude):
+    """The ids and exclusion mask of an nq x ng evaluation, as arrays;
+    errors if there is no query or if their lengths or shape do not fit."""
     query_ids = np.asarray(query_ids).reshape(-1)
     gallery_ids = np.asarray(gallery_ids).reshape(-1)
-    order = _stable_argsort(np.asarray(dist))
-    ranked = list(gallery_ids[order] == query_ids[:, None])
+    if nq == 0:
+        raise ValueError("no queries to evaluate")
+    if len(query_ids) != nq:
+        raise ValueError(f"{len(query_ids)} query ids for {nq} query rows")
+    if len(gallery_ids) != ng:
+        raise ValueError(
+            f"{len(gallery_ids)} gallery ids for {ng} gallery columns")
     if exclude is not None:
-        kept = ~np.take_along_axis(exclude, order, axis=1)
-        ranked = [m[k] for m, k in zip(ranked, kept)]
-    empty = [qi for qi, m in enumerate(ranked) if not m.any()]
+        exclude = np.asarray(exclude, dtype=bool)
+        if exclude.shape != (nq, ng):
+            raise ValueError(f"exclude has shape {exclude.shape}, expected "
+                             f"{(nq, ng)}")
+    return query_ids, gallery_ids, exclude
+
+
+def _positions(row, s, cols):
+    """Positions of the columns cols in the stable ascending order of row,
+    given s, the row sorted: the entries of smaller value (NaN is the
+    largest) plus the equal ones (NaN equals NaN) at a lower column."""
+    d = row[cols]
+    pos = np.searchsorted(s, d, "left")
+    tied = np.searchsorted(s, d, "right") - pos > 1
+    if tied.any():
+        # equal entries share the index of their value in s; keyed by that
+        # index and their column, the equal entries at a lower column are
+        # a range of the sorted keys
+        c, first, n = cols[tied], pos[tied], len(row)
+        head = np.arange(c.max())
+        keys = np.sort(np.searchsorted(s, row[head], "left") * n + head)
+        pos[tied] += (np.searchsorted(keys, first * n + c)
+                      - np.searchsorted(keys, first * n))
+    return pos
+
+
+def _rank_rows(dist, query_ids, gallery_ids, exclude):
+    """Per row of a block of distances: the ascending positions of its
+    relevant columns in its stable ranking, the excluded columns removed."""
+    s = np.sort(dist, axis=1)
+    relevant = gallery_ids == query_ids[:, None]
+    if exclude is not None:
+        relevant &= ~exclude
+    positions = []
+    for i, row in enumerate(dist):
+        pos = _positions(row, s[i], np.flatnonzero(relevant[i]))
+        if exclude is not None:
+            ahead = np.sort(_positions(row, s[i], np.flatnonzero(exclude[i])))
+            pos -= np.searchsorted(ahead, pos)
+        positions.append(np.sort(pos))
+    return positions
+
+
+def _ranked(distances, query_ids, gallery_ids, exclude):
+    """Per query: the ascending positions of its relevant gallery items in
+    the ranking, exclusions removed. The only place this module ranks:
+    every metric and the PR points come from these. distances(rows) gives
+    the distances of a slice of query rows, asked for a block at a time.
+    Takes _checked_ids' output; errors if a query has no relevant item."""
+    step = _block_rows(len(gallery_ids))
+    positions = []
+    for start in range(0, len(query_ids), step):
+        rows = slice(start, start + step)
+        positions += _rank_rows(distances(rows), query_ids[rows], gallery_ids,
+                                None if exclude is None else exclude[rows])
+    empty = [qi for qi, p in enumerate(positions) if not len(p)]
     if empty:
         raise ValueError(f"queries with no relevant gallery items: {empty}")
-    return ranked
+    return positions
 
 
-def average_precision_at_k(matches, k):
-    """AP from a ranked boolean relevance vector, truncated to the top k."""
-    num_rel = int(matches.sum())
-    if num_rel == 0:
-        raise ValueError("query has no relevant gallery items")
-    top = matches[:k]
-    hits = np.cumsum(top)
-    precisions = hits[top] / (np.flatnonzero(top) + 1.0)
-    return float(precisions.sum() / min(num_rel, k))
+def _ranked_matrix(dist, query_ids, gallery_ids, exclude):
+    """_ranked over the rows of a distance matrix."""
+    dist = np.asarray(dist)
+    if dist.ndim != 2:
+        raise ValueError(f"distances have shape {dist.shape}, not 2-D")
+    return _ranked(lambda rows: dist[rows],
+                   *_checked_ids(*dist.shape, query_ids, gallery_ids, exclude))
 
 
-def _map_of_ranked(ranked, k):
-    aps = [average_precision_at_k(m, k) for m in ranked]
+def _average_precision(positions, k):
+    """AP@k of one query from the ascending positions of its relevant items."""
+    hits = np.arange(1, len(positions) + 1)
+    return float((hits / (positions + 1.0))[positions < k].sum()
+                 / min(len(positions), k))
+
+
+def _map_of_ranked(positions, k):
+    aps = [_average_precision(p, k) for p in positions]
     return float(np.mean(aps)), aps
 
 
-def _cmc_of_ranked(ranked, ranks):
-    # argmax is the first hit, as _ranked_matches leaves no row without one
-    first_hit = np.array([int(m.argmax()) for m in ranked])
+def _cmc_of_ranked(positions, ranks):
+    first_hit = np.array([p[0] for p in positions])
     return {r: float((first_hit < r).mean()) for r in ranks}
 
 
 def mean_average_precision(dist, query_ids, gallery_ids, k, exclude=None):
     """mAP@k plus per-query APs; errors if any query lacks relevant items."""
     return _map_of_ranked(
-        _ranked_matches(dist, query_ids, gallery_ids, exclude), k)
+        _ranked_matrix(dist, query_ids, gallery_ids, exclude), k)
 
 
 def cmc(dist, query_ids, gallery_ids, ranks=CMC_RANKS, exclude=None):
     """Fraction of queries whose first relevant item appears within each rank."""
     return _cmc_of_ranked(
-        _ranked_matches(dist, query_ids, gallery_ids, exclude), ranks)
+        _ranked_matrix(dist, query_ids, gallery_ids, exclude), ranks)
 
 
-def precision_recall_points(matches):
-    """(recall, precision) at each relevant hit of one ranked relevance vector."""
-    num_rel = int(matches.sum())
-    hits = np.cumsum(matches)
-    pos = np.flatnonzero(matches)
-    return [(float(hits[p] / num_rel), float(hits[p] / (p + 1))) for p in pos]
+def precision_recall_points(positions):
+    """(recall, precision) at each relevant hit of one query, from the
+    ascending positions of its relevant items."""
+    hits = np.arange(1, len(positions) + 1)
+    return list(zip((hits / len(positions)).tolist(),
+                    (hits / (positions + 1)).tolist()))
 
 
 # ---- k-reciprocal re-ranking ----
@@ -258,7 +306,7 @@ def _row_ptr(rows, n):
 
 def _block_rows(n):
     """Rows of an n-wide float64 block that fit in BLOCK_BYTES (one at least)."""
-    return max(1, BLOCK_BYTES // (8 * n))
+    return max(1, BLOCK_BYTES // (8 * max(1, n)))
 
 
 def _original_distances(sq, metric):
@@ -410,16 +458,21 @@ def k_reciprocal_rerank(queries, gallery, rerank=None, metric="euclidean"):
 
 def evaluate_retrieval(query_feats, gallery_feats, query_ids, gallery_ids,
                        config=None, exclude=None):
-    """Full evaluation pass producing an EvalReport."""
+    """Full evaluation pass producing an EvalReport. Without re-ranking,
+    each block of query rows is ranked as soon as its distances are
+    computed, so the Nq x Ng matrix never exists."""
     if config is None:
         config = EvalConfig()
+    q = np.asarray(query_feats, dtype=np.float64)
+    g = np.asarray(gallery_feats, dtype=np.float64)
+    ids = _checked_ids(len(q), len(g), query_ids, gallery_ids, exclude)
     if config.rerank is not None:
-        dist = k_reciprocal_rerank(query_feats, gallery_feats, config.rerank,
-                                   config.metric)
+        dist = k_reciprocal_rerank(q, g, config.rerank, config.metric)
+        positions = _ranked(lambda rows: dist[rows], *ids)
     else:
-        dist = pairwise_distances(query_feats, gallery_feats, config.metric)
-    ranked = _ranked_matches(dist, query_ids, gallery_ids, exclude)
-    map_k, aps = _map_of_ranked(ranked, config.top_k)
-    cmc_points = _cmc_of_ranked(ranked, CMC_RANKS)
+        positions = _ranked(
+            lambda rows: pairwise_distances(q[rows], g, config.metric), *ids)
+    map_k, aps = _map_of_ranked(positions, config.top_k)
+    cmc_points = _cmc_of_ranked(positions, CMC_RANKS)
     return EvalReport(map_k, aps, cmc_points, asdict(config),
-                      config.rerank is not None, ranked)
+                      config.rerank is not None, positions)

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from dareid import cli
@@ -8,6 +9,8 @@ from dareid.cli import (EVAL_OPTIONS, EXIT_DIVERGED, EXIT_OK, EXIT_RUNTIME,
                         EXIT_USAGE, GEN_OPTIONS, TRAIN_OPTIONS, build_parser,
                         main, parse_bool, resolve_options)
 from dareid.datagen import read_dataset
+from dareid.evaluation import (RerankParams, k_reciprocal_rerank,
+                               pairwise_distances)
 from dareid.network import load_checkpoint
 from dareid.trainer import embed_samples
 
@@ -216,6 +219,35 @@ class TestEval:
         for qi, ap in enumerate(aps):
             mean = sum(precisions[qi]) / len(precisions[qi])
             assert mean == pytest.approx(ap, abs=1e-12), qi
+
+    @pytest.mark.parametrize("rerank", [(), ("--rerank", "--k1", "4",
+                                              "--k2", "2")])
+    def test_pr_csv_rows_follow_the_stable_ranking(self, trained, rerank):
+        # every row, bit for bit: the points of a stable argsort of each
+        # query's distances with its own row removed
+        data, ckpt, tmp_path = trained
+        pr = tmp_path / "pin_pr.csv"
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--query", str(data / "real.jsonl"),
+                     "--gallery", str(data / "real.jsonl"), "--exclude-self",
+                     *rerank, "--out", str(tmp_path / "pin.json"),
+                     "--pr-csv", str(pr)])
+        assert code == EXIT_OK
+        params, _ = load_checkpoint(str(ckpt))
+        real, _ = read_dataset(str(data / "real.jsonl"))
+        emb = embed_samples(params, real)
+        ids = np.array([s.id for s in real])
+        dist = (k_reciprocal_rerank(emb, emb, RerankParams(k1=4, k2=2))
+                if rerank else pairwise_distances(emb, emb))
+        expected = ["query_index,recall,precision"]
+        for qi, row in enumerate(dist):
+            order = np.argsort(row, kind="stable")
+            matches = ids[order[order != qi]] == ids[qi]
+            hits = np.cumsum(matches)
+            expected += [f"{qi},{float(hits[p] / hits[-1])},"
+                         f"{float(hits[p] / (p + 1))}"
+                         for p in np.flatnonzero(matches)]
+        assert pr.read_text().splitlines() == expected
 
     @pytest.mark.parametrize("narrow_set", ["query", "gallery"])
     def test_width_differs_from_checkpoint(self, trained, capsys,

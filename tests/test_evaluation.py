@@ -8,8 +8,8 @@ from oracles import (ap_brute_force, cmc_brute_force, naive_distances,
                      rerank_reference)
 
 from dareid import evaluation
-from dareid.evaluation import (EvalConfig, RerankParams, _ranked_matches,
-                               _top_k, cmc, evaluate_retrieval,
+from dareid.evaluation import (CMC_RANKS, EvalConfig, RerankParams, _top_k,
+                               cmc, evaluate_retrieval,
                                k_reciprocal_rerank,
                                mean_average_precision, pairwise_distances,
                                precision_recall_points)
@@ -104,6 +104,8 @@ class TestMeanAveragePrecision:
         dist = np.ones((2, 2))
         with pytest.raises(ValueError, match=r"\[1\]"):
             mean_average_precision(dist, [0, 9], [0, 0], k=10)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            mean_average_precision(dist[:, :0], [0, 9], [], k=10)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(2)
@@ -191,15 +193,90 @@ class TestRanking:
         dist[4] = 0.0
         gids = np.arange(40) % 5
         qids = np.array([0, 1, 2, 3, 4, 0])
-        ranked = _ranked_matches(dist, qids, gids, None)
-        for qid, row, got in zip(qids, dist, ranked):
-            assert np.array_equal(
-                got, gids[np.argsort(row, kind="stable")] == qid)
+        positions = evaluation._ranked_matrix(dist, qids, gids, None)
+        for qid, row, got in zip(qids, dist, positions):
+            assert np.array_equal(got, np.flatnonzero(
+                gids[np.argsort(row, kind="stable")] == qid))
+
+
+class TestBlockBoundaries:
+    """Ranking runs a block of query rows at a time. With blocks of three
+    rows, every kind of row lies on both sides of a block boundary and the
+    last block is ragged."""
+
+    NG, ROWS = 40, 3
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "BLOCK_BYTES",
+                            8 * self.NG * self.ROWS)
+
+    @staticmethod
+    def check(dist, qids, gids, k, exclude, positions, aps, cmc_points):
+        """Against a stable argsort of each row and against the oracles;
+        NaN, which both rank last, is +inf to the oracles."""
+        finite = np.where(np.isnan(dist), np.inf, dist)
+        if exclude is None:
+            exclude = np.zeros(dist.shape, dtype=bool)
+        per_query_cmc = []
+        for i, row in enumerate(dist):
+            order = np.argsort(row, kind="stable")
+            order = order[~exclude[i][order]]
+            assert np.array_equal(positions[i],
+                                  np.flatnonzero(gids[order] == qids[i])), i
+            kept = ~exclude[i]
+            per_query_cmc.append(cmc_brute_force(
+                finite[i:i + 1, kept], qids[i:i + 1], gids[kept], CMC_RANKS))
+        assert aps == pytest.approx(
+            [ap_brute_force(finite[i], qids[i], gids, k, exclude[i])
+             for i in range(len(dist))], abs=1e-12)
+        assert cmc_points == pytest.approx(
+            {r: np.mean([c[r] for c in per_query_cmc]) for r in CMC_RANKS},
+            abs=1e-12)
+
+    def test_distance_rows(self):
+        rng = np.random.default_rng(28)
+        kinds = [rng.normal(size=self.NG),                      # untied
+                 rng.integers(0, 4, size=self.NG).astype(float),  # tied
+                 np.where(rng.uniform(size=self.NG) < 0.3, np.nan,
+                          rng.integers(0, 3, size=self.NG)),      # NaN
+                 np.full(self.NG, 0.5),                           # all equal
+                 np.full(self.NG, np.nan)]                        # all NaN
+        dist = np.array([kinds[i % 5] for i in range(4 * self.ROWS + 2)])
+        gids = np.arange(self.NG) % 4
+        qids = np.arange(len(dist)) % 4
+        exclude = rng.uniform(size=dist.shape) < 0.3
+        exclude[:, :4] = False          # each query keeps a relevant item
+        for mask in (None, exclude):
+            aps = mean_average_precision(dist, qids, gids, 7, mask)[1]
+            self.check(dist, qids, gids, 7, mask,
+                       evaluation._ranked_matrix(dist, qids, gids, mask),
+                       aps, cmc(dist, qids, gids, exclude=mask))
+
+    @pytest.mark.parametrize("rerank", [None, RerankParams(k1=5, k2=3)])
+    def test_evaluate_retrieval(self, rerank):
+        rng = np.random.default_rng(29)
+        g = rng.integers(0, 3, size=(self.NG, 2)).astype(float)
+        gids = np.arange(self.NG) % 4
+        q = np.concatenate([rng.normal(size=(5, 2)), g[:9]])
+        qids = np.concatenate([rng.integers(4, size=5), gids[:9]])
+        exclude = rng.uniform(size=(len(q), self.NG)) < 0.3
+        exclude[:, :4] = False
+        # and the query set as gallery, each query's own row excluded
+        for q, qids, mask in ((q, qids, exclude),
+                              (g, gids, np.eye(self.NG, dtype=bool))):
+            report = evaluate_retrieval(q, g, qids, gids,
+                                        EvalConfig(top_k=7, rerank=rerank),
+                                        mask)
+            dist = (pairwise_distances(q, g) if rerank is None
+                    else k_reciprocal_rerank(q, g, rerank))
+            self.check(dist, qids, gids, 7, mask, report.positions,
+                       report.per_query_ap, report.cmc)
 
 
 class TestPrecisionRecallPoints:
     def test_simple_pattern(self):
-        pts = precision_recall_points(np.array([False, True, False, True]))
+        pts = precision_recall_points(np.array([1, 3]))
         assert pts == [(0.5, 0.5), (1.0, 0.5)]
 
 
@@ -424,15 +501,82 @@ class TestEvaluateRetrieval:
              for i in range(6)], abs=1e-12)
 
     def test_each_distance_matrix_is_sorted_once(self, monkeypatch):
-        calls = []
-        argsort = np.argsort
+        # nothing is argsorted, and the distance values np.sort sees are
+        # the rows of the distance matrix, each row once
+        argsorts, sorted_values = [], []
+        sort, argsort = np.sort, np.argsort
 
-        def counting(*args, **kwargs):
-            calls.append(1)
+        def recording_sort(a, *args, **kwargs):
+            if np.asarray(a).dtype.kind == "f":
+                sorted_values.append(np.array(a))
+            return sort(a, *args, **kwargs)
+
+        def recording_argsort(*args, **kwargs):
+            argsorts.append(1)
             return argsort(*args, **kwargs)
-        monkeypatch.setattr(np, "argsort", counting)
+        monkeypatch.setattr(np, "sort", recording_sort)
+        monkeypatch.setattr(np, "argsort", recording_argsort)
         rng = np.random.default_rng(15)
         g = rng.normal(size=(8, 3))
         evaluate_retrieval(g, g, np.arange(8) % 4, np.arange(8) % 4,
                            EvalConfig(), np.eye(8, dtype=bool))
-        assert len(calls) == 1
+        assert not argsorts
+        assert all(v.ndim == 2 for v in sorted_values)
+        assert np.array_equal(np.concatenate(sorted_values),
+                              pairwise_distances(g, g))
+
+    def test_memory_does_not_grow_with_the_queries(self):
+        # without re-ranking, the distances are ranked a block of rows at a
+        # time: the peak is one block's work space plus the positions
+        rng = np.random.default_rng(30)
+        g = rng.normal(size=(4096, 16))
+        gids = np.arange(4096) % 512            # 8 relevant items per query
+        peaks, kept = {}, 0
+        for nq in (256, 1024):
+            q = rng.normal(size=(nq, 16))
+            qids = rng.integers(512, size=nq)
+            tracemalloc.start()
+            try:
+                report = evaluate_retrieval(q, g, qids, gids)
+                _, peaks[nq] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            kept = sum(p.nbytes for p in report.positions)
+        assert peaks[1024] - peaks[256] < 2**20 + kept
+        assert peaks[1024] < 1024 * 4096 * 8
+
+
+class TestShapeChecks:
+    """Ids and masks that do not fit the distances fail instead of being
+    broadcast."""
+
+    dist = np.random.default_rng(31).uniform(size=(3, 6))
+    gids = np.array([1, 2, 1, 2, 1, 2])
+
+    def test_one_query_id_for_three_rows(self):
+        with pytest.raises(ValueError, match="1 query ids for 3 query rows"):
+            mean_average_precision(self.dist, [1], self.gids, k=5)
+
+    def test_gallery_ids_longer_than_the_columns(self):
+        with pytest.raises(ValueError,
+                           match="7 gallery ids for 6 gallery columns"):
+            cmc(self.dist, [1, 2, 1], np.append(self.gids, 1))
+
+    def test_evaluate_with_one_query_id_for_three_rows(self):
+        rng = np.random.default_rng(32)
+        q, g = rng.normal(size=(3, 2)), rng.normal(size=(6, 2))
+        with pytest.raises(ValueError, match="1 query ids for 3 query rows"):
+            evaluate_retrieval(q, g, [1], self.gids)
+
+    def test_exclude_of_one_row(self):
+        with pytest.raises(ValueError, match=r"shape \(1, 6\), expected "
+                                             r"\(3, 6\)"):
+            mean_average_precision(self.dist, [1, 2, 1], self.gids, k=5,
+                                   exclude=np.zeros((1, 6), dtype=bool))
+
+    def test_zero_queries(self):
+        with pytest.raises(ValueError, match="no queries"):
+            mean_average_precision(self.dist[:0], [], self.gids, k=5)
+        with pytest.raises(ValueError, match="no queries"):
+            evaluate_retrieval(np.zeros((0, 2)), np.ones((6, 2)), [],
+                               self.gids)
