@@ -15,9 +15,9 @@ def main():
     rng = np.random.default_rng(0)
 
     # y = relu(x @ w + b), loss = sum(y)
-    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(np.zeros((1, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 3)))
+    w = Tensor(rng.normal(size=(3, 4)))
+    b = Tensor(np.zeros((1, 4)))
     loss = ((x @ w + b).relu()).sum()
     loss.backward()
     print("loss      :", loss.item())
@@ -32,9 +32,9 @@ def main():
     # gradient reversal: identity forward, -lam * grad backward
     lam = 0.5
     point = rng.normal(size=(2, 3))
-    plain = Tensor(point, requires_grad=True)
+    plain = Tensor(point)
     plain.sum().backward()
-    reversed_leaf = Tensor(point, requires_grad=True)
+    reversed_leaf = Tensor(point)
     grad_reversal(reversed_leaf, lam).sum().backward()
     print("\nforward values identical :",
           np.array_equal(point, grad_reversal(Tensor(point), lam).data))

@@ -31,14 +31,12 @@ def _as_matrix(data):
 class Tensor:
     """A 2-D float64 array node in a dynamically built computation graph."""
 
-    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None,
-                 op=""):
+    def __init__(self, data, parents=(), backward_fn=None, op=""):
         self.data = _as_matrix(data)
         if not np.all(np.isfinite(self.data)):
             raise NonFiniteError(
                 f"non-finite values in tensor (op={op or 'leaf'})")
         self.grad = np.zeros_like(self.data)
-        self.requires_grad = requires_grad
         self._parents = tuple(parents)
         self._backward_fn = backward_fn
         self._op = op
@@ -86,8 +84,6 @@ class Tensor:
         out._backward_fn = _bw
         return out
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             a, s = self, float(other)
@@ -109,12 +105,6 @@ class Tensor:
         return out
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __sub__(self, other):
-        return self + (-_wrap(other))
 
     def sum(self):
         a = self
@@ -190,12 +180,12 @@ def l2_normalize_rows(x, eps=1e-12):
     return out
 
 
-def softmax_cross_entropy(logits, labels, mask=None, denom=None):
+def softmax_cross_entropy(logits, labels, mask=None):
     """Fused softmax + cross-entropy, averaged over the batch.
 
-    L = -(1/denom) * sum_i mask_i * log softmax(logits_i)[labels_i]
-    with denom defaulting to the batch size N. The gradient of row i is
-    mask_i * (softmax_i - onehot_i) / denom, exactly zero for masked rows.
+    L = -(1/N) * sum_i mask_i * log softmax(logits_i)[labels_i] over a batch
+    of N rows. The gradient of row i is mask_i * (softmax_i - onehot_i) / N,
+    exactly zero for masked rows.
     """
     n, c = logits.shape
     if n == 0:
@@ -212,8 +202,6 @@ def softmax_cross_entropy(logits, labels, mask=None, denom=None):
     active = mask != 0.0
     if np.any((labels[active] < 0) | (labels[active] >= c)):
         raise GraphError(f"label out of range [0, {c})")
-    if denom is None:
-        denom = n
 
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
@@ -221,7 +209,7 @@ def softmax_cross_entropy(logits, labels, mask=None, denom=None):
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + zmax
     safe_labels = np.where(active, labels, 0)
     logp = z[np.arange(n), safe_labels] - lse[:, 0]
-    value = -(mask * np.where(active, logp, 0.0)).sum() / denom
+    value = -(mask * np.where(active, logp, 0.0)).sum() / n
 
     out = Tensor([[value]], parents=(logits,), op="softmax_xent")
     probs = np.exp(z - lse)
@@ -229,7 +217,7 @@ def softmax_cross_entropy(logits, labels, mask=None, denom=None):
     def _bw(g):
         d = probs.copy()
         d[np.arange(n), safe_labels] -= 1.0
-        d *= (mask / denom)[:, None]
+        d *= (mask / n)[:, None]
         d[~active] = 0.0
         logits.grad += g[0, 0] * d
     out._backward_fn = _bw
@@ -245,7 +233,7 @@ def finite_difference_check(scalar_fn, point, eps=1e-5):
     if eps <= 0:
         raise GraphError("eps must be positive")
     point = _as_matrix(point)
-    x = Tensor(point, requires_grad=True)
+    x = Tensor(point)
     out = scalar_fn(x)
     out.backward()
     analytic = x.grad.copy()

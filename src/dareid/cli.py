@@ -209,10 +209,10 @@ def build_train_config(vals, manifest, use_synthetic):
                             triplet_margin=vals["margin"]),
         schedule=LrSchedule(base_lr=vals["base_lr"]),
         epochs=vals["epochs"],
-        iterations_per_epoch=vals["iterations"] or None,
+        iterations_per_epoch=vals["iterations"],
         seed=vals["seed"],
         disjoint=disjoint, use_domain_loss=use_domain,
-        use_synthetic=use_synthetic, num_orientation_bins=bins)
+        use_synthetic=use_synthetic)
 
 
 def cmd_train(args):

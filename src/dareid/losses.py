@@ -13,6 +13,8 @@ import numpy as np
 
 from .autodiff import GraphError, Tensor, grad_reversal, softmax_cross_entropy
 
+DISJOINT_NAMES = ("color", "type", "orientation")
+
 
 @dataclass
 class LossWeights:
@@ -124,19 +126,18 @@ def triplet_batch_hard(embeddings, ids, margin, squared=False, reduction="sum"):
 
 
 def total_loss(embeddings, id_logits, disjoint_logits, domain_head, batch,
-               weights, enabled_disjoint=("color", "type", "orientation"),
-               use_domain=True):
+               weights):
     """Combine joint and disjoint losses into one scalar node plus a breakdown.
 
-    disjoint_logits maps "color"/"type"/"orientation" to logit tensors; terms
-    absent from enabled_disjoint contribute exactly zero. The disjoint mask
-    comes from the batch (1 on synthetic rows).
+    disjoint_logits maps the enabled names of DISJOINT_NAMES to logit
+    tensors; a missing name, like domain_head=None, contributes exactly zero.
+    The disjoint mask comes from the batch (1 on synthetic rows).
     """
     l_id = cross_entropy(id_logits, batch.id_labels)
     terms = [l_id]
 
     l_dom_val = 0.0
-    if use_domain:
+    if domain_head is not None:
         l_dom = domain_loss(embeddings, batch.domain_labels,
                             weights.grl_lambda, domain_head)
         terms.append(l_dom)
@@ -150,8 +151,8 @@ def total_loss(embeddings, id_logits, disjoint_logits, domain_head, batch,
               "orientation": batch.orientation_labels}
     disjoint_vals = {}
     w = weights.disjoint_weight
-    for name in ("color", "type", "orientation"):
-        if name in enabled_disjoint:
+    for name in DISJOINT_NAMES:
+        if name in disjoint_logits:
             l = masked_cross_entropy(disjoint_logits[name], labels[name],
                                      batch.mask)
             disjoint_vals[name] = l.item()

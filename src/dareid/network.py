@@ -69,9 +69,8 @@ def init_params(config, seed):
 
     def layer(fan_in, fan_out):
         bound = 1.0 / np.sqrt(fan_in)
-        w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)),
-                   requires_grad=True)
-        b = Tensor(np.zeros((1, fan_out)), requires_grad=True)
+        w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        b = Tensor(np.zeros((1, fan_out)))
         return w, b
 
     dims = config.layer_dims()

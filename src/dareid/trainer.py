@@ -14,12 +14,10 @@ import numpy as np
 from . import network
 from .autodiff import NonFiniteError, Tensor, softmax_cross_entropy
 from .evaluation import EvalConfig, evaluate_retrieval
-from .losses import LossWeights, total_loss
+from .losses import DISJOINT_NAMES, LossWeights, total_loss
 from .network import ModelConfig, embed, head_logits, init_params
 from .optimizer import LrSchedule, OptimState, amsgrad_step, lr_at_epoch
 from .sampling import REAL, BatchSpec, build_identity_index, sample_batch
-
-DISJOINT_NAMES = ("color", "type", "orientation")
 
 
 class DivergenceError(Exception):
@@ -43,11 +41,13 @@ class TrainConfig:
     disjoint: tuple = DISJOINT_NAMES
     use_domain_loss: bool = True
     use_synthetic: bool = True
-    num_orientation_bins: int = 6
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if (self.iterations_per_epoch is not None
+                and self.iterations_per_epoch < 1):
+            raise ValueError("iterations_per_epoch must be >= 1")
         unknown = set(self.disjoint) - set(DISJOINT_NAMES)
         if unknown:
             raise ValueError(f"unknown disjoint losses: {sorted(unknown)}")
@@ -67,15 +67,15 @@ class TrainResult:
 
 
 def _iteration_step(config, params, batch):
+    """Forward pass and loss; heads of disabled losses are not computed."""
     feats = Tensor(batch.features)
     emb = embed(params, feats)
     id_logits = head_logits(params, emb, "id")
     disjoint_logits = {name: head_logits(params, emb, name)
-                       for name in DISJOINT_NAMES}
-    return total_loss(
-        emb, id_logits, disjoint_logits, params.heads["domain"], batch,
-        config.weights, enabled_disjoint=config.disjoint,
-        use_domain=config.use_domain_loss)
+                       for name in config.disjoint}
+    domain_head = params.heads["domain"] if config.use_domain_loss else None
+    return total_loss(emb, id_logits, disjoint_logits, domain_head, batch,
+                      config.weights)
 
 
 def train(config, real_data, synth_data=None, resume_from=None):
@@ -106,9 +106,10 @@ def train(config, real_data, synth_data=None, resume_from=None):
         for _ in range(iters):
             global_it += 1
             try:
-                batch = sample_batch(dataset, index, config.batch, rng,
-                                     config.num_orientation_bins,
-                                     config.use_synthetic)
+                batch = sample_batch(
+                    dataset, index, config.batch, rng,
+                    config.model.head_class_counts["orientation"],
+                    config.use_synthetic)
                 breakdown, loss = _iteration_step(config, params, batch)
                 if not np.isfinite(breakdown.total):
                     raise DivergenceError(global_it, run_log)
@@ -173,8 +174,8 @@ def domain_probe_accuracy(train_emb, train_dom, test_emb, test_dom,
     """
     d = train_emb.shape[1]
     rng = np.random.default_rng(seed)
-    w = Tensor(rng.normal(0.0, 0.01, size=(d, 2)), requires_grad=True)
-    b = Tensor(np.zeros((1, 2)), requires_grad=True)
+    w = Tensor(rng.normal(0.0, 0.01, size=(d, 2)))
+    b = Tensor(np.zeros((1, 2)))
     x = Tensor(train_emb)
     labels = np.asarray(train_dom, dtype=np.int64)
     optim = OptimState(weight_decay=0.0)

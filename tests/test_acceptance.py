@@ -99,7 +99,7 @@ def test_criterion_1_gradient_correctness():
         # the composite: the reversal makes the forward value and the encoder
         # gradient disagree on purpose, so the numeric reference is the
         # non-reversed composite plus -lam times the plain discriminator term
-        leaf = Tensor(x, requires_grad=True)
+        leaf = Tensor(x)
         full = (cross_entropy(leaf @ wi + bi, labels)
                 + domain_loss(leaf, dom, lam, (wd, bd))
                 + triplet_batch_hard(leaf, ids, margin)
@@ -172,7 +172,7 @@ def test_criterion_4_masking_is_bitwise():
         mask = rng.integers(2, size=n).astype(np.float64)
         if mask.min() == mask.max():       # keep the batch mixed
             mask[0], mask[-1] = 0.0, 1.0
-        logits = Tensor(rng.normal(size=(n, classes)), requires_grad=True)
+        logits = Tensor(rng.normal(size=(n, classes)))
         labels = rng.integers(classes, size=n)
         masked_cross_entropy(logits, labels, mask).backward()
         real_rows = logits.grad[mask == 0.0]
@@ -192,10 +192,10 @@ def test_criterion_5_gradient_reversal():
             b = Tensor(rng.normal(size=(1, 2)))
             dom = np.array([0, 1, 0, 1, 1, 0])
 
-            reversed_leaf = Tensor(x, requires_grad=True)
+            reversed_leaf = Tensor(x)
             domain_loss(reversed_leaf, dom, lam, (w, b)).backward()
 
-            plain_leaf = Tensor(x, requires_grad=True)
+            plain_leaf = Tensor(x)
             cross_entropy(plain_leaf @ w + b, dom).backward()
 
             worst = max(worst, float(np.max(np.abs(
@@ -303,7 +303,7 @@ def test_criterion_7_schedule_and_optimizer():
                    and abs(lrs[2] - 3e-6) < 1e-18)
 
     rng = np.random.default_rng(5)
-    p = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+    p = Tensor(rng.normal(size=(2, 5)))
     state = OptimState()
     prev = np.zeros((2, 5))
     monotone = True

@@ -28,13 +28,13 @@ def test_two_layer_mlp_matches_hand_multiply():
 
 
 def test_backward_of_sum_is_ones():
-    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    x = Tensor(np.arange(6.0).reshape(2, 3))
     x.sum().backward()
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_of_half_squared_norm():
-    x = Tensor([[3.0, -2.0]], requires_grad=True)
+    x = Tensor([[3.0, -2.0]])
     (0.5 * (x * x).sum()).backward()
     assert np.allclose(x.grad, [[3.0, -2.0]], atol=1e-15)
 
@@ -80,12 +80,12 @@ class TestGradReversal:
         assert np.array_equal(out.data, x.data)
 
     def test_backward_negates_and_scales(self):
-        x = Tensor([[1.0, 1.0]], requires_grad=True)
+        x = Tensor([[1.0, 1.0]])
         grad_reversal(x, 1.0).sum().backward()
         assert np.array_equal(x.grad, [[-1.0, -1.0]])
 
     def test_lambda_zero_detaches(self):
-        x = Tensor([[1.0, -2.0]], requires_grad=True)
+        x = Tensor([[1.0, -2.0]])
         grad_reversal(x, 0.0).sum().backward()
         assert np.array_equal(x.grad, [[0.0, 0.0]])
 
@@ -94,9 +94,9 @@ class TestGradReversal:
         w = Tensor(rng.normal(size=(4, 3)))
         point = rng.normal(size=(2, 4))
         for lam in (0.0, 0.7, 2.0):
-            x1 = Tensor(point, requires_grad=True)
+            x1 = Tensor(point)
             (grad_reversal(x1, lam) @ w).sum().backward()
-            x2 = Tensor(point, requires_grad=True)
+            x2 = Tensor(point)
             (x2 @ w).sum().backward()
             assert np.array_equal(x1.grad, -lam * x2.grad)
 

@@ -104,6 +104,16 @@ class TestTrain:
         assert first["domain_loss"] != 0.0
         assert first["color_loss"] == 0.0 and first["type_loss"] == 0.0
 
+    @pytest.mark.parametrize("iterations", ["0", "-3"])
+    def test_iterations_below_one_is_usage_error(self, tmp_path, capsys,
+                                                 iterations):
+        _, data = run_gen(tmp_path)
+        out = tmp_path / "run"
+        code = run_train(data, out, ("--iterations", iterations))
+        assert code == EXIT_USAGE
+        assert "iterations" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_id_loss_rejected(self, tmp_path):
         _, data = run_gen(tmp_path)
         code = run_train(data, tmp_path / "z", ("--losses", "D,O"))

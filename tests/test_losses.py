@@ -56,8 +56,8 @@ class TestCrossEntropy:
 class TestDomainLoss:
     def head(self, d, seed=0):
         rng = np.random.default_rng(seed)
-        return (Tensor(rng.normal(size=(d, 2)), requires_grad=True),
-                Tensor(np.zeros((1, 2)), requires_grad=True))
+        return (Tensor(rng.normal(size=(d, 2))),
+                Tensor(np.zeros((1, 2))))
 
     def test_maximal_uncertainty_gives_log2(self):
         # zero head weights -> probability 0.5 everywhere
@@ -68,8 +68,7 @@ class TestDomainLoss:
         assert loss.item() == pytest.approx(np.log(2), abs=1e-12)
 
     def test_lambda_zero_detaches_encoder(self):
-        emb = Tensor(np.random.default_rng(1).normal(size=(4, 3)),
-                     requires_grad=True)
+        emb = Tensor(np.random.default_rng(1).normal(size=(4, 3)))
         domain_loss(emb, [0, 1, 0, 1], 0.0, self.head(3)).backward()
         assert np.array_equal(emb.grad, np.zeros((4, 3)))
 
@@ -79,9 +78,9 @@ class TestDomainLoss:
         labels = [0, 0, 1, 1]
         for lam in (0.0, 0.5, 1.0, 2.0):
             head = self.head(3, seed=5)
-            x1 = Tensor(point, requires_grad=True)
+            x1 = Tensor(point)
             domain_loss(x1, labels, lam, head).backward()
-            x2 = Tensor(point, requires_grad=True)
+            x2 = Tensor(point)
             cross_entropy(x2 @ head[0] + head[1], labels).backward()
             assert np.allclose(x1.grad, -lam * x2.grad, atol=1e-12)
 
@@ -173,8 +172,7 @@ class TestTripletBatchHard:
 
 class TestMaskedCrossEntropy:
     def test_fully_masked_is_zero_with_zero_grads(self):
-        logits = Tensor(np.random.default_rng(0).normal(size=(3, 4)),
-                        requires_grad=True)
+        logits = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
         loss = masked_cross_entropy(logits, [0, 1, 2], [0, 0, 0])
         assert loss.item() == 0.0
         loss.backward()
@@ -195,7 +193,7 @@ class TestMaskedCrossEntropy:
 
     def test_masked_rows_get_exactly_zero_gradient(self):
         rng = np.random.default_rng(2)
-        logits = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        logits = Tensor(rng.normal(size=(5, 3)))
         mask = np.array([1, 0, 1, 0, 0])
         masked_cross_entropy(logits, [0, 1, 2, 0, 1], mask).backward()
         assert np.all(logits.grad[mask == 0] == 0.0)
@@ -262,9 +260,21 @@ class TestTotalLoss:
         assert bd.total == pytest.approx(expected, abs=1e-12)
         assert node.item() == bd.total
 
+    def test_missing_disjoint_logits_contribute_zero(self):
+        batch = make_batch(self.rng)
+        emb, idl, dis = self.parts(batch)
+        head = self.params.heads["domain"]
+        full, _ = total_loss(emb, idl, dis, head, batch, LossWeights())
+        bd, _ = total_loss(emb, idl, {"type": dis["type"]}, head, batch,
+                           LossWeights())
+        assert bd.color_loss == bd.orientation_loss == 0.0
+        assert bd.type_loss == full.type_loss
+        assert bd.total == pytest.approx(
+            bd.id_loss + bd.domain_loss + bd.triplet_loss + bd.type_loss,
+            abs=1e-12)
+
     def test_disabled_domain_contributes_zero(self):
         batch = make_batch(self.rng)
         emb, idl, dis = self.parts(batch)
-        bd, _ = total_loss(emb, idl, dis, self.params.heads["domain"], batch,
-                           LossWeights(), use_domain=False)
+        bd, _ = total_loss(emb, idl, dis, None, batch, LossWeights())
         assert bd.domain_loss == 0.0

@@ -28,7 +28,7 @@ class TestLrSchedule:
 
 
 def make_param(values):
-    p = Tensor(values, requires_grad=True)
+    p = Tensor(values)
     return p
 
 

@@ -70,6 +70,39 @@ class TestTrain:
         first = result.run_log[0]
         assert first["domain_loss"] == 0.0 and first["color_loss"] == 0.0
 
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_iterations_below_one_rejected(self, iterations):
+        with pytest.raises(ValueError, match="iterations"):
+            small_train_config(iterations_per_epoch=iterations)
+
+    @pytest.mark.parametrize("bins", [4, 8])
+    def test_orientation_bins_follow_the_head(self, monkeypatch, bins):
+        real, synth, _ = toy_data()
+        sample_batch, seen = trainer.sample_batch, []
+
+        def recording(dataset, index, spec, rng, num_bins, use_synthetic):
+            seen.append(num_bins)
+            return sample_batch(dataset, index, spec, rng, num_bins,
+                                use_synthetic)
+        monkeypatch.setattr(trainer, "sample_batch", recording)
+        model = ModelConfig(input_dim=6, hidden_dims=[16], embed_dim=8,
+                            head_class_counts={**HEADS, "orientation": bins})
+        result = train(small_train_config(model=model, epochs=1), real, synth)
+        assert len(result.run_log) == 6
+        assert seen == [bins] * 6
+
+    @pytest.mark.parametrize("disjoint", [("color",), ()])
+    def test_disabled_heads_are_not_computed(self, monkeypatch, disjoint):
+        real, synth, _ = toy_data()
+        head_logits, heads = trainer.head_logits, []
+
+        def counting(params, embeddings, head):
+            heads.append(head)
+            return head_logits(params, embeddings, head)
+        monkeypatch.setattr(trainer, "head_logits", counting)
+        train(small_train_config(epochs=1, disjoint=disjoint), real, synth)
+        assert heads == ["id", *disjoint] * 6
+
     def test_repeat_run_is_bitwise_identical(self):
         real, synth, _ = toy_data()
         config = small_train_config(epochs=3)
