@@ -3,7 +3,8 @@
 Every value is a (rows, cols) matrix; batches are rows, scalars are 1x1.
 Graphs are built dynamically: each op returns a Tensor holding a backward
 closure and references to its parents. Calling .backward() on a scalar
-output propagates gradients to every reachable node.
+output propagates gradients to every reachable node. A node holds no
+gradient until one reaches it. A plain array on the left of @ is a constant.
 """
 
 import numpy as np
@@ -31,12 +32,15 @@ def _as_matrix(data):
 class Tensor:
     """A 2-D float64 array node in a dynamically built computation graph."""
 
+    __array_ufunc__ = None  # ndarray @ Tensor defers to __rmatmul__
+
     def __init__(self, data, parents=(), backward_fn=None, op=""):
         self.data = _as_matrix(data)
-        if not np.all(np.isfinite(self.data)):
+        # per node: relu maps -inf to 0, so a per-loss check could miss it
+        if not np.isfinite(self.data).all():
             raise NonFiniteError(
                 f"non-finite values in tensor (op={op or 'leaf'})")
-        self.grad = np.zeros_like(self.data)
+        self._grad = None
         self._parents = tuple(parents)
         self._backward_fn = backward_fn
         self._op = op
@@ -50,8 +54,25 @@ class Tensor:
             raise GraphError(f"item() on tensor of shape {self.shape}")
         return float(self.data[0, 0])
 
+    @property
+    def grad(self):
+        """The accumulated gradient; zeros if backward never reached it."""
+        return np.zeros_like(self.data) if self._grad is None else self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = value
+
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
+        self._grad = None
+
+    def _accumulate(self, g):
+        """Add a gradient contribution; the first is stored as g + 0.0, a
+        copy (add hands one g to both parents) with zeros of +0.0."""
+        if self._grad is None:
+            self._grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self._grad += g
 
     # ---- graph construction ----
 
@@ -62,9 +83,17 @@ class Tensor:
         out = Tensor(a.data @ b.data, parents=(a, b), op="matmul")
 
         def _bw(g):
-            a.grad += g @ b.data.T
-            b.grad += a.data.T @ g
+            a._accumulate(g @ b.data.T)
+            b._accumulate(a.data.T @ g)
         out._backward_fn = _bw
+        return out
+
+    def __rmatmul__(self, other):
+        a, b = _as_matrix(other), self
+        if a.shape[1] != b.shape[0]:
+            raise GraphError(f"matmul shape mismatch {a.shape} @ {b.shape}")
+        out = Tensor(a @ b.data, parents=(b,), op="matmul")
+        out._backward_fn = lambda g: b._accumulate(a.T @ g)
         return out
 
     def __add__(self, other):
@@ -76,11 +105,11 @@ class Tensor:
         out = Tensor(a.data + b.data, parents=(a, b), op="add")
 
         def _bw(g):
-            a.grad += g
+            a._accumulate(g)
             if b.shape == a.shape:
-                b.grad += g
+                b._accumulate(g)
             else:
-                b.grad += g.sum(axis=0, keepdims=True)
+                b._accumulate(g.sum(axis=0, keepdims=True))
         out._backward_fn = _bw
         return out
 
@@ -90,7 +119,7 @@ class Tensor:
             out = Tensor(a.data * s, parents=(a,), op="scale")
 
             def _bw(g):
-                a.grad += g * s
+                a._accumulate(g * s)
             out._backward_fn = _bw
             return out
         a, b = self, other
@@ -99,8 +128,8 @@ class Tensor:
         out = Tensor(a.data * b.data, parents=(a, b), op="mul")
 
         def _bw(g):
-            a.grad += g * b.data
-            b.grad += g * a.data
+            a._accumulate(g * b.data)
+            b._accumulate(g * a.data)
         out._backward_fn = _bw
         return out
 
@@ -111,7 +140,7 @@ class Tensor:
         out = Tensor([[a.data.sum()]], parents=(a,), op="sum")
 
         def _bw(g):
-            a.grad += g[0, 0]
+            a._accumulate(g[0, 0])
         out._backward_fn = _bw
         return out
 
@@ -121,7 +150,7 @@ class Tensor:
         out = Tensor(np.where(active, a.data, 0.0), parents=(a,), op="relu")
 
         def _bw(g):
-            a.grad += g * active
+            a._accumulate(g * active)
         out._backward_fn = _bw
         return out
 
@@ -140,10 +169,10 @@ class Tensor:
                 visit(p)
             topo.append(node)
         visit(self)
-        self.grad = np.ones_like(self.data)
+        self._grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward_fn is not None:
-                node._backward_fn(node.grad)
+                node._backward_fn(node._grad)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op or 'leaf'})"
@@ -160,7 +189,7 @@ def grad_reversal(x, lam):
     out = Tensor(x.data, parents=(x,), op="grad_reversal")
 
     def _bw(g):
-        x.grad += -lam * g
+        x._accumulate(-lam * g)
     out._backward_fn = _bw
     return out
 
@@ -175,7 +204,7 @@ def l2_normalize_rows(x, eps=1e-12):
     def _bw(g):
         # d(x/|x|)/dx = (I - y y^T) / |x| applied row-wise
         dot = (g * y).sum(axis=1, keepdims=True)
-        x.grad += (g - y * dot) / denom
+        x._accumulate((g - y * dot) / denom)
     out._backward_fn = _bw
     return out
 
@@ -219,7 +248,7 @@ def softmax_cross_entropy(logits, labels, mask=None):
         d[np.arange(n), safe_labels] -= 1.0
         d *= (mask / n)[:, None]
         d[~active] = 0.0
-        logits.grad += g[0, 0] * d
+        logits._accumulate(g[0, 0] * d)
     out._backward_fn = _bw
     return out
 

@@ -27,7 +27,8 @@ from .evaluation import (EvalConfig, RerankParams, evaluate_retrieval,
 from .losses import LossWeights
 from .network import ModelConfig, load_checkpoint, save_checkpoint
 from .optimizer import LrSchedule
-from .sampling import REAL, SYNTHETIC, BatchSpec
+from .sampling import (REAL, SYNTHETIC, BatchSpec, build_identity_index,
+                       sampled_domain_ids)
 from .trainer import (DivergenceError, TrainConfig, embed_samples, evaluate,
                       train)
 
@@ -225,6 +226,9 @@ def cmd_train(args):
                     ("synth_id_range", "num_colors", "num_types",
                      "num_orientation_bins")}}
     config = build_train_config(vals, manifest, use_synthetic=bool(args.synth))
+    # checked before the out-dir exists, not at the first batch
+    sampled_domain_ids(build_identity_index(real_data + synth_data),
+                       config.batch, config.use_synthetic)
 
     os.makedirs(args.out_dir, exist_ok=True)
     write_config_echo(args.out_dir, {

@@ -83,7 +83,7 @@ def pairwise_distances(queries, gallery, metric="euclidean"):
     if metric not in ("euclidean", "squared-euclidean"):
         raise ValueError(f"unknown metric {metric!r}")
     out = np.empty((q.shape[0], g.shape[0]))
-    gt = np.ascontiguousarray(g.T)
+    gt = np.ascontiguousarray(g.T)  # a view if g is in Fortran order
     rows = max(1, BLOCK_BYTES // (9 * 8 * max(1, g.shape[0])))
     work = np.empty((9, rows, g.shape[0]))
     for start in range(0, q.shape[0], rows):
@@ -470,6 +470,7 @@ def evaluate_retrieval(query_feats, gallery_feats, query_ids, gallery_ids,
         dist = k_reciprocal_rerank(q, g, config.rerank, config.metric)
         positions = _ranked(lambda rows: dist[rows], *ids)
     else:
+        g = np.asfortranarray(g)  # so no block call copies its transpose
         positions = _ranked(
             lambda rows: pairwise_distances(q[rows], g, config.metric), *ids)
     map_k, aps = _map_of_ranked(positions, config.top_k)

@@ -120,7 +120,7 @@ def triplet_batch_hard(embeddings, ids, margin, squared=False, reduction="sum"):
             grad[a] += dp - dn
             grad[p] -= dp
             grad[nn] += dn
-        embeddings.grad += g[0, 0] * scale * grad
+        embeddings._accumulate(g[0, 0] * scale * grad)
     out._backward_fn = _bw
     return out
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import GraphError, Tensor, l2_normalize_rows
+from .autodiff import GraphError, Tensor, _as_matrix, l2_normalize_rows
 
 HEAD_NAMES = ("id", "domain", "color", "type", "orientation")
 
@@ -33,6 +33,9 @@ class ModelConfig:
         missing = [h for h in HEAD_NAMES if h not in self.head_class_counts]
         if missing:
             raise ValueError(f"missing head class counts: {missing}")
+        small = {h: c for h, c in self.head_class_counts.items() if c < 1}
+        if small:
+            raise ValueError(f"head class counts must be >= 1, got {small}")
         if self.head_class_counts["domain"] != 2:
             raise ValueError("domain head must have exactly 2 classes")
 
@@ -81,8 +84,9 @@ def init_params(config, seed):
 
 
 def embed(params, features):
-    """Map an N x input_dim feature tensor to an N x embed_dim embedding."""
-    x = features if isinstance(features, Tensor) else Tensor(features)
+    """Map N x input_dim features to an N x embed_dim embedding; features
+    given as a plain array get no gradient."""
+    x = features if isinstance(features, Tensor) else _as_matrix(features)
     if x.shape[1] != params.config.input_dim:
         raise GraphError(
             f"expected {params.config.input_dim} input columns, got {x.shape[1]}")
@@ -134,7 +138,6 @@ def params_from_checkpoint(ckpt):
         if stored.shape != p.data.shape:
             raise ValueError(f"checkpoint shape mismatch for {name}")
         p.data = stored
-        p.zero_grad()
     return params
 
 

@@ -33,18 +33,30 @@ def lr_at_epoch(schedule, epoch):
 
 @dataclass
 class OptimState:
+    """Step count and AMSGrad moments: flat m1, v and vhat vectors in the
+    parameters' order at the first step; slots[name] holds views into them."""
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.0005
     t: int = 0
     slots: dict = field(default_factory=dict)  # name -> {m1, v, vhat}
+    _names = None  # parameter order of the flat vectors
 
-    def slot(self, name, shape):
-        if name not in self.slots:
-            self.slots[name] = {"m1": np.zeros(shape), "v": np.zeros(shape),
-                                "vhat": np.zeros(shape)}
-        return self.slots[name]
+    def _layout(self, pairs):
+        """Flat m1, v, vhat and scratch vectors in the order of pairs;
+        existing slots keep their values, new ones start at 0."""
+        self._names = tuple(name for name, _ in pairs)
+        ends = np.cumsum([p.data.size for _, p in pairs])
+        self._spans = [slice(e - p.data.size, e)
+                       for (_, p), e in zip(pairs, ends)]
+        self._flat = [np.zeros(ends[-1]) for _ in range(4)]
+        for (name, p), span in zip(pairs, self._spans):
+            views = {k: f[span].reshape(p.data.shape)
+                     for k, f in zip(("m1", "v", "vhat"), self._flat)}
+            for k, values in self.slots.get(name, {}).items():
+                views[k][...] = values
+            self.slots[name] = views
 
     def to_dict(self):
         return {
@@ -65,21 +77,31 @@ class OptimState:
 
 
 def amsgrad_step(state, named_params, lr):
-    """One in-place AMSGrad step over (name, Tensor) parameter pairs."""
+    """One AMSGrad step over (name, Tensor) pairs, on flat vectors in the
+    docstring's operation order, so bitwise equal to the per-tensor rule.
+    Each p.data becomes a view of one fresh vector; no input is written."""
     pairs = list(named_params)
-    for name, p in pairs:
-        if not np.all(np.isfinite(p.grad)):
-            raise FloatingPointError(f"non-finite gradient for parameter {name}")
+    g = np.concatenate([p.grad.reshape(-1) for _, p in pairs])
+    if not np.isfinite(g).all():
+        name = next(name for name, p in pairs
+                    if not np.isfinite(p.grad).all())
+        raise FloatingPointError(f"non-finite gradient for parameter {name}")
+    if state._names != tuple(name for name, _ in pairs):
+        state._layout(pairs)
     state.t += 1
-    t = state.t
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for name, p in pairs:
-        g = p.grad + state.weight_decay * p.data
-        s = state.slot(name, p.data.shape)
-        s["m1"] = state.beta1 * s["m1"] + (1.0 - state.beta1) * g
-        s["v"] = state.beta2 * s["v"] + (1.0 - state.beta2) * g * g
-        s["vhat"] = np.maximum(s["vhat"], s["v"])
-        p.data = p.data - lr * (s["m1"] / bc1) / (np.sqrt(s["vhat"] / bc2)
-                                                  + state.eps)
+    b1, b2, t = state.beta1, state.beta2, state.t
+    m1, v, vhat, tmp = state._flat
+    param = np.concatenate([p.data.reshape(-1) for _, p in pairs])
+    np.add(g, np.multiply(state.weight_decay, param, out=tmp), out=g)
+    np.add(np.multiply(b1, m1, out=m1), np.multiply(1.0 - b1, g, out=tmp),
+           out=m1)
+    np.multiply(1.0 - b2, g, out=tmp)
+    np.add(np.multiply(b2, v, out=v), np.multiply(tmp, g, out=tmp), out=v)
+    np.maximum(vhat, v, out=vhat)
+    np.sqrt(np.divide(vhat, 1.0 - b2 ** t, out=tmp), out=tmp)
+    np.add(tmp, state.eps, out=tmp)
+    np.multiply(lr, np.divide(m1, 1.0 - b1 ** t, out=g), out=g)
+    np.subtract(param, np.divide(g, tmp, out=g), out=param)
+    for (_, p), span in zip(pairs, state._spans):
+        p.data = param[span].reshape(p.data.shape)
     return state

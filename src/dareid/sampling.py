@@ -67,6 +67,18 @@ def domain_ids(index, domain):
     return sorted(i for (d, i) in index if d == domain)
 
 
+def sampled_domain_ids(index, spec, use_synthetic=True):
+    """The sorted identities of each domain a batch draws from, by domain;
+    each domain needs at least n of them."""
+    domains = (REAL, SYNTHETIC) if use_synthetic else (REAL,)
+    ids = {d: domain_ids(index, d) for d in domains}
+    for d, found in ids.items():
+        if len(found) < spec.n:
+            raise ValueError(f"domain {d} has {len(found)} identities, "
+                             f"fewer than n={spec.n}")
+    return ids
+
+
 def bin_orientation(angle_deg, num_bins):
     """Half-open 360/num_bins-degree bins after wrapping the angle to [0, 360)."""
     if num_bins < 1:
@@ -75,11 +87,7 @@ def bin_orientation(angle_deg, num_bins):
     return min(int(angle / (360.0 / num_bins)), num_bins - 1)
 
 
-def _draw_rows(dataset, index, domain, spec, rng, num_bins):
-    ids = domain_ids(index, domain)
-    if len(ids) < spec.n:
-        raise ValueError(
-            f"domain {domain} has {len(ids)} identities, need {spec.n}")
+def _draw_rows(dataset, index, ids, domain, spec, rng, num_bins):
     chosen = rng.choice(len(ids), size=spec.n, replace=False)
     rows = []
     for k in chosen:
@@ -105,15 +113,15 @@ def _draw_rows(dataset, index, domain, spec, rng, num_bins):
 
 
 def sample_batch(dataset, index, spec, rng, num_orientation_bins=6,
-                 use_synthetic=True):
+                 use_synthetic=True, ids=None):
     """Draw one identity-balanced batch; real rows first, then synthetic.
 
     With use_synthetic=False the batch holds n*m real rows only and the
-    disjoint mask is all zero.
+    disjoint mask is all zero. A caller drawing many batches passes
+    sampled_domain_ids' result as ids.
     """
-    parts = [_draw_rows(dataset, index, REAL, spec, rng, num_orientation_bins)]
-    if use_synthetic:
-        parts.append(_draw_rows(dataset, index, SYNTHETIC, spec, rng,
-                                num_orientation_bins))
+    ids = ids or sampled_domain_ids(index, spec, use_synthetic)
+    parts = [_draw_rows(dataset, index, ids[d], d, spec, rng,
+                        num_orientation_bins) for d in ids]
     cols = [np.concatenate([p[i] for p in parts]) for i in range(1, 7)]
     return Batch(np.concatenate([p[0] for p in parts]), *cols)

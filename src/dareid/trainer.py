@@ -17,7 +17,8 @@ from .evaluation import EvalConfig, evaluate_retrieval
 from .losses import DISJOINT_NAMES, LossWeights, total_loss
 from .network import ModelConfig, embed, head_logits, init_params
 from .optimizer import LrSchedule, OptimState, amsgrad_step, lr_at_epoch
-from .sampling import REAL, BatchSpec, build_identity_index, sample_batch
+from .sampling import (BatchSpec, build_identity_index, sample_batch,
+                       sampled_domain_ids)
 
 
 class DivergenceError(Exception):
@@ -68,8 +69,7 @@ class TrainResult:
 
 def _iteration_step(config, params, batch):
     """Forward pass and loss; heads of disabled losses are not computed."""
-    feats = Tensor(batch.features)
-    emb = embed(params, feats)
+    emb = embed(params, batch.features)
     id_logits = head_logits(params, emb, "id")
     disjoint_logits = {name: head_logits(params, emb, name)
                        for name in config.disjoint}
@@ -82,6 +82,7 @@ def train(config, real_data, synth_data=None, resume_from=None):
     """Train from scratch or resume from a checkpoint dict."""
     dataset = list(real_data) + list(synth_data or [])
     index = build_identity_index(dataset)
+    ids = sampled_domain_ids(index, config.batch, config.use_synthetic)
 
     if resume_from is not None:
         params = network.params_from_checkpoint(resume_from)
@@ -109,7 +110,7 @@ def train(config, real_data, synth_data=None, resume_from=None):
                 batch = sample_batch(
                     dataset, index, config.batch, rng,
                     config.model.head_class_counts["orientation"],
-                    config.use_synthetic)
+                    config.use_synthetic, ids)
                 breakdown, loss = _iteration_step(config, params, batch)
                 if not np.isfinite(breakdown.total):
                     raise DivergenceError(global_it, run_log)
@@ -128,7 +129,7 @@ def _features(samples):
 
 
 def embed_samples(params, samples):
-    return embed(params, Tensor(_features(samples))).data
+    return embed(params, _features(samples)).data
 
 
 def evaluate(params, query_samples, gallery_samples, eval_config=None,
@@ -158,7 +159,7 @@ def evaluate(params, query_samples, gallery_samples, eval_config=None,
 
 def id_accuracy(params, samples):
     """Top-1 accuracy of the ID head over a sample list."""
-    emb = embed(params, Tensor(_features(samples)))
+    emb = embed(params, _features(samples))
     logits = head_logits(params, emb, "id").data
     pred = logits.argmax(axis=1)
     truth = np.array([s.id for s in samples])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dareid.autodiff import (GraphError, Tensor, finite_difference_check,
-                             grad_reversal, l2_normalize_rows,
-                             softmax_cross_entropy)
+from dareid.autodiff import (GraphError, NonFiniteError, Tensor,
+                             finite_difference_check, grad_reversal,
+                             l2_normalize_rows, softmax_cross_entropy)
 
 
 def test_relu_forward():
@@ -51,6 +51,38 @@ def test_mlp_cross_entropy_gradient_matches_finite_differences():
 
     err = finite_difference_check(loss, rng.normal(size=(4, 5)))
     assert err < 1e-4
+
+
+def test_shared_gradient_is_not_aliased():
+    # add hands the same array to both parents; each stores a copy, or a
+    # later contribution to x (from the scale node, which runs after the
+    # add node here) would also show in y and in the add node's own grad
+    x = Tensor(np.ones((2, 3)))
+    (x + x).sum().backward()
+    assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+    x, y = Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))
+    both = x + y
+    ((x * 2.0).sum() + both.sum()).backward()
+    assert np.array_equal(x.grad, np.full((2, 3), 3.0))
+    assert np.array_equal(y.grad, np.ones((2, 3)))
+    assert np.array_equal(both.grad, np.ones((2, 3)))
+
+
+def test_unreached_leaf_reads_zero_grad():
+    x, unused = Tensor([[1.0, 2.0]]), Tensor(np.ones((3, 2)))
+    (x * 3.0).sum().backward()
+    assert np.array_equal(x.grad, [[3.0, 3.0]])
+    assert np.array_equal(unused.grad, np.zeros((3, 2)))
+    x.zero_grad()
+    assert np.array_equal(x.grad, [[0.0, 0.0]])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflow_to_minus_inf_before_relu_is_rejected():
+    # relu would map -inf to 0, so the check runs on every node
+    big = Tensor(np.full((2, 1), -1e308))
+    with pytest.raises(NonFiniteError, match="matmul"):
+        (Tensor([[1.0, 1.0]]) @ big).relu()
 
 
 def test_shape_mismatch_names_the_op():
@@ -135,6 +167,7 @@ def test_every_node_type_passes_random_gradient_checks():
         "relu": lambda x: x.relu().sum(),
         "xent": lambda x: softmax_cross_entropy(x @ Tensor(w), labels),
         "l2norm": lambda x: (l2_normalize_rows(x) @ Tensor(w)).sum(),
+        "constant @": lambda x: (w[:3].T @ x).sum(),  # plain array on the left
     }
     for name, fn in cases.items():
         worst = 0.0

@@ -114,6 +114,18 @@ class TestTrain:
         assert "iterations" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--n", "9", "n=9"),                       # 4 identities per domain
+        ("--orientation-bins", "0", "orientation"),
+    ])
+    def test_bad_batch_or_head_setting_leaves_no_out_dir(
+            self, tmp_path, capsys, flag, value, named):
+        _, data = run_gen(tmp_path)
+        out = tmp_path / "run"
+        assert run_train(data, out, (flag, value)) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_id_loss_rejected(self, tmp_path):
         _, data = run_gen(tmp_path)
         code = run_train(data, tmp_path / "z", ("--losses", "D,O"))

@@ -63,6 +63,9 @@ class TestPairwiseDistances:
                 pairwise_distances(q, g, "squared-euclidean"), sq)
             assert np.array_equal(pairwise_distances(q, g),
                                   np.sqrt(np.maximum(sq, 0.0)))
+            # a Fortran-order gallery, as evaluate_retrieval passes it
+            assert np.array_equal(pairwise_distances(q, np.asfortranarray(g)),
+                                  np.sqrt(np.maximum(sq, 0.0)))
 
     def test_memory_is_the_output_plus_one_block(self):
         rng = np.random.default_rng(4)

@@ -45,6 +45,12 @@ def test_domain_head_must_have_two_classes():
         small_config(head_class_counts=heads)
 
 
+@pytest.mark.parametrize("head", ["id", "orientation"])
+def test_head_class_count_below_one_rejected(head):
+    with pytest.raises(ValueError, match=head):
+        small_config(head_class_counts=dict(HEADS, **{head: 0}))
+
+
 def test_embed_empty_batch():
     params = init_params(small_config(), seed=0)
     out = embed(params, np.zeros((0, 5)))

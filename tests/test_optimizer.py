@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,90 @@ class TestAmsgradStep:
         for key in ("m1", "v", "vhat"):
             assert np.array_equal(restored.slots["p"][key],
                                   state.slots["p"][key])
+
+
+def reference_step(slots, t, grads, params, lr, beta1=0.9, beta2=0.999,
+                   eps=1e-8, weight_decay=0.0005):
+    """The module docstring's recurrence, one tensor at a time."""
+    out = []
+    for name, grad, param in zip(sorted(slots), grads, params):
+        s = slots[name]
+        g = grad + weight_decay * param
+        s["m1"] = beta1 * s["m1"] + (1.0 - beta1) * g
+        s["v"] = beta2 * s["v"] + (1.0 - beta2) * g * g
+        s["vhat"] = np.maximum(s["vhat"], s["v"])
+        out.append(param - lr * (s["m1"] / (1.0 - beta1 ** t))
+                   / (np.sqrt(s["vhat"] / (1.0 - beta2 ** t)) + eps))
+    return out
+
+
+SHAPES = {"a": (3, 4), "b": (1, 4), "c": (4, 2), "d": (1, 1)}
+
+
+def random_params(rng):
+    return [(name, Tensor(rng.normal(size=shape)))
+            for name, shape in sorted(SHAPES.items())]
+
+
+class TestFlatState:
+    def test_multi_tensor_steps_match_per_tensor_reference(self):
+        rng = np.random.default_rng(6)
+        pairs = random_params(rng)
+        ref = [p.data.copy() for _, p in pairs]
+        slots = {name: {k: np.zeros(shape) for k in ("m1", "v", "vhat")}
+                 for name, shape in SHAPES.items()}
+        state = OptimState()
+        for t in range(1, 301):
+            for _, p in pairs:
+                p.grad = rng.normal(size=p.shape) * rng.uniform(0.01, 100)
+            grads = [p.grad.copy() for _, p in pairs]
+            amsgrad_step(state, pairs, lr=1e-2)
+            ref = reference_step(slots, t, grads, ref, lr=1e-2)
+            for (name, p), want in zip(pairs, ref):
+                assert p.data.tobytes() == want.tobytes(), (t, name)
+                for k in ("m1", "v", "vhat"):
+                    assert (state.slots[name][k].tobytes()
+                            == slots[name][k].tobytes()), (t, name, k)
+
+    def test_caller_arrays_are_not_written(self):
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(3, 4))
+        before = values.copy()
+        p = Tensor(values)
+        for _ in range(3):
+            p.grad = rng.normal(size=(3, 4))
+            amsgrad_step(OptimState(), [("p", p)], lr=0.1)
+        assert np.array_equal(values, before)
+        assert not np.array_equal(p.data, before)
+
+    @pytest.mark.parametrize("reorder", [False, True])
+    def test_resume_from_dict_continues_bitwise(self, reorder):
+        # reorder: the saved slots come back in another order than the
+        # parameters, so the flat layout is rebuilt from the per-name slots
+        rng = np.random.default_rng(8)
+        pairs = random_params(rng)
+        resumed = [(name, Tensor(p.data.copy())) for name, p in pairs]
+        grads = [[rng.normal(size=p.shape) for _, p in pairs]
+                 for _ in range(20)]
+        state = OptimState()
+        for step, gs in enumerate(grads):
+            for (_, p), g in zip(pairs, gs):
+                p.grad = g
+            amsgrad_step(state, pairs, lr=1e-2)
+            if step == 9:
+                saved = json.loads(json.dumps(state.to_dict()))
+                for (_, p), (_, q) in zip(pairs, resumed):
+                    q.data = p.data.copy()
+        if reorder:
+            saved["slots"] = dict(reversed(saved["slots"].items()))
+        restored = OptimState.from_dict(saved)
+        for gs in grads[10:]:
+            for (_, p), g in zip(resumed, gs):
+                p.grad = g
+            amsgrad_step(restored, resumed, lr=1e-2)
+        assert restored.t == state.t
+        for (name, p), (_, q) in zip(pairs, resumed):
+            assert p.data.tobytes() == q.data.tobytes()
+            for k in ("m1", "v", "vhat"):
+                assert (state.slots[name][k].tobytes()
+                        == restored.slots[name][k].tobytes())

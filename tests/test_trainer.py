@@ -5,8 +5,8 @@ from dareid.datagen import ToySpec, generate_toy_dataset
 from dareid import trainer
 from dareid.evaluation import EvalConfig, RerankParams, evaluate_retrieval
 from dareid.losses import LossWeights
-from dareid.network import ModelConfig, checkpoint_dict
-from dareid.optimizer import LrSchedule
+from dareid.network import ModelConfig, checkpoint_dict, init_params
+from dareid.optimizer import LrSchedule, OptimState
 from dareid.sampling import REAL, SYNTHETIC, BatchSpec
 from dareid.trainer import (DivergenceError, TrainConfig, domain_probe_accuracy,
                             embed_samples, evaluate, id_accuracy, train)
@@ -80,10 +80,11 @@ class TestTrain:
         real, synth, _ = toy_data()
         sample_batch, seen = trainer.sample_batch, []
 
-        def recording(dataset, index, spec, rng, num_bins, use_synthetic):
+        def recording(dataset, index, spec, rng, num_bins, use_synthetic,
+                      ids):
             seen.append(num_bins)
             return sample_batch(dataset, index, spec, rng, num_bins,
-                                use_synthetic)
+                                use_synthetic, ids)
         monkeypatch.setattr(trainer, "sample_batch", recording)
         model = ModelConfig(input_dim=6, hidden_dims=[16], embed_dim=8,
                             head_class_counts={**HEADS, "orientation": bins})
@@ -138,6 +139,23 @@ class TestTrain:
             train(config, real, synth)
         assert err.value.iteration >= 1
         assert isinstance(err.value.run_log, list)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_hidden_by_relu_stops_training(self):
+        # the second hidden layer's pre-activation overflows to -inf, which
+        # its relu would turn into a finite 0 and a finite loss
+        real, synth, _ = toy_data()
+        model = ModelConfig(input_dim=6, hidden_dims=[16, 16], embed_dim=8,
+                            head_class_counts=dict(HEADS))
+        config = small_train_config(model=model, epochs=1)
+        params = init_params(model, seed=0)
+        (_, b0), (w1, _), _ = params.embed_layers
+        b0.data = np.ones_like(b0.data)       # first relu outputs >= 1
+        w1.data = np.full_like(w1.data, -1e308)
+        ckpt = checkpoint_dict(params, optim_state=OptimState().to_dict())
+        with pytest.raises(DivergenceError) as err:
+            train(config, real, synth, resume_from=ckpt)
+        assert err.value.iteration == 1 and err.value.run_log == []
 
     def test_lr_follows_schedule_in_log(self):
         real, synth, _ = toy_data()
