@@ -147,8 +147,11 @@ CMC_RANKS = (1, 5, 10)
 
 
 def _checked_ids(nq, ng, query_ids, gallery_ids, exclude):
-    """The ids and exclusion mask of an nq x ng evaluation, as arrays;
-    errors if there is no query or if their lengths or shape do not fit."""
+    """The ids of an nq x ng evaluation as arrays, and its excluded entries
+    as a CSR pair: a row pointer and the sorted flat indices row * ng + col.
+    exclude is None or the (rows, cols) index arrays of the excluded
+    entries, the form np.nonzero(mask) returns. Errors if there is no query
+    or if the lengths or indices do not fit."""
     query_ids = np.asarray(query_ids).reshape(-1)
     gallery_ids = np.asarray(gallery_ids).reshape(-1)
     if nq == 0:
@@ -158,12 +161,63 @@ def _checked_ids(nq, ng, query_ids, gallery_ids, exclude):
     if len(gallery_ids) != ng:
         raise ValueError(
             f"{len(gallery_ids)} gallery ids for {ng} gallery columns")
+    flat = np.empty(0, dtype=np.intp)
     if exclude is not None:
-        exclude = np.asarray(exclude, dtype=bool)
-        if exclude.shape != (nq, ng):
-            raise ValueError(f"exclude has shape {exclude.shape}, expected "
-                             f"{(nq, ng)}")
-    return query_ids, gallery_ids, exclude
+        if len(exclude) != 2:
+            raise ValueError("exclude must be the (rows, cols) index arrays "
+                             "of the excluded entries")
+        index = [np.asarray(a) for a in exclude]
+        if index[0].ndim != 1 or index[0].shape != index[1].shape:
+            raise ValueError(f"exclude has {index[0].shape} rows and "
+                             f"{index[1].shape} columns, expected two 1-D "
+                             f"index arrays of one length")
+        for name, idx, n in zip(("row", "column"), index, (nq, ng)):
+            if idx.size and idx.dtype.kind not in "iu":
+                raise ValueError(f"exclude {name} indices are {idx.dtype}, "
+                                 f"not integers")
+            if idx.size and not 0 <= idx.min() <= idx.max() < n:
+                raise ValueError(f"exclude {name} indices must lie in "
+                                 f"[0, {n})")
+        flat = np.unique(index[0].astype(np.intp) * ng
+                         + index[1].astype(np.intp))
+    return query_ids, gallery_ids, (_row_ptr(flat // ng, nq), flat)
+
+
+def _member(sorted_keys, keys):
+    """keys[i] is in sorted_keys, for each i."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    at = np.searchsorted(sorted_keys, keys)
+    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
+
+
+def _relevant(query_ids, gallery_ids, excluded):
+    """Relevant entries, in _checked_ids' CSR form: per query, the gallery
+    columns that share its id and are not excluded. Errors if a query has
+    none."""
+    nq, ng = len(query_ids), len(gallery_ids)
+    code = np.unique(np.concatenate([gallery_ids, query_ids]),
+                     return_inverse=True)[1].reshape(-1)
+    # gallery columns grouped by id code, ascending within a code
+    by_id = np.sort(code[:ng] * ng + np.arange(ng))
+    first = np.searchsorted(by_id, code[ng:] * ng)
+    count = np.searchsorted(by_id, (code[ng:] + 1) * ng) - first
+    flat = (np.repeat(np.arange(nq) * ng, count)
+            + by_id[_ranges(first, count)] % ng)
+    flat = flat[~_member(excluded[1], flat)]
+    ptr = _row_ptr(flat // ng, nq)
+    empty = np.flatnonzero(np.diff(ptr) == 0).tolist()
+    if empty:
+        raise ValueError(f"queries with no relevant gallery items: {empty}")
+    return ptr, flat
+
+
+def _block(csr, start, stop, ng):
+    """The entries of rows start..stop-1 of a CSR pair, as block-local row
+    numbers and columns."""
+    ptr, flat = csr
+    rows, cols = np.divmod(flat[ptr[start]:ptr[stop]], ng)
+    return rows - start, cols
 
 
 def _positions(row, s, cols):
@@ -185,38 +239,39 @@ def _positions(row, s, cols):
     return pos
 
 
-def _rank_rows(dist, query_ids, gallery_ids, exclude):
-    """Per row of a block of distances: the ascending positions of its
-    relevant columns in its stable ranking, the excluded columns removed."""
+def _rank_rows(dist, start, relevant, excluded):
+    """Per row of a block of distances (query rows start, start + 1, ...):
+    the ascending positions of its relevant columns in its stable ranking,
+    the excluded columns removed."""
     s = np.sort(dist, axis=1)
-    relevant = gallery_ids == query_ids[:, None]
-    if exclude is not None:
-        relevant &= ~exclude
+    stop = start + len(dist)
+    rel = _block(relevant, start, stop, dist.shape[1])
+    ex = _block(excluded, start, stop, dist.shape[1])
+    rel_ptr = _row_ptr(rel[0], len(dist))
+    ex_ptr = _row_ptr(ex[0], len(dist))
     positions = []
     for i, row in enumerate(dist):
-        pos = _positions(row, s[i], np.flatnonzero(relevant[i]))
-        if exclude is not None:
-            ahead = np.sort(_positions(row, s[i], np.flatnonzero(exclude[i])))
+        pos = _positions(row, s[i], rel[1][rel_ptr[i]:rel_ptr[i + 1]])
+        ex_cols = ex[1][ex_ptr[i]:ex_ptr[i + 1]]
+        if len(ex_cols):
+            ahead = np.sort(_positions(row, s[i], ex_cols))
             pos -= np.searchsorted(ahead, pos)
         positions.append(np.sort(pos))
     return positions
 
 
-def _ranked(distances, query_ids, gallery_ids, exclude):
+def _ranked(distances, query_ids, gallery_ids, excluded):
     """Per query: the ascending positions of its relevant gallery items in
-    the ranking, exclusions removed. The only place this module ranks:
-    every metric and the PR points come from these. distances(rows) gives
-    the distances of a slice of query rows, asked for a block at a time.
-    Takes _checked_ids' output; errors if a query has no relevant item."""
+    the ranking of a distance matrix, exclusions removed. distances(rows)
+    gives the distances of a slice of query rows, asked for a block at a
+    time, and each block of rows is sorted once. Takes _checked_ids'
+    output; errors if a query has no relevant item."""
+    relevant = _relevant(query_ids, gallery_ids, excluded)
     step = _block_rows(len(gallery_ids))
     positions = []
     for start in range(0, len(query_ids), step):
-        rows = slice(start, start + step)
-        positions += _rank_rows(distances(rows), query_ids[rows], gallery_ids,
-                                None if exclude is None else exclude[rows])
-    empty = [qi for qi, p in enumerate(positions) if not len(p)]
-    if empty:
-        raise ValueError(f"queries with no relevant gallery items: {empty}")
+        positions += _rank_rows(distances(slice(start, start + step)), start,
+                                relevant, excluded)
     return positions
 
 
@@ -227,6 +282,139 @@ def _ranked_matrix(dist, query_ids, gallery_ids, exclude):
         raise ValueError(f"distances have shape {dist.shape}, not 2-D")
     return _ranked(lambda rows: dist[rows],
                    *_checked_ids(*dist.shape, query_ids, gallery_ids, exclude))
+
+
+# ---- certified GEMM ranking ----
+
+# Unit roundoff and smallest subnormal of float64. The bound below holds
+# while norms stay under _NORM_LIMIT, which also keeps every GEMM value and
+# exact distance finite.
+_U = 2.0 ** -53
+_ETA = 2.0 ** -1074
+_NORM_LIMIT = np.finfo(np.float64).max / 8
+
+
+def _certified_ranked(q, g, metric, query_ids, gallery_ids, excluded):
+    """_ranked for the distances between q and g, without computing them.
+
+    A BLAS product orders the entries and the exact kernel decides. Per
+    block of query rows, a = |g|^2 - 2 q.g (the GEMM distance less |q|^2)
+    is within E = (4D + 24)(u (|q|^2 + max |g|^2) + eta) (u = 2^-53, eta
+    the smallest subnormal) of the exact kernel's squared distance less
+    |q|^2. With M = |q|^2 + |g|^2, E covers, in any summation order: the
+    rounding of the GEMM, the norms and the kernel, (4D + 6) u M; the
+    rounding in forming the thresholds, 5 u M; 8 u M for the square root,
+    since squared distances v that differ by more than 4 u v still differ
+    after it and v <= 2M; 5 u M for second-order terms; and eta terms for
+    subnormal products. Each relevant item's exact squared distance v
+    gives the interval [v - E, v + E]: an entry whose a lies below it
+    ranks ahead of the item, one above it behind. The entries inside some
+    interval, and the excluded ones, are ranked by their exact values.
+
+    A block takes the exact path (pairwise_distances and a sort of each
+    row) if its norms are not finite or too large for the bound, or if
+    more of its entries than BLOCK_BYTES / 64 might rank ahead of a
+    relevant item: their work space would not fit, and counting each of
+    them costs more than computing and sorting its exact distance."""
+    relevant = _relevant(query_ids, gallery_ids, excluded)
+    ng, d = g.shape
+    with np.errstate(over="ignore"):
+        qn = np.einsum("ij,ij->i", q, q)
+        gn = np.einsum("ij,ij->i", g, g)
+        gmax = gn.max()
+        bound = (4 * d + 24) * (_U * (qn + gmax) + _ETA)
+    step = _block_rows(ng)
+    positions = []
+    for start in range(0, len(q), step):
+        rows = slice(start, start + step)
+        block = None
+        if gmax < _NORM_LIMIT and (qn[rows] < _NORM_LIMIT).all():
+            block = _certified_rows(q[rows], g, qn[rows], gn, bound[rows],
+                                    metric, start, relevant, excluded)
+        if block is None:
+            block = np.concatenate(_rank_rows(
+                pairwise_distances(q[rows], g, metric), start, relevant,
+                excluded))
+        positions.append(block)
+    return np.split(np.concatenate(positions), relevant[0][1:-1])
+
+
+def _certified_rows(q, g, qn, gn, bound, metric, start, relevant, excluded):
+    """The positions of _rank_rows, concatenated, for the distances between
+    the block of query rows q (rows start, start + 1, ...) and g, from GEMM
+    values certified by the bound (see _certified_ranked); None if too
+    many entries might rank ahead of a relevant item."""
+    ng = len(g)
+    rel_rows, rel_cols = _block(relevant, start, start + len(q), ng)
+    ex_rows, ex_cols = _block(excluded, start, start + len(q), ng)
+    ex_flat = ex_rows * ng + ex_cols
+    a = np.matmul(-2.0 * q, g.T)
+    a += gn
+    v = _pair_sums(q, g, rel_rows, rel_cols)
+    lo = (v - bound[rel_rows]) - qn[rel_rows]
+    hi = (v + bound[rel_rows]) - qn[rel_rows]
+    # candidates: the entries not certainly behind every relevant item of
+    # their row
+    row_hi = np.maximum.reduceat(hi, _row_ptr(rel_rows, len(q))[:-1])
+    cand = a <= row_hi[:, None]
+    if np.count_nonzero(cand) > _block_rows(8):
+        return None
+    flat = np.flatnonzero(cand)
+    excl = _member(ex_flat, flat)
+    uncertain, ahead = _certainly_ahead(a.ravel()[flat], flat // ng, excl,
+                                        rel_rows, lo, hi)
+    ahead += _resolve(q, g, flat[uncertain], ~excl[uncertain],
+                      rel_rows * ng + rel_cols, metric)
+    return np.sort(rel_rows * ng + ahead) - rel_rows * ng
+
+
+def _certainly_ahead(vals, rows, excl, item_rows, lo, hi):
+    """For candidate entries (values vals in ascending rows rows, excl
+    marking the excluded ones) and relevant items (ascending rows item_rows,
+    intervals [lo, hi]): which candidates are uncertain (inside an interval
+    of their row, or excluded) and, per item, how many of the others lie
+    below its interval."""
+    # integer keys that order (row, value) pairs as the values order within
+    # a row, equal for equal values: a value's rank among the interval ends
+    # (2i, or 2i + 1 if it equals the i-th), offset by its row
+    edges = np.unique(np.concatenate([lo, hi]))
+    width = 2 * len(edges) + 1
+
+    def key(r, x):
+        i = np.searchsorted(edges, x)
+        return r * width + 2 * i + (edges[np.minimum(i, len(edges) - 1)] == x)
+
+    lo_keys = 2 * key(item_rows, lo)
+    ends = np.sort(np.concatenate([lo_keys, 2 * key(item_rows, hi) + 1]))
+    # per candidate, the interval ends at or below it: lo keys are even and
+    # hi keys odd, and each earlier row has as many of one as of the other
+    at = np.searchsorted(ends, 2 * key(rows, vals), "right")
+    los = np.concatenate([[0], np.cumsum(ends % 2 == 0)])[at]
+    uncertain = (2 * los > at) | excl
+    # a certain candidate is ahead of exactly the items of its row whose lo
+    # key is above its own
+    sure = ~uncertain
+    below = np.cumsum(np.bincount(at[sure], minlength=len(ends) + 1))
+    ahead = (below[np.searchsorted(ends, lo_keys)]
+             - np.searchsorted(rows[sure], item_rows))
+    return uncertain, ahead
+
+
+def _resolve(q, g, flat, kept, items, metric):
+    """For each of the entries items (flat indices row * ng + col, a subset
+    of the ascending flat): the entries of flat in its row that are kept and
+    rank ahead of it by exact distance, ties to the lower column."""
+    ng = len(g)
+    rows, cols = np.divmod(flat, ng)
+    w = _pair_sums(q, g, rows, cols)
+    if metric == "euclidean":
+        np.sqrt(w, out=w)
+    order = np.lexsort((cols, w, rows))
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    seen = np.concatenate([[0], np.cumsum(kept[order])])
+    return (seen[slot[np.searchsorted(flat, items)]]
+            - seen[np.searchsorted(rows, items // ng)])
 
 
 def _average_precision(positions, k):
@@ -349,12 +537,25 @@ def _distance_pass(allf, nq, k, metric):
     return row_max, near, query_rows
 
 
+def _pair_sums(a, b, rows, cols):
+    """Squared distances between a[rows[i]] and b[cols[i]], pair by pair.
+    Each is summed over its D contiguous squared differences, the order
+    _sum_squares follows, so it equals pairwise_distances' squared entry
+    bit for bit."""
+    out = np.empty(len(rows))
+    step = _block_rows(a.shape[1])
+    for start in range(0, len(rows), step):
+        diff = a[rows[start:start + step]]
+        diff -= b[cols[start:start + step]]
+        np.square(diff, out=diff).sum(axis=1, out=out[start:start + step])
+    return out
+
+
 def _encode_weights(allf, near, row_max, k1, metric):
     """V as CSR arrays: per row, Gaussian weights over its expanded
     k-reciprocal set in ascending column order, normalised to sum to one.
-    Each weight's squared distance is summed over the same D contiguous
-    differences as pairwise_distances, so it is the entry of the normalised
-    all-vs-all matrix bit for bit."""
+    Each weight's squared distance comes from _pair_sums, so it is the entry
+    of the normalised all-vs-all matrix bit for bit."""
     half = int(round(k1 / 2.0))
     recip = [r[m].tolist() for r, m in zip(near, _reciprocal(near))]
     recip_half = [r[m].tolist() for r, m in
@@ -371,12 +572,7 @@ def _encode_weights(allf, near, row_max, k1, metric):
     cols = np.concatenate(indices)
     rows = np.repeat(np.arange(len(indices)), [len(c) for c in indices])
     indptr = _row_ptr(rows, len(indices))
-    dist = np.empty(len(cols))
-    step = _block_rows(allf.shape[1])
-    for start in range(0, len(cols), step):
-        diff = allf[rows[start:start + step]]
-        diff -= allf[cols[start:start + step]]
-        np.square(diff, out=diff).sum(axis=1, out=dist[start:start + step])
+    dist = _pair_sums(allf, allf, rows, cols)
     weight = np.exp(-(_original_distances(dist, metric) / row_max[rows]))
     data = [w / w.sum() for w in np.split(weight, indptr[1:-1])]
     return indptr, cols, np.concatenate(data)
@@ -458,9 +654,12 @@ def k_reciprocal_rerank(queries, gallery, rerank=None, metric="euclidean"):
 
 def evaluate_retrieval(query_feats, gallery_feats, query_ids, gallery_ids,
                        config=None, exclude=None):
-    """Full evaluation pass producing an EvalReport. Without re-ranking,
-    each block of query rows is ranked as soon as its distances are
-    computed, so the Nq x Ng matrix never exists."""
+    """Full evaluation pass producing an EvalReport. exclude is None or the
+    (rows, cols) index arrays of the query/gallery entries to leave out, as
+    np.nonzero(mask) returns them. Without re-ranking the distances are
+    never computed as a matrix: a BLAS product orders each block of query
+    rows and exact distances decide where it cannot
+    (_certified_ranked)."""
     if config is None:
         config = EvalConfig()
     q = np.asarray(query_feats, dtype=np.float64)
@@ -470,9 +669,7 @@ def evaluate_retrieval(query_feats, gallery_feats, query_ids, gallery_ids,
         dist = k_reciprocal_rerank(q, g, config.rerank, config.metric)
         positions = _ranked(lambda rows: dist[rows], *ids)
     else:
-        g = np.asfortranarray(g)  # so no block call copies its transpose
-        positions = _ranked(
-            lambda rows: pairwise_distances(q[rows], g, config.metric), *ids)
+        positions = _certified_ranked(q, g, config.metric, *ids)
     map_k, aps = _map_of_ranked(positions, config.top_k)
     cmc_points = _cmc_of_ranked(positions, CMC_RANKS)
     return EvalReport(map_k, aps, cmc_points, asdict(config),

@@ -150,7 +150,7 @@ def evaluate(params, query_samples, gallery_samples, eval_config=None,
     if exclude_self:
         if not same_set:
             raise ValueError("self-exclusion requires query set == gallery set")
-        exclude = np.eye(len(qids), dtype=bool)
+        exclude = (np.arange(len(qids)), np.arange(len(qids)))
     q = embed_samples(params, query_samples)
     g = q if same_set else embed_samples(params, gallery_samples)
     return evaluate_retrieval(q, g, qids, gids, eval_config or EvalConfig(),

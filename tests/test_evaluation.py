@@ -1,4 +1,9 @@
 import functools
+import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +18,9 @@ from dareid.evaluation import (CMC_RANKS, EvalConfig, RerankParams, _top_k,
                                k_reciprocal_rerank,
                                mean_average_precision, pairwise_distances,
                                precision_recall_points)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 class TestPairwiseDistances:
@@ -137,7 +145,7 @@ class TestMeanAveragePrecision:
         dist = np.array([[0.1, 0.2, 0.3]])
         exclude = np.array([[True, False, False]])
         map_k, _ = mean_average_precision(dist, [1], [1, 0, 1], k=10,
-                                          exclude=exclude)
+                                          exclude=np.nonzero(exclude))
         assert map_k == pytest.approx(0.5, abs=1e-12)
 
     def test_map_in_unit_interval(self):
@@ -251,10 +259,11 @@ class TestBlockBoundaries:
         exclude = rng.uniform(size=dist.shape) < 0.3
         exclude[:, :4] = False          # each query keeps a relevant item
         for mask in (None, exclude):
-            aps = mean_average_precision(dist, qids, gids, 7, mask)[1]
+            index = None if mask is None else np.nonzero(mask)
+            aps = mean_average_precision(dist, qids, gids, 7, index)[1]
             self.check(dist, qids, gids, 7, mask,
-                       evaluation._ranked_matrix(dist, qids, gids, mask),
-                       aps, cmc(dist, qids, gids, exclude=mask))
+                       evaluation._ranked_matrix(dist, qids, gids, index),
+                       aps, cmc(dist, qids, gids, exclude=index))
 
     @pytest.mark.parametrize("rerank", [None, RerankParams(k1=5, k2=3)])
     def test_evaluate_retrieval(self, rerank):
@@ -270,11 +279,245 @@ class TestBlockBoundaries:
                               (g, gids, np.eye(self.NG, dtype=bool))):
             report = evaluate_retrieval(q, g, qids, gids,
                                         EvalConfig(top_k=7, rerank=rerank),
-                                        mask)
+                                        np.nonzero(mask))
             dist = (pairwise_distances(q, g) if rerank is None
                     else k_reciprocal_rerank(q, g, rerank))
             self.check(dist, qids, gids, 7, mask, report.positions,
                        report.per_query_ap, report.cmc)
+
+
+class TestCertifiedRanking:
+    """evaluate_retrieval without re-ranking orders entries by GEMM values
+    and decides by exact ones; its results must equal, ==, those of the
+    exact matrix path."""
+
+    NG = 40
+
+    @staticmethod
+    def assert_exact(q, g, qids, gids, metric, exclude, k=7):
+        report = evaluate_retrieval(q, g, qids, gids,
+                                    EvalConfig(top_k=k, metric=metric),
+                                    exclude)
+        dist = pairwise_distances(q, g, metric)
+        want = evaluation._ranked_matrix(dist, qids, gids, exclude)
+        assert len(report.positions) == len(want)
+        for got, expected in zip(report.positions, want):
+            assert np.array_equal(got, expected)
+            assert (precision_recall_points(got)
+                    == precision_recall_points(expected))
+        map_k, aps = mean_average_precision(dist, qids, gids, k, exclude)
+        assert report.per_query_ap == aps and report.map_at_k == map_k
+        assert report.cmc == cmc(dist, qids, gids, exclude=exclude)
+
+    @pytest.fixture(params=[None, 3], ids=["one-block", "3-row-blocks"])
+    def blocks(self, request, monkeypatch):
+        # 3-row blocks make the last block ragged, and leave work space for
+        # 15 candidates a block: a block with more takes the exact path
+        if request.param:
+            monkeypatch.setattr(evaluation, "BLOCK_BYTES",
+                                8 * self.NG * request.param)
+        return request.param
+
+    @pytest.fixture
+    def resolved(self, monkeypatch):
+        """Per call of the exact-resolve step: the entries it ranked that
+        are neither a relevant item nor excluded."""
+        others = []
+        resolve = evaluation._resolve
+
+        def recording(q, g, flat, kept, items, metric):
+            others.append(len(flat) - len(items) - int((~kept).sum()))
+            return resolve(q, g, flat, kept, items, metric)
+        monkeypatch.setattr(evaluation, "_resolve", recording)
+        return others
+
+    @pytest.fixture
+    def fallback_rows(self, monkeypatch):
+        """The query rows of each block that took the exact path."""
+        rows = []
+        original = evaluation.pairwise_distances
+
+        def recording(q, *args, **kwargs):
+            rows.append(len(q))
+            return original(q, *args, **kwargs)
+        monkeypatch.setattr(evaluation, "pairwise_distances", recording)
+        return rows
+
+    def cases(self, g, q, rng, ids=5):
+        """A separate query set with and without random exclusions, and the
+        gallery as its own query set with each query's row excluded."""
+        gids = np.arange(len(g)) % ids
+        qids = rng.integers(ids, size=len(q))
+        mask = rng.uniform(size=(len(q), len(g))) < 0.3
+        mask[:, :ids] = False           # each query keeps a relevant item
+        return [(q, qids, gids, None), (q, qids, gids, np.nonzero(mask)),
+                (g, gids, gids, (np.arange(len(g)), np.arange(len(g))))]
+
+    def clustered(self, rng, d, spread=0.05):
+        """Two gallery rows per id around its centre, and queries near the
+        centres: most entries rank behind every relevant item."""
+        centres = rng.normal(size=(self.NG // 2, d))
+        gids = np.arange(self.NG) % (self.NG // 2)
+        g = centres[gids] + spread * rng.normal(size=(self.NG, d))
+        qids = rng.integers(self.NG // 2, size=14)
+        q = centres[qids] + spread * rng.normal(size=(14, d))
+        return g, q, gids, qids
+
+    @pytest.mark.parametrize("metric", ["euclidean", "squared-euclidean"])
+    def test_clustered_embeddings(self, metric, blocks, fallback_rows):
+        rng = np.random.default_rng(35)
+        for d in (1, 3, 8, 33):
+            g, q, gids, qids = self.clustered(rng, d)
+            mask = rng.uniform(size=(14, self.NG)) < 0.3
+            mask[np.arange(14), qids] = False   # keeps a relevant item
+            for q, qids, gids, exclude in (
+                    (q, qids, gids, None), (q, qids, gids, np.nonzero(mask)),
+                    (g, gids, gids, (np.arange(self.NG),
+                                     np.arange(self.NG)))):
+                self.assert_exact(q, g, qids, gids, metric, exclude)
+            # a Fortran-order gallery is ranked the same
+            self.assert_exact(q, np.asfortranarray(g), qids, gids, metric,
+                              None)
+        assert not fallback_rows
+
+    @pytest.mark.parametrize("metric", ["euclidean", "squared-euclidean"])
+    def test_random_embeddings(self, metric, blocks, fallback_rows):
+        rng = np.random.default_rng(36)
+        for d in (1, 3, 8, 33):
+            g = rng.normal(size=(self.NG, d))
+            q = rng.normal(size=(14, d))
+            for q, qids, gids, exclude in self.cases(g, q, rng):
+                self.assert_exact(q, g, qids, gids, metric, exclude)
+        # relevant items lie anywhere in the ranking, so with little work
+        # space most blocks have too many candidates for the GEMM path
+        assert bool(fallback_rows) == bool(blocks)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "squared-euclidean"])
+    @pytest.mark.parametrize("kind", ["duplicate rows", "integer grid",
+                                      "scaled copies"])
+    def test_inputs_that_need_exact_resolution(self, metric, kind,
+                                               resolved, fallback_rows):
+        rng = np.random.default_rng(37)
+        d = 6
+        if kind == "duplicate rows":
+            g = rng.normal(size=(self.NG // 4, d))[
+                rng.integers(self.NG // 4, size=self.NG)]
+            q = np.concatenate([g[:7], rng.normal(size=(7, d))])
+        elif kind == "integer grid":
+            g = rng.integers(-1, 2, size=(self.NG, d)).astype(float)
+            q = rng.integers(-1, 2, size=(14, d)).astype(float)
+        else:
+            # a large common offset: the GEMM cancels almost every digit
+            g = 1e6 + 1e-4 * rng.normal(size=(self.NG, d))
+            q = 1e6 + 1e-4 * rng.normal(size=(14, d))
+        for q, qids, gids, exclude in self.cases(g, q, rng):
+            self.assert_exact(q, g, qids, gids, metric, exclude)
+        assert sum(resolved) > 0 and not fallback_rows
+
+    def test_distances_closer_than_the_bound(self, resolved, fallback_rows):
+        # from the origin: 1 and 1 + 2^-52 apart in squared distance, which
+        # the square root maps to the same 1.0, so the ranking ties them
+        # (lower column first) under "euclidean" only; and two squared
+        # distances one unit in the last place apart
+        g = np.array([[1.0, 2.0 ** -26], [1.0, 0.0],
+                      [1.5, 0.0], [np.nextafter(1.5, 0.0), 0.0],
+                      [3.0, 0.0], [0.0, 3.0]])
+        q = np.zeros((1, 2))
+        for relevant, euclidean, squared in ((1, 1, 0), (2, 3, 3)):
+            gids = np.zeros(6, dtype=int)
+            gids[relevant] = 1
+            for metric, position in (("euclidean", euclidean),
+                                     ("squared-euclidean", squared)):
+                report = evaluate_retrieval(q, g, [1], gids,
+                                            EvalConfig(metric=metric))
+                assert report.positions[0].tolist() == [position]
+                self.assert_exact(q, g, [1], gids, metric, None)
+        assert min(resolved) > 0 and not fallback_rows
+
+    @pytest.mark.parametrize("metric", ["euclidean", "squared-euclidean"])
+    def test_non_finite_rows_take_the_exact_path(self, metric, blocks,
+                                                 resolved, fallback_rows):
+        rng = np.random.default_rng(38)
+        g, q, gids, qids = self.clustered(rng, 4)
+        q[4, 1], q[5] = np.nan, np.inf      # NaN ranks last, inf ties
+        self.assert_exact(q, g, qids, gids, metric, None)
+        # only the block holding rows 4 and 5 falls back
+        assert fallback_rows == ([3] if blocks else [14])
+        assert bool(resolved) == bool(blocks)
+        for bad in (np.nan, np.inf, -np.inf):
+            # a gallery row that is not finite: every block falls back
+            fallback_rows.clear()
+            g[7, 2] = bad
+            self.assert_exact(q[6:], g, qids[6:], gids, metric,
+                              (np.arange(8), np.arange(8) * 3))
+            assert sum(fallback_rows) == 8
+
+    @pytest.mark.parametrize("spread", [0.3, None],
+                             ids=["clustered", "random"])
+    def test_self_exclusion_memory_below_one_mask(self, spread):
+        # a dense N x N boolean mask alone would be N^2 bytes; clustered
+        # embeddings take the GEMM path, random ones mostly the exact path
+        rng = np.random.default_rng(39)
+        n = 4096
+        ids = np.arange(n) % 512
+        g = rng.normal(size=(n, 16))
+        if spread:
+            g = rng.normal(size=(512, 16))[ids] + spread * g
+        tracemalloc.start()
+        try:
+            evaluate_retrieval(g, g, ids, ids, EvalConfig(),
+                               (np.arange(n), np.arange(n)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n
+
+
+class TestBlasIndependence:
+    """The GEMM values the ranking is ordered by differ between OpenBLAS
+    kernels; the ranking, decided by exact distances, must not."""
+
+    SCRIPT = """
+import json
+import numpy as np
+from dareid import evaluation
+rng = np.random.default_rng(40)
+centres = rng.normal(size=(128, 32))
+gids = np.arange(2048) % 128
+g = centres[gids] + 0.9 * rng.normal(size=(2048, 32))
+qids = rng.integers(128, size=256)
+q = centres[qids] + 0.9 * rng.normal(size=(256, 32))
+exact = []
+evaluation.pairwise_distances = lambda *args: exact.append(1)
+out = {"exact path": bool(exact)}
+for metric in ("euclidean", "squared-euclidean"):
+    report = evaluation.evaluate_retrieval(
+        q, g, qids, gids, evaluation.EvalConfig(metric=metric))
+    out[metric] = [[p.tolist() for p in report.positions],
+                   [ap.hex() for ap in report.per_query_ap]]
+print(json.dumps(out))
+"""
+
+    def run(self, **settings):
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("OPENBLAS_")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+        env.update(settings)
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        return json.loads(done.stdout)
+
+    def test_same_ranking_under_every_kernel_and_thread_count(self):
+        settings = [{"OPENBLAS_NUM_THREADS": "1"},
+                    {"OPENBLAS_NUM_THREADS": "2"}]
+        if platform.machine().lower() in ("x86_64", "amd64"):
+            settings += [{"OPENBLAS_CORETYPE": "Haswell"},
+                         {"OPENBLAS_CORETYPE": "SandyBridge"}]
+        base = self.run()
+        assert not base["exact path"]
+        for setting in settings:
+            assert self.run(**setting) == base, setting
 
 
 class TestPrecisionRecallPoints:
@@ -494,18 +737,21 @@ class TestEvaluateRetrieval:
         dist = pairwise_distances(q, g)
         assert len(np.unique(dist)) < dist.size
         config = EvalConfig(top_k=4)
-        report = evaluate_retrieval(q, g, qids, gids, config, exclude)
-        map_k, aps = mean_average_precision(dist, qids, gids, 4, exclude)
+        report = evaluate_retrieval(q, g, qids, gids, config,
+                                    np.nonzero(exclude))
+        map_k, aps = mean_average_precision(dist, qids, gids, 4,
+                                            np.nonzero(exclude))
         assert report.per_query_ap == aps
         assert report.map_at_k == map_k
-        assert report.cmc == cmc(dist, qids, gids, exclude=exclude)
+        assert report.cmc == cmc(dist, qids, gids,
+                                 exclude=np.nonzero(exclude))
         assert aps == pytest.approx(
             [ap_brute_force(dist[i], qids[i], gids, 4, exclude[i])
              for i in range(6)], abs=1e-12)
 
     def test_each_distance_matrix_is_sorted_once(self, monkeypatch):
-        # nothing is argsorted, and the distance values np.sort sees are
-        # the rows of the distance matrix, each row once
+        # the matrix path: nothing is argsorted, and the distance values
+        # np.sort sees are the rows of the distance matrix, each row once
         argsorts, sorted_values = [], []
         sort, argsort = np.sort, np.argsort
 
@@ -521,12 +767,49 @@ class TestEvaluateRetrieval:
         monkeypatch.setattr(np, "argsort", recording_argsort)
         rng = np.random.default_rng(15)
         g = rng.normal(size=(8, 3))
-        evaluate_retrieval(g, g, np.arange(8) % 4, np.arange(8) % 4,
-                           EvalConfig(), np.eye(8, dtype=bool))
+        dist = pairwise_distances(g, g)
+        mean_average_precision(dist, np.arange(8) % 4, np.arange(8) % 4, 100,
+                               (np.arange(8), np.arange(8)))
         assert not argsorts
         assert all(v.ndim == 2 for v in sorted_values)
-        assert np.array_equal(np.concatenate(sorted_values),
-                              pairwise_distances(g, g))
+        assert np.array_equal(np.concatenate(sorted_values), dist)
+
+    def test_certified_path_sorts_no_distance_row(self, monkeypatch):
+        # without re-ranking: no distance matrix, nothing argsorted, no
+        # float array sorted, and the only exact values ranked are those of
+        # the relevant and excluded entries (no other entry is in doubt)
+        argsorts, float_sorts, resolved = [], [], []
+        sort, argsort = np.sort, np.argsort
+        resolve = evaluation._resolve
+
+        def recording_sort(a, *args, **kwargs):
+            if np.asarray(a).dtype.kind == "f":
+                float_sorts.append(np.shape(a))
+            return sort(a, *args, **kwargs)
+
+        def recording_argsort(*args, **kwargs):
+            argsorts.append(1)
+            return argsort(*args, **kwargs)
+
+        def recording_resolve(q, g, flat, *args):
+            resolved.append(len(flat))
+            return resolve(q, g, flat, *args)
+
+        def no_distances(*args):
+            raise AssertionError("pairwise_distances called")
+        monkeypatch.setattr(np, "sort", recording_sort)
+        monkeypatch.setattr(np, "argsort", recording_argsort)
+        monkeypatch.setattr(evaluation, "_resolve", recording_resolve)
+        monkeypatch.setattr(evaluation, "pairwise_distances", no_distances)
+        rng = np.random.default_rng(15)
+        g = rng.normal(size=(64, 3))
+        ids = np.arange(64) % 16
+        for metric in ("euclidean", "squared-euclidean"):
+            evaluate_retrieval(g, g, ids, ids, EvalConfig(metric=metric),
+                               (np.arange(64), np.arange(64)))
+        assert not argsorts and not float_sorts
+        # 3 relevant items and 1 excluded entry per query
+        assert sum(resolved) == 2 * 64 * 4
 
     def test_memory_does_not_grow_with_the_queries(self):
         # without re-ranking, the distances are ranked a block of rows at a
@@ -572,10 +855,42 @@ class TestShapeChecks:
             evaluate_retrieval(q, g, [1], self.gids)
 
     def test_exclude_of_one_row(self):
-        with pytest.raises(ValueError, match=r"shape \(1, 6\), expected "
-                                             r"\(3, 6\)"):
+        # a row index past the last query row is an error, not a wrap
+        with pytest.raises(ValueError,
+                           match=r"row indices must lie in \[0, 3\)"):
             mean_average_precision(self.dist, [1, 2, 1], self.gids, k=5,
-                                   exclude=np.zeros((1, 6), dtype=bool))
+                                   exclude=([3], [0]))
+
+    @pytest.mark.parametrize("exclude, message", [
+        (([0, 1], [2]), "expected two 1-D index arrays of one length"),
+        (([[0]], [[2]]), "expected two 1-D index arrays of one length"),
+        (([0.0], [2.0]), "row indices are float64, not integers"),
+        (([0], [2.5]), "column indices are float64, not integers"),
+        (([-1], [2]), r"row indices must lie in \[0, 3\)"),
+        (([0], [6]), r"column indices must lie in \[0, 6\)"),
+        (([0], [-6]), r"column indices must lie in \[0, 6\)"),
+        (np.zeros((3, 6), dtype=bool), r"the \(rows, cols\) index arrays"),
+        (np.zeros((2, 6), dtype=bool), "row indices are bool"),
+    ])
+    def test_exclude_indices_that_do_not_fit(self, exclude, message):
+        with pytest.raises(ValueError, match=message):
+            cmc(self.dist, [1, 2, 1], self.gids, exclude=exclude)
+        rng = np.random.default_rng(33)
+        with pytest.raises(ValueError, match=message):
+            evaluate_retrieval(rng.normal(size=(3, 2)),
+                               rng.normal(size=(6, 2)), [1, 2, 1], self.gids,
+                               exclude=exclude)
+
+    def test_exclude_index_arrays_equal_the_mask(self):
+        # duplicates and any order mean the same entries as the mask
+        mask = np.zeros((3, 6), dtype=bool)
+        mask[[0, 2, 2], [1, 0, 4]] = True
+        want = evaluation._ranked_matrix(self.dist, [1, 2, 1], self.gids,
+                                         np.nonzero(mask))
+        got = evaluation._ranked_matrix(self.dist, [1, 2, 1], self.gids,
+                                        ([2, 0, 2, 2], [4, 1, 0, 4]))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert [len(p) for p in got] == [3, 3, 1]
 
     def test_zero_queries(self):
         with pytest.raises(ValueError, match="no queries"):

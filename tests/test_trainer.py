@@ -190,7 +190,7 @@ class TestEvaluateHelpers:
         ids = np.array([s.id for s in real])
         both = evaluate_retrieval(embed_samples(result.params, real),
                                   embed_samples(result.params, real), ids, ids,
-                                  EvalConfig(), np.eye(len(real), dtype=bool))
+                                  EvalConfig(), np.nonzero(np.eye(len(real), dtype=bool)))
         calls = []
 
         def counting(params, samples):
