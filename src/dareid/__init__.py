@@ -16,8 +16,8 @@ from .losses import (LossBreakdown, LossWeights, cross_entropy, domain_loss,
 from .network import (ModelConfig, ModelParams, embed, head_logits,
                       init_params, load_checkpoint, save_checkpoint)
 from .optimizer import LrSchedule, OptimState, amsgrad_step, lr_at_epoch
-from .sampling import (REAL, SYNTHETIC, Batch, BatchSpec, Sample,
-                       bin_orientation, build_identity_index, sample_batch)
+from .sampling import (REAL, SYNTHETIC, Batch, BatchSpec, Sample, TrainSet,
+                       bin_orientation, build_train_set, sample_batch)
 from .trainer import (DivergenceError, TrainConfig, TrainResult,
                       domain_probe_accuracy, evaluate, id_accuracy, train)
 

@@ -27,8 +27,7 @@ from .evaluation import (EvalConfig, RerankParams, evaluate_retrieval,
 from .losses import LossWeights
 from .network import ModelConfig, load_checkpoint, save_checkpoint
 from .optimizer import LrSchedule
-from .sampling import (REAL, SYNTHETIC, BatchSpec, build_identity_index,
-                       sampled_domain_ids)
+from .sampling import REAL, SYNTHETIC, BatchSpec, build_train_set
 from .trainer import (DivergenceError, TrainConfig, embed_samples, evaluate,
                       train)
 
@@ -185,20 +184,20 @@ def _parse_losses(text):
     return disjoint, "D" in tokens
 
 
-def build_train_config(vals, manifest, use_synthetic):
+def build_train_config(vals, manifest):
     disjoint, use_domain = _parse_losses(vals["losses"])
     hidden = [int(h) for h in vals["hidden_dims"].split(",") if h.strip()]
     num_ids = max(manifest["real_id_range"][1], manifest["synth_id_range"][1])
     bins = vals["orientation_bins"]
     if bins is None:
-        bins = manifest.get("num_orientation_bins", 6)
+        bins = manifest["num_orientation_bins"]
     model = ModelConfig(
         input_dim=manifest["input_dim"], hidden_dims=hidden,
         embed_dim=vals["embed_dim"],
         head_class_counts={
             "id": num_ids, "domain": 2,
-            "color": max(1, manifest.get("num_colors", 1)),
-            "type": max(1, manifest.get("num_types", 1)),
+            "color": max(1, manifest["num_colors"]),
+            "type": max(1, manifest["num_types"]),
             "orientation": bins,
         },
         normalize_embeddings=vals["normalize_embeddings"])
@@ -212,28 +211,27 @@ def build_train_config(vals, manifest, use_synthetic):
         epochs=vals["epochs"],
         iterations_per_epoch=vals["iterations"],
         seed=vals["seed"],
-        disjoint=disjoint, use_domain_loss=use_domain,
-        use_synthetic=use_synthetic)
+        disjoint=disjoint, use_domain_loss=use_domain)
 
 
 def cmd_train(args):
     vals = resolve_options(TRAIN_OPTIONS, args)
     real_data, manifest = read_dataset(args.data)
-    synth_data = []
+    synth_data = None
     if args.synth:
         synth_data, synth_manifest = read_dataset(args.synth)
         manifest = {**manifest, **{k: synth_manifest[k] for k in
                     ("synth_id_range", "num_colors", "num_types",
                      "num_orientation_bins")}}
-    config = build_train_config(vals, manifest, use_synthetic=bool(args.synth))
+    config = build_train_config(vals, manifest)
     # checked before the out-dir exists, not at the first batch
-    sampled_domain_ids(build_identity_index(real_data + synth_data),
-                       config.batch, config.use_synthetic)
+    build_train_set(real_data, synth_data, config.batch,
+                    config.model.head_class_counts)
 
     os.makedirs(args.out_dir, exist_ok=True)
     write_config_echo(args.out_dir, {
         **vals, "data": args.data, "synth": args.synth or "",
-        "use_synthetic": bool(args.synth)})
+        "use_synthetic": synth_data is not None})
 
     start = time.monotonic()
     try:

@@ -203,11 +203,23 @@ def read_dataset(path):
             samples.append(sample)
 
     mpath = manifest_path_for(path)
-    if os.path.exists(mpath):
-        with open(mpath) as f:
+    if not os.path.exists(mpath):
+        return samples, _derive_manifest(samples)
+    with open(mpath) as f:
+        try:
             manifest = json.load(f)
-    else:
-        manifest = _derive_manifest(samples)
+        except ValueError as e:     # bad JSON or bad UTF-8
+            raise DatasetFormatError(f"{mpath}: invalid JSON ({e})") from None
+    # the keys that training reads, all of which _derive_manifest writes
+    keys = ("real_id_range", "synth_id_range", "input_dim", "num_colors",
+            "num_types", "num_orientation_bins")
+    if not isinstance(manifest, dict) or not set(keys) <= set(manifest):
+        raise DatasetFormatError(f"{mpath}: expected a JSON object with the "
+                                 f"keys {', '.join(keys)}")
+    if samples and manifest["input_dim"] != len(samples[0].features):
+        raise DatasetFormatError(
+            f"{mpath}: input_dim {manifest['input_dim']} differs from the "
+            f"rows' {len(samples[0].features)} features")
     return samples, manifest
 
 

@@ -84,7 +84,7 @@ def pairwise_distances(queries, gallery, metric="euclidean"):
         raise ValueError(f"unknown metric {metric!r}")
     out = np.empty((q.shape[0], g.shape[0]))
     gt = np.ascontiguousarray(g.T)  # a view if g is in Fortran order
-    rows = max(1, BLOCK_BYTES // (9 * 8 * max(1, g.shape[0])))
+    rows = max(1, min(len(q), BLOCK_BYTES // (9 * 8 * max(1, len(g)))))
     work = np.empty((9, rows, g.shape[0]))
     for start in range(0, q.shape[0], rows):
         block = q[start:start + rows]

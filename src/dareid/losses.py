@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import GraphError, Tensor, grad_reversal, softmax_cross_entropy
+from .evaluation import pairwise_distances
 
 DISJOINT_NAMES = ("color", "type", "orientation")
 
@@ -61,17 +62,6 @@ def domain_loss(embeddings, domain_labels, lam, domain_head):
     return softmax_cross_entropy(logits, labels)
 
 
-def _hard_indices(dist, same_id):
-    """Hardest positive and negative per anchor; ties go to the first index."""
-    n = dist.shape[0]
-    pos_mask = same_id.copy()
-    np.fill_diagonal(pos_mask, False)
-    neg_mask = ~same_id
-    hard_pos = np.where(pos_mask, dist, -np.inf).argmax(axis=1)
-    hard_neg = np.where(neg_mask, dist, np.inf).argmin(axis=1)
-    return hard_pos, hard_neg
-
-
 def triplet_batch_hard(embeddings, ids, margin, squared=False, reduction="sum"):
     """Batch-hard triplet loss over Euclidean embedding distances.
 
@@ -93,11 +83,13 @@ def triplet_batch_hard(embeddings, ids, margin, squared=False, reduction="sum"):
     if counts.min() < 2:
         raise GraphError("every identity needs at least two samples per batch")
 
-    diff = x[:, None, :] - x[None, :, :]
-    sq = (diff ** 2).sum(axis=2)
-    dist = sq if squared else np.sqrt(np.maximum(sq, 0.0))
+    sq = pairwise_distances(x, x, "squared-euclidean")
+    dist = sq if squared else np.sqrt(sq)
+    # hardest positive and negative per anchor; ties go to the first index
     same_id = ids[:, None] == ids[None, :]
-    hard_pos, hard_neg = _hard_indices(dist, same_id)
+    positive = same_id & ~np.eye(n, dtype=bool)
+    hard_pos = np.where(positive, dist, -np.inf).argmax(axis=1)
+    hard_neg = np.where(same_id, np.inf, dist).argmin(axis=1)
 
     anchors = np.arange(n)
     terms = margin + dist[anchors, hard_pos] - dist[anchors, hard_neg]
@@ -108,18 +100,19 @@ def triplet_batch_hard(embeddings, ids, margin, squared=False, reduction="sum"):
     out = Tensor([[value]], parents=(embeddings,), op="triplet_batch_hard")
 
     def _bw(g):
+        a = anchors[active]
+        pn = np.stack([hard_pos[active], hard_neg[active]])
+        diff = x[a] - x[pn]
+        if squared:
+            dp, dn = 2.0 * diff
+        else:   # a Euclidean distance of 0 contributes 0
+            d = dist[a, pn][..., None]
+            dp, dn = np.divide(diff, d, out=np.zeros_like(diff), where=d > 0)
+        # rows a, p, n of each active anchor in turn: np.add.at adds them
+        # unbuffered in this order, as a loop over the anchors would
         grad = np.zeros_like(x)
-        for a in anchors[active]:
-            p, nn = hard_pos[a], hard_neg[a]
-            if squared:
-                dp = 2.0 * (x[a] - x[p])
-                dn = 2.0 * (x[a] - x[nn])
-            else:
-                dp = (x[a] - x[p]) / dist[a, p] if dist[a, p] > 0 else 0.0
-                dn = (x[a] - x[nn]) / dist[a, nn] if dist[a, nn] > 0 else 0.0
-            grad[a] += dp - dn
-            grad[p] -= dp
-            grad[nn] += dn
+        np.add.at(grad, np.stack([a, *pn], axis=1).reshape(-1),
+                  np.stack([dp - dn, -dp, dn], axis=1).reshape(-1, x.shape[1]))
         embeddings._accumulate(g[0, 0] * scale * grad)
     out._backward_fn = _bw
     return out
@@ -131,7 +124,8 @@ def total_loss(embeddings, id_logits, disjoint_logits, domain_head, batch,
 
     disjoint_logits maps the enabled names of DISJOINT_NAMES to logit
     tensors; a missing name, like domain_head=None, contributes exactly zero.
-    The disjoint mask comes from the batch (1 on synthetic rows).
+    The disjoint losses are masked to the synthetic rows: the mask is the
+    batch's domain labels, since SYNTHETIC is 1.
     """
     l_id = cross_entropy(id_logits, batch.id_labels)
     terms = [l_id]
@@ -154,7 +148,7 @@ def total_loss(embeddings, id_logits, disjoint_logits, domain_head, batch,
     for name in DISJOINT_NAMES:
         if name in disjoint_logits:
             l = masked_cross_entropy(disjoint_logits[name], labels[name],
-                                     batch.mask)
+                                     batch.domain_labels)
             disjoint_vals[name] = l.item()
             terms.append(w * l)
         else:

@@ -1,8 +1,9 @@
 """Dual-domain identity-balanced mini-batch construction and label encoding.
 
-A batch draws n identities per domain and m samples per identity, so a
-two-domain batch holds 2*n*m rows: real rows first, then synthetic. The
-disjoint-label mask is 1 exactly on synthetic rows.
+The training rows are gathered once into one columnar TrainSet. A batch
+draws n identities per domain and m rows per identity, and gathers every
+column by the drawn positions; a two-domain batch holds 2*n*m rows, real
+rows first, then synthetic. Attribute labels are valid on synthetic rows.
 """
 
 from dataclasses import dataclass
@@ -49,34 +50,15 @@ class Batch:
     features: np.ndarray          # (rows, input_dim)
     id_labels: np.ndarray
     domain_labels: np.ndarray
-    color_labels: np.ndarray
-    type_labels: np.ndarray
-    orientation_labels: np.ndarray
-    mask: np.ndarray              # 1 where disjoint labels valid (synthetic rows)
+    color_labels: np.ndarray      # 0 on real rows
+    type_labels: np.ndarray       # 0 on real rows
+    orientation_labels: np.ndarray  # bin index; 0 on real rows
 
 
-def build_identity_index(dataset):
-    """Group sample positions by (domain, id)."""
-    index = {}
-    for pos, s in enumerate(dataset):
-        index.setdefault((s.domain, s.id), []).append(pos)
-    return index
-
-
-def domain_ids(index, domain):
-    return sorted(i for (d, i) in index if d == domain)
-
-
-def sampled_domain_ids(index, spec, use_synthetic=True):
-    """The sorted identities of each domain a batch draws from, by domain;
-    each domain needs at least n of them."""
-    domains = (REAL, SYNTHETIC) if use_synthetic else (REAL,)
-    ids = {d: domain_ids(index, d) for d in domains}
-    for d, found in ids.items():
-        if len(found) < spec.n:
-            raise ValueError(f"domain {d} has {len(found)} identities, "
-                             f"fewer than n={spec.n}")
-    return ids
+@dataclass
+class TrainSet:
+    rows: Batch      # every training row
+    groups: dict     # domain -> positions in rows of each identity, ids sorted
 
 
 def bin_orientation(angle_deg, num_bins):
@@ -87,41 +69,56 @@ def bin_orientation(angle_deg, num_bins):
     return min(int(angle / (360.0 / num_bins)), num_bins - 1)
 
 
-def _draw_rows(dataset, index, ids, domain, spec, rng, num_bins):
-    chosen = rng.choice(len(ids), size=spec.n, replace=False)
-    rows = []
-    for k in chosen:
-        positions = index[(domain, ids[k])]
-        replace = len(positions) < spec.m
-        picks = rng.choice(len(positions), size=spec.m, replace=replace)
-        rows.extend(dataset[positions[p]] for p in picks)
-    feats = np.stack([s.features for s in rows])
-    id_lab = np.array([s.id for s in rows], dtype=np.int64)
-    dom_lab = np.full(len(rows), domain, dtype=np.int64)
-    if domain == SYNTHETIC:
-        color = np.array([s.color for s in rows], dtype=np.int64)
-        typ = np.array([s.type for s in rows], dtype=np.int64)
-        orient = np.array([bin_orientation(s.orientation_deg, num_bins)
-                           for s in rows], dtype=np.int64)
-        mask = np.ones(len(rows), dtype=np.int64)
-    else:
-        color = np.zeros(len(rows), dtype=np.int64)
-        typ = np.zeros(len(rows), dtype=np.int64)
-        orient = np.zeros(len(rows), dtype=np.int64)
-        mask = np.zeros(len(rows), dtype=np.int64)
-    return feats, id_lab, dom_lab, color, typ, orient, mask
+def build_train_set(real_data, synth_data, spec, class_counts):
+    """Gather the training rows into a TrainSet, with orientations binned
+    at the orientation head's class count. The set has the real domain, and
+    the synthetic one exactly when synth_data is given, even empty; each
+    needs spec.n identities. Rows that do not fit the model's class_counts,
+    or real and synthetic rows of different widths, are rejected."""
+    real, synth = list(real_data), list(synth_data or [])
+    if real and synth and len(real[0].features) != len(synth[0].features):
+        raise ValueError(f"real rows have {len(real[0].features)} features, "
+                         f"synthetic rows {len(synth[0].features)}")
+    samples = real + synth
+    bins = class_counts["orientation"]
+    labels = np.array(
+        [(s.id, s.domain, s.color, s.type,
+          bin_orientation(s.orientation_deg, bins)) if s.domain == SYNTHETIC
+         else (s.id, s.domain, 0, 0, 0) for s in samples],
+        dtype=np.int64).reshape(-1, 5)
+    ids, domains, colors, types, orientations = labels.T
+    for kind, column in (("id", ids), ("color", colors), ("type", types)):
+        count = class_counts[kind]
+        outside = column[(column < 0) | (column >= count)]
+        if outside.size:
+            raise ValueError(f"{kind} label {outside[0]} is outside the "
+                             f"{kind} head's {count} classes")
+
+    groups = {}
+    for d in (REAL,) if synth_data is None else (REAL, SYNTHETIC):
+        rows = np.flatnonzero(domains == d)
+        rows = rows[np.argsort(ids[rows], kind="stable")]
+        cuts = np.flatnonzero(np.diff(ids[rows])) + 1
+        groups[d] = np.split(rows, cuts) if rows.size else []
+        if len(groups[d]) < spec.n:
+            raise ValueError(f"domain {d} has {len(groups[d])} identities, "
+                             f"fewer than n={spec.n}")
+    features = np.stack([s.features for s in samples])
+    return TrainSet(Batch(features, ids, domains, colors, types, orientations),
+                    groups)
 
 
-def sample_batch(dataset, index, spec, rng, num_orientation_bins=6,
-                 use_synthetic=True, ids=None):
-    """Draw one identity-balanced batch; real rows first, then synthetic.
-
-    With use_synthetic=False the batch holds n*m real rows only and the
-    disjoint mask is all zero. A caller drawing many batches passes
-    sampled_domain_ids' result as ids.
-    """
-    ids = ids or sampled_domain_ids(index, spec, use_synthetic)
-    parts = [_draw_rows(dataset, index, ids[d], d, spec, rng,
-                        num_orientation_bins) for d in ids]
-    cols = [np.concatenate([p[i] for p in parts]) for i in range(1, 7)]
-    return Batch(np.concatenate([p[0] for p in parts]), *cols)
+def sample_batch(train_set, spec, rng):
+    """Draw one identity-balanced batch: per domain of the set, n distinct
+    identities, then m of each one's rows, with replacement when it has
+    fewer than m. Real rows come first, then synthetic."""
+    picks = []
+    for groups in train_set.groups.values():
+        for k in rng.choice(len(groups), size=spec.n, replace=False):
+            positions = groups[k]
+            replace = len(positions) < spec.m
+            picks.append(positions[rng.choice(len(positions), size=spec.m,
+                                              replace=replace)])
+    idx = np.concatenate(picks)
+    return Batch(**{name: column[idx]
+                    for name, column in vars(train_set.rows).items()})

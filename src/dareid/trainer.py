@@ -1,8 +1,10 @@
 """End-to-end training loop: sampler -> embedder/heads -> losses -> AMSGrad.
 
-Runs are deterministic given (seed, config, data): the sampler rng for epoch
-e is seeded from (seed, e+1) and parameter init from (seed, 0), so resuming
-from a checkpoint at epoch k reproduces the uninterrupted run exactly.
+A run is two-domain exactly when it is given synthetic data; a real-only
+run is the single-domain baseline. Runs are deterministic given (seed,
+config, data): the sampler rng for epoch e is seeded from (seed, e+1) and
+parameter init from (seed, 0), so resuming from a checkpoint at epoch k
+reproduces the uninterrupted run exactly.
 """
 
 import math
@@ -17,8 +19,7 @@ from .evaluation import EvalConfig, evaluate_retrieval
 from .losses import DISJOINT_NAMES, LossWeights, total_loss
 from .network import ModelConfig, embed, head_logits, init_params
 from .optimizer import LrSchedule, OptimState, amsgrad_step, lr_at_epoch
-from .sampling import (BatchSpec, build_identity_index, sample_batch,
-                       sampled_domain_ids)
+from .sampling import BatchSpec, build_train_set, sample_batch
 
 
 class DivergenceError(Exception):
@@ -41,7 +42,6 @@ class TrainConfig:
     seed: int = 0
     disjoint: tuple = DISJOINT_NAMES
     use_domain_loss: bool = True
-    use_synthetic: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -52,10 +52,6 @@ class TrainConfig:
         unknown = set(self.disjoint) - set(DISJOINT_NAMES)
         if unknown:
             raise ValueError(f"unknown disjoint losses: {sorted(unknown)}")
-        if not self.use_synthetic:
-            # single-domain baseline: no synthetic rows to mask or discriminate
-            self.disjoint = ()
-            self.use_domain_loss = False
 
 
 @dataclass
@@ -67,22 +63,26 @@ class TrainResult:
     config: TrainConfig
 
 
-def _iteration_step(config, params, batch):
-    """Forward pass and loss; heads of disabled losses are not computed."""
+def _iteration_step(config, params, batch, two_domain):
+    """Forward pass and loss; heads of disabled losses are not computed. A
+    one-domain run has no synthetic rows to discriminate or to carry
+    attribute labels, so it computes only the ID and triplet losses."""
     emb = embed(params, batch.features)
     id_logits = head_logits(params, emb, "id")
     disjoint_logits = {name: head_logits(params, emb, name)
-                       for name in config.disjoint}
-    domain_head = params.heads["domain"] if config.use_domain_loss else None
+                       for name in (config.disjoint if two_domain else ())}
+    domain_head = (params.heads["domain"]
+                   if two_domain and config.use_domain_loss else None)
     return total_loss(emb, id_logits, disjoint_logits, domain_head, batch,
                       config.weights)
 
 
 def train(config, real_data, synth_data=None, resume_from=None):
-    """Train from scratch or resume from a checkpoint dict."""
-    dataset = list(real_data) + list(synth_data or [])
-    index = build_identity_index(dataset)
-    ids = sampled_domain_ids(index, config.batch, config.use_synthetic)
+    """Train from scratch or resume from a checkpoint dict; on both domains
+    when synth_data is given, else on the real domain alone."""
+    train_set = build_train_set(real_data, synth_data, config.batch,
+                                config.model.head_class_counts)
+    domains = len(train_set.groups)
 
     if resume_from is not None:
         params = network.params_from_checkpoint(resume_from)
@@ -94,10 +94,10 @@ def train(config, real_data, synth_data=None, resume_from=None):
         optim = OptimState()
         start_epoch = 0
 
-    rows = config.batch.n * config.batch.m * (2 if config.use_synthetic else 1)
+    rows = config.batch.n * config.batch.m * domains
     iters = config.iterations_per_epoch
     if iters is None:
-        iters = max(1, math.ceil(len(dataset) / rows))
+        iters = max(1, math.ceil(len(train_set.rows.id_labels) / rows))
 
     run_log = []
     global_it = start_epoch * iters
@@ -107,11 +107,9 @@ def train(config, real_data, synth_data=None, resume_from=None):
         for _ in range(iters):
             global_it += 1
             try:
-                batch = sample_batch(
-                    dataset, index, config.batch, rng,
-                    config.model.head_class_counts["orientation"],
-                    config.use_synthetic, ids)
-                breakdown, loss = _iteration_step(config, params, batch)
+                batch = sample_batch(train_set, config.batch, rng)
+                breakdown, loss = _iteration_step(config, params, batch,
+                                                  domains == 2)
                 if not np.isfinite(breakdown.total):
                     raise DivergenceError(global_it, run_log)
                 params.zero_grad()
@@ -143,9 +141,8 @@ def evaluate(params, query_samples, gallery_samples, eval_config=None,
             raise ValueError(f"checkpoint input_dim does not match {name} set")
     qids = np.array([s.id for s in query_samples])
     gids = np.array([s.id for s in gallery_samples])
-    same_set = np.array_equal(qids, gids) and all(
-        np.array_equal(a.features, b.features)
-        for a, b in zip(query_samples, gallery_samples))
+    same_set = np.array_equal(qids, gids) and np.array_equal(
+        _features(query_samples), _features(gallery_samples))
     exclude = None
     if exclude_self:
         if not same_set:

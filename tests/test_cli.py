@@ -157,6 +157,58 @@ class TestTrain:
         written = json.loads((out / "report.json").read_text())
         assert {**report, "status": "completed"} == written
 
+    @pytest.mark.parametrize("manifest, edit", [
+        ("synth", lambda m: {k: v for k, v in m.items()
+                             if k != "synth_id_range"}),
+        ("real", lambda m: "not json"),
+        ("real", lambda m: [m]),
+        ("real", lambda m: {**m, "input_dim": 7}),
+    ], ids=["missing-key", "not-json", "not-an-object", "input-dim"])
+    def test_bad_manifest_names_the_file(self, tmp_path, capsys, manifest,
+                                         edit):
+        _, data = run_gen(tmp_path)
+        path = data / f"{manifest}.manifest.json"
+        edited = edit(json.loads(path.read_text()))
+        path.write_text(edited if isinstance(edited, str)
+                        else json.dumps(edited))
+        out = tmp_path / "run"
+        assert run_train(data, out) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_real_and_synthetic_widths_differ(self, tmp_path, capsys):
+        _, data = run_gen(tmp_path)
+        _, wide = run_gen(tmp_path, "wide", ("--dim", "7"))
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(data / "real.jsonl"),
+                     "--synth", str(wide / "synth.jsonl"),
+                     "--out-dir", str(out)])
+        assert code == EXIT_USAGE
+        assert "6 features, synthetic rows 7" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_synthetic_file_is_usage_error(self, tmp_path, capsys):
+        _, data = run_gen(tmp_path)
+        (data / "synth.jsonl").write_text("")
+        out = tmp_path / "run"
+        assert run_train(data, out) == EXIT_USAGE
+        assert "domain 1 has 0 identities" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_color_outside_the_head_is_usage_error(self, tmp_path, capsys):
+        _, data = run_gen(tmp_path)
+        path = data / "synth.jsonl"
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[3])
+        rec["color"] = 12                # the manifest has 12 colors
+        lines[3] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert run_train(data, out) == EXIT_USAGE
+        assert "color head's 12 classes" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_exit_code_and_report(self, tmp_path):
         _, data = run_gen(tmp_path)

@@ -170,6 +170,62 @@ class TestTripletBatchHard:
         assert worst < 1e-4
 
 
+def per_anchor_triplet(x, ids, margin, squared, reduction):
+    """Value and gradient of the batch-hard triplet loss, from the broadcast
+    N x N x D distances and one gradient update per active anchor."""
+    sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+    dist = sq if squared else np.sqrt(sq)
+    same = ids[:, None] == ids[None, :]
+    pos = same.copy()
+    np.fill_diagonal(pos, False)
+    hard_pos = np.where(pos, dist, -np.inf).argmax(axis=1)
+    hard_neg = np.where(~same, dist, np.inf).argmin(axis=1)
+    anchors = np.arange(len(x))
+    terms = margin + dist[anchors, hard_pos] - dist[anchors, hard_neg]
+    active = terms > 0.0
+    scale = 1.0 / len(x) if reduction == "mean" else 1.0
+    value = float(np.where(active, terms, 0.0).sum() * scale)
+    grad = np.zeros_like(x)
+    for a in anchors[active]:
+        p, nn = hard_pos[a], hard_neg[a]
+        if squared:
+            dp = 2.0 * (x[a] - x[p])
+            dn = 2.0 * (x[a] - x[nn])
+        else:
+            dp = (x[a] - x[p]) / dist[a, p] if dist[a, p] > 0 else 0.0
+            dn = (x[a] - x[nn]) / dist[a, nn] if dist[a, nn] > 0 else 0.0
+        grad[a] += dp - dn
+        grad[p] -= dp
+        grad[nn] += dn
+    return value, 1.0 * scale * grad + 0.0
+
+
+class TestTripletAgainstPerAnchorLoop:
+    @pytest.mark.parametrize("d", [1, 3, 8, 16, 32, 33])
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    def test_value_and_gradient_bitwise_equal(self, d, squared, reduction):
+        rng = np.random.default_rng([d, squared])
+        for trial in range(17):
+            p, q = rng.integers(2, 6), rng.integers(2, 5)
+            ids = rng.permutation(np.repeat(np.arange(p), q))
+            if trial % 3 == 1:       # integer-valued rows tie often
+                x = rng.integers(-2, 3, size=(p * q, d)).astype(np.float64)
+            else:
+                x = rng.normal(size=(p * q, d))
+            if trial % 3 == 2:       # duplicate rows: zero distances
+                x[rng.integers(p * q, size=3)] = x[0]
+            margin = float(rng.uniform(0.0, 1.5))
+            t = Tensor(x)
+            loss = triplet_batch_hard(t, ids, margin, squared=squared,
+                                      reduction=reduction)
+            loss.backward()
+            value, grad = per_anchor_triplet(x, ids, margin, squared,
+                                             reduction)
+            assert loss.item() == value
+            assert np.array_equal(t.grad, grad)
+
+
 class TestMaskedCrossEntropy:
     def test_fully_masked_is_zero_with_zero_grads(self):
         logits = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
@@ -218,7 +274,6 @@ def make_batch(rng, n_per_domain=4, dim=6, all_real=False):
         color_labels=rng.integers(3, size=rows),
         type_labels=rng.integers(4, size=rows),
         orientation_labels=rng.integers(6, size=rows),
-        mask=domains.copy(),
     )
 
 

@@ -36,7 +36,7 @@ def small_train_config(**kw):
 class TestTrain:
     def test_baseline_learns_identities(self):
         real, _, _ = toy_data()
-        config = small_train_config(use_synthetic=False, epochs=15,
+        config = small_train_config(epochs=15,
                                     iterations_per_epoch=10)
         result = train(config, real)
         assert id_accuracy(result.params, real) > 0.9
@@ -62,13 +62,19 @@ class TestTrain:
                     "type_loss", "orientation_loss"):
             assert first[key] != 0.0, key
 
-    def test_single_domain_config_disables_extra_losses(self):
+    def test_single_domain_config_disables_extra_losses(self, monkeypatch):
         real, _, _ = toy_data()
-        config = small_train_config(use_synthetic=False, epochs=1)
-        assert config.disjoint == () and not config.use_domain_loss
-        result = train(config, real)
-        first = result.run_log[0]
-        assert first["domain_loss"] == 0.0 and first["color_loss"] == 0.0
+        head_logits, heads = trainer.head_logits, []
+
+        def counting(params, embeddings, head):
+            heads.append(head)
+            return head_logits(params, embeddings, head)
+        monkeypatch.setattr(trainer, "head_logits", counting)
+        result = train(small_train_config(epochs=1), real)
+        assert heads == ["id"] * 6
+        for row in result.run_log:
+            assert row["domain_loss"] == 0.0 and row["color_loss"] == 0.0
+            assert row["type_loss"] == 0.0 and row["orientation_loss"] == 0.0
 
     @pytest.mark.parametrize("iterations", [0, -3])
     def test_iterations_below_one_rejected(self, iterations):
@@ -78,19 +84,17 @@ class TestTrain:
     @pytest.mark.parametrize("bins", [4, 8])
     def test_orientation_bins_follow_the_head(self, monkeypatch, bins):
         real, synth, _ = toy_data()
-        sample_batch, seen = trainer.sample_batch, []
+        build_train_set, seen = trainer.build_train_set, []
 
-        def recording(dataset, index, spec, rng, num_bins, use_synthetic,
-                      ids):
-            seen.append(num_bins)
-            return sample_batch(dataset, index, spec, rng, num_bins,
-                                use_synthetic, ids)
-        monkeypatch.setattr(trainer, "sample_batch", recording)
+        def recording(real_data, synth_data, spec, class_counts):
+            seen.append(class_counts["orientation"])
+            return build_train_set(real_data, synth_data, spec, class_counts)
+        monkeypatch.setattr(trainer, "build_train_set", recording)
         model = ModelConfig(input_dim=6, hidden_dims=[16], embed_dim=8,
                             head_class_counts={**HEADS, "orientation": bins})
         result = train(small_train_config(model=model, epochs=1), real, synth)
         assert len(result.run_log) == 6
-        assert seen == [bins] * 6
+        assert seen == [bins]
 
     @pytest.mark.parametrize("disjoint", [("color",), ()])
     def test_disabled_heads_are_not_computed(self, monkeypatch, disjoint):
@@ -173,20 +177,20 @@ class TestTrain:
 class TestEvaluateHelpers:
     def test_embed_samples_shape(self):
         real, _, _ = toy_data()
-        result = train(small_train_config(use_synthetic=False, epochs=1), real)
+        result = train(small_train_config(epochs=1), real)
         emb = embed_samples(result.params, real)
         assert emb.shape == (len(real), 8)
 
     def test_evaluate_deterministic(self):
         real, _, _ = toy_data()
-        result = train(small_train_config(use_synthetic=False, epochs=3), real)
+        result = train(small_train_config(epochs=3), real)
         a = evaluate(result.params, real, real, exclude_self=True)
         b = evaluate(result.params, real, real, exclude_self=True)
         assert a.map_at_k == b.map_at_k and a.per_query_ap == b.per_query_ap
 
     def test_query_set_as_gallery_is_embedded_once(self, monkeypatch):
         real, _, _ = toy_data()
-        result = train(small_train_config(use_synthetic=False, epochs=3), real)
+        result = train(small_train_config(epochs=3), real)
         ids = np.array([s.id for s in real])
         both = evaluate_retrieval(embed_samples(result.params, real),
                                   embed_samples(result.params, real), ids, ids,
@@ -202,15 +206,34 @@ class TestEvaluateHelpers:
         assert report.per_query_ap == both.per_query_ap
         assert report.cmc == both.cmc
 
+    def test_gallery_differing_in_one_feature_is_not_the_query_set(
+            self, monkeypatch):
+        real, _, _ = toy_data()
+        result = train(small_train_config(epochs=1), real)
+        gallery = list(real)
+        changed = gallery[5].features.copy()
+        changed[2] += 1.0
+        gallery[5] = type(real[5])(real[5].domain, real[5].id, changed)
+        with pytest.raises(ValueError, match="query set == gallery set"):
+            evaluate(result.params, real, gallery, exclude_self=True)
+        calls = []
+
+        def counting(params, samples):
+            calls.append(len(samples))
+            return embed_samples(params, samples)
+        monkeypatch.setattr(trainer, "embed_samples", counting)
+        evaluate(result.params, real, gallery)
+        assert calls == [len(real), len(real)]
+
     def test_self_retrieval_with_exclusion_beats_chance(self):
         real, _, _ = toy_data()
-        result = train(small_train_config(use_synthetic=False, epochs=8), real)
+        result = train(small_train_config(epochs=8), real)
         report = evaluate(result.params, real, real, exclude_self=True)
         assert report.map_at_k > 0.5
 
     def test_rerank_lambda_one_keeps_map(self):
         real, _, _ = toy_data()
-        result = train(small_train_config(use_synthetic=False, epochs=5), real)
+        result = train(small_train_config(epochs=5), real)
         plain = evaluate(result.params, real, real,
                          EvalConfig(top_k=50), exclude_self=False)
         rr = evaluate(result.params, real, real,
@@ -221,7 +244,7 @@ class TestEvaluateHelpers:
 
     def test_dimension_mismatch_rejected(self):
         real, _, _ = toy_data()
-        result = train(small_train_config(use_synthetic=False, epochs=1), real)
+        result = train(small_train_config(epochs=1), real)
         bad = [type(s)(s.domain, s.id, np.zeros(9)) for s in real[:2]]
         with pytest.raises(ValueError):
             evaluate(result.params, bad, bad)
