@@ -156,20 +156,11 @@ def _record_to_sample(rec, lineno):
         fail(f"unknown domain {domain!r}")
     if "id" not in rec or "features" not in rec:
         fail("missing id or features")
-    disjoint = {k: rec.get(k) for k in ("color", "type", "orientation_deg")}
-    if domain == "real":
-        present = [k for k, v in disjoint.items() if v is not None]
-        if present:
-            fail(f"real sample carries disjoint fields {present}")
-    else:
-        absent = [k for k, v in disjoint.items() if v is None]
-        if absent:
-            fail(f"synthetic sample missing fields {absent}")
     try:
         features = np.asarray(rec["features"], dtype=np.float64)
         sample = Sample(_DOMAIN_CODES[domain], int(rec["id"]), features,
-                        color=disjoint["color"], type=disjoint["type"],
-                        orientation_deg=disjoint["orientation_deg"])
+                        color=rec.get("color"), type=rec.get("type"),
+                        orientation_deg=rec.get("orientation_deg"))
     except (TypeError, ValueError) as e:
         fail(str(e))
     if features.ndim != 1 or not np.isfinite(features).all():

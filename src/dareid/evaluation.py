@@ -63,8 +63,10 @@ class EvalReport:
 
 
 # The work space of pairwise_distances (nine arrays of a block of query rows
-# by Ng) and of the re-ranker's blocks stays within this many bytes (one row
-# at least), whatever the number of queries.
+# by Ng) and of the certified ranking's blocks stays within this many bytes
+# (one row at least), whatever the number of queries. The re-ranker, which
+# holds its Nq x Ng output throughout, keeps each block's arrays within a
+# quarter of it.
 BLOCK_BYTES = 4 * 2**20
 
 
@@ -260,18 +262,17 @@ def _rank_rows(dist, start, relevant, excluded):
     return positions
 
 
-def _ranked(distances, query_ids, gallery_ids, excluded):
+def _ranked(dist, query_ids, gallery_ids, excluded):
     """Per query: the ascending positions of its relevant gallery items in
-    the ranking of a distance matrix, exclusions removed. distances(rows)
-    gives the distances of a slice of query rows, asked for a block at a
-    time, and each block of rows is sorted once. Takes _checked_ids'
-    output; errors if a query has no relevant item."""
+    the ranking of its row of the distance matrix dist, exclusions removed,
+    each block of rows sorted once. Takes _checked_ids' output; errors if a
+    query has no relevant item."""
     relevant = _relevant(query_ids, gallery_ids, excluded)
     step = _block_rows(len(gallery_ids))
     positions = []
     for start in range(0, len(query_ids), step):
-        positions += _rank_rows(distances(slice(start, start + step)), start,
-                                relevant, excluded)
+        positions += _rank_rows(dist[start:start + step], start, relevant,
+                                excluded)
     return positions
 
 
@@ -280,8 +281,8 @@ def _ranked_matrix(dist, query_ids, gallery_ids, exclude):
     dist = np.asarray(dist)
     if dist.ndim != 2:
         raise ValueError(f"distances have shape {dist.shape}, not 2-D")
-    return _ranked(lambda rows: dist[rows],
-                   *_checked_ids(*dist.shape, query_ids, gallery_ids, exclude))
+    return _ranked(dist, *_checked_ids(*dist.shape, query_ids, gallery_ids,
+                                       exclude))
 
 
 # ---- certified GEMM ranking ----
@@ -317,20 +318,16 @@ def _certified_ranked(q, g, metric, query_ids, gallery_ids, excluded):
     relevant item: their work space would not fit, and counting each of
     them costs more than computing and sorting its exact distance."""
     relevant = _relevant(query_ids, gallery_ids, excluded)
-    ng, d = g.shape
-    with np.errstate(over="ignore"):
-        qn = np.einsum("ij,ij->i", q, q)
-        gn = np.einsum("ij,ij->i", g, g)
-        gmax = gn.max()
-        bound = (4 * d + 24) * (_U * (qn + gmax) + _ETA)
-    step = _block_rows(ng)
+    qn, gn = _norms(q), _norms(g)
+    gmax = gn.max()
+    step = _block_rows(len(g))
     positions = []
     for start in range(0, len(q), step):
         rows = slice(start, start + step)
-        block = None
-        if gmax < _NORM_LIMIT and (qn[rows] < _NORM_LIMIT).all():
-            block = _certified_rows(q[rows], g, qn[rows], gn, bound[rows],
-                                    metric, start, relevant, excluded)
+        block = _gemm_rows(q[rows], qn[rows], g, gn, gmax)
+        if block is not None:
+            block = _certified_rows(q[rows], g, qn[rows], *block, metric,
+                                    start, relevant, excluded)
         if block is None:
             block = np.concatenate(_rank_rows(
                 pairwise_distances(q[rows], g, metric), start, relevant,
@@ -339,17 +336,32 @@ def _certified_ranked(q, g, metric, query_ids, gallery_ids, excluded):
     return np.split(np.concatenate(positions), relevant[0][1:-1])
 
 
-def _certified_rows(q, g, qn, gn, bound, metric, start, relevant, excluded):
+def _norms(x):
+    """Squared norms of the rows of x, inf where they overflow."""
+    with np.errstate(over="ignore"):
+        return np.einsum("ij,ij->i", x, x)
+
+
+def _gemm_rows(q, qn, g, gn, gmax):
+    """GEMM values a = |g|^2 - 2 q.g and the bound E of _certified_ranked per
+    row of q (qn, gn squared norms, gmax = max(gn)); None if a norm is not
+    finite or not below _NORM_LIMIT."""
+    if not (gmax < _NORM_LIMIT and (qn < _NORM_LIMIT).all()):
+        return None
+    a = np.matmul(-2.0 * q, g.T)
+    a += gn
+    return a, (4 * q.shape[1] + 24) * (_U * (qn + gmax) + _ETA)
+
+
+def _certified_rows(q, g, qn, a, bound, metric, start, relevant, excluded):
     """The positions of _rank_rows, concatenated, for the distances between
-    the block of query rows q (rows start, start + 1, ...) and g, from GEMM
-    values certified by the bound (see _certified_ranked); None if too
-    many entries might rank ahead of a relevant item."""
+    the block of query rows q (rows start, start + 1, ...) and g, from the
+    GEMM values a certified by the bound (see _certified_ranked); None if
+    too many entries might rank ahead of a relevant item."""
     ng = len(g)
     rel_rows, rel_cols = _block(relevant, start, start + len(q), ng)
     ex_rows, ex_cols = _block(excluded, start, start + len(q), ng)
     ex_flat = ex_rows * ng + ex_cols
-    a = np.matmul(-2.0 * q, g.T)
-    a += gn
     v = _pair_sums(q, g, rel_rows, rel_cols)
     lo = (v - bound[rel_rows]) - qn[rel_rows]
     hi = (v + bound[rel_rows]) - qn[rel_rows]
@@ -417,20 +429,32 @@ def _resolve(q, g, flat, kept, items, metric):
             - seen[np.searchsorted(rows, items // ng)])
 
 
-def _average_precision(positions, k):
-    """AP@k of one query from the ascending positions of its relevant items."""
-    hits = np.arange(1, len(positions) + 1)
-    return float((hits / (positions + 1.0))[positions < k].sum()
-                 / min(len(positions), k))
+def _flat(positions):
+    """Per-query positions concatenated, with each query's start and count."""
+    counts = np.fromiter(map(len, positions), np.intp, len(positions))
+    return np.concatenate(positions), np.cumsum(counts) - counts, counts
 
 
 def _map_of_ranked(positions, k):
-    aps = [_average_precision(p, k) for p in positions]
-    return float(np.mean(aps)), aps
+    """mAP@k and per-query APs from each query's ascending positions. An AP
+    sums hits / (position + 1) over the positions below k; the queries with
+    t such terms are summed as one matrix along its last axis, NumPy's
+    pairwise sum of t contiguous terms, as each query's own sum adds them."""
+    pos, starts, counts = _flat(positions)
+    terms = (np.arange(1, len(pos) + 1) - np.repeat(starts, counts)) / (
+        pos + 1.0)
+    within = np.add.reduceat(pos < k, starts)
+    aps = np.zeros(len(counts))
+    for t in np.unique(within[within > 0]):
+        qs = np.flatnonzero(within == t)
+        aps[qs] = terms[starts[qs, None] + np.arange(t)].sum(axis=1)
+    aps /= np.minimum(counts, k)
+    return float(np.mean(aps)), aps.tolist()
 
 
 def _cmc_of_ranked(positions, ranks):
-    first_hit = np.array([p[0] for p in positions])
+    pos, starts, _ = _flat(positions)
+    first_hit = pos[starts]
     return {r: float((first_hit < r).mean()) for r in ranks}
 
 
@@ -456,20 +480,13 @@ def precision_recall_points(positions):
 
 # ---- k-reciprocal re-ranking ----
 
-def _top_k(dist, k):
-    """First k columns of np.argsort(dist, axis=1, kind="stable"), for a 2-D
-    array without NaN. Only the candidates are sorted: the k smallest values
-    of each row, widened to every value tied with the k-th, so that ties keep
-    their index order."""
-    part = np.argpartition(dist, k - 1, axis=1)[:, :k]
-    kth = np.take_along_axis(dist, part, axis=1).max(axis=1)
-    width = int((dist <= kth[:, None]).sum(axis=1).max())
-    if width > k:
-        part = np.argpartition(dist, width - 1, axis=1)[:, :width]
-    part.sort(axis=1)
-    order = np.argsort(np.take_along_axis(dist, part, axis=1), axis=1,
-                      kind="stable")[:, :k]
-    return np.take_along_axis(part, order, axis=1)
+def _first_k(rows, cols, vals, k):
+    """Per row, the columns of its first k entries by (value, column), as a
+    stable argsort orders them, from candidate entries that hold them (rows
+    ascending block-local row numbers)."""
+    order = np.lexsort((cols, vals, rows))
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    return cols[order[rank < k]].reshape(-1, k)
 
 
 def _reciprocal(near):
@@ -477,7 +494,7 @@ def _reciprocal(near):
     n, k = near.shape
     rows = np.repeat(np.arange(n), k)
     cols = near.ravel()
-    return np.isin(cols * n + rows, rows * n + cols).reshape(n, k)
+    return _member(np.sort(rows * n + cols), cols * n + rows).reshape(n, k)
 
 
 def _ranges(starts, lengths):
@@ -507,34 +524,96 @@ def _original_distances(sq, metric):
 
 
 def _distance_pass(allf, nq, k, metric):
-    """One pass over the all-vs-all squared distances, a block of rows at a
-    time, each row divided by its maximum. The matrix is exactly symmetric,
-    so these are the column maxima the dense algorithm divides by. Returns
-    the maxima, each row's top k neighbours and the query rows' normalised
-    distances to the gallery rows."""
-    n = allf.shape[0]
+    """One pass over the rows of the all-vs-all original distances, each
+    divided by its maximum (the matrix is exactly symmetric, so these are
+    the column maxima the dense algorithm divides by). Returns the maxima,
+    each row's first k neighbours by (normalised distance, column) and the
+    query rows' normalised distances to the gallery rows.
+
+    Query rows are exact (_exact_rows). A block of gallery rows x is
+    certified by the GEMM values a of _certified_ranked, within E' = E -
+    13uM of S - |x|^2 (S the kernel's squared distance, M = |x|^2 +
+    max |y|^2: E less its threshold and square-root terms); a threshold t
+    formed from a and E rounds by under 3uM, as |a| <= 2M. The largest S
+    has a >= max(a) - 2E' > t = max(a) - 2E, so the exact values of the
+    entries with a >= t give the maximum p (_original_distances never
+    decreases). With A the row's k-th smallest a, an entry with a > t =
+    A + 4E has S more than 4E - 2E' - 3uM > 2E >= 56(uM + eta) above k
+    others' (eta the smallest subnormal). sqrt and square move S by at
+    most 3.01uS + eta/2, dividing by p <= 2.01M rounds by u of the quotient
+    plus eta/2, so S more than 16.1uM + (2.01M + 1) eta apart stay strictly
+    ordered, and the first k by (value, column) have a <= t. A gallery
+    block takes the exact path if a norm is not finite or not below
+    _NORM_LIMIT, if it has over BLOCK_BYTES / 64 candidates, or if a
+    maximum is not finite and positive (the exact path then raises)."""
+    n = len(allf)
     row_max = np.empty(n)
     near = np.empty((n, k), dtype=np.intp)
     query_rows = np.empty((nq, n - nq))
-    rows = _block_rows(n)
-    for start in range(0, n, rows):
-        block = _original_distances(
-            pairwise_distances(allf[start:start + rows], allf,
-                               "squared-euclidean"), metric)
-        peak = block.max(axis=1)
-        if not np.isfinite(peak).all():
-            raise ValueError("k-reciprocal re-ranking needs finite distances, "
-                             "but the squared distances overflow")
-        if not (peak > 0).all():
-            raise ValueError("k-reciprocal re-ranking needs distinct "
-                             "embeddings, but all query and gallery "
-                             "embeddings are identical")
-        block /= peak[:, None]
-        row_max[start:start + rows] = peak
-        near[start:start + rows] = _top_k(block, k)
-        if start < nq:
-            query_rows[start:start + rows] = block[:nq - start, nq:]
+    norms = _norms(allf)
+    top = norms.max()
+    columns = np.asfortranarray(allf)   # pairwise_distances needs no copy
+    # a block's arrays fit a quarter of BLOCK_BYTES: an exact block's are
+    # pairwise_distances' nine, a certified block's one of GEMM values
+    spans = [(s, min(s + _block_rows(36 * n), nq))
+             for s in range(0, nq, _block_rows(36 * n))]
+    spans += [(s, min(s + _block_rows(4 * n), n))
+              for s in range(nq, n, _block_rows(4 * n))]
+    for start, stop in spans:
+        x = allf[start:stop]
+        got = None
+        if start >= nq:
+            got = _gemm_rows(x, norms[start:stop], allf, norms, top)
+        if got is not None:
+            got = _certified_neighbours(x, allf, *got, k, metric)
+        if got is None:
+            block, *got = _exact_rows(x, columns, k, metric)
+            if start < nq:
+                query_rows[start:stop] = block[:, nq:]
+        row_max[start:stop], near[start:stop] = got
     return row_max, near, query_rows
+
+
+def _entries(mask):
+    """np.nonzero of a 2-D mask, from its flat indices (the faster way)."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _exact_rows(x, allf, k, metric):
+    """The rows x of the normalised all-vs-all matrix, their maxima and
+    first k neighbours; errors if a maximum overflows or is 0."""
+    block = _original_distances(
+        pairwise_distances(x, allf, "squared-euclidean"), metric)
+    peak = block.max(axis=1)
+    if not np.isfinite(peak).all():
+        raise ValueError("k-reciprocal re-ranking needs finite distances, "
+                         "but the squared distances overflow")
+    if not (peak > 0).all():
+        raise ValueError("k-reciprocal re-ranking needs distinct "
+                         "embeddings, but all query and gallery "
+                         "embeddings are identical")
+    block /= peak[:, None]
+    rows, cols = _entries(
+        block <= np.partition(block, k - 1, axis=1)[:, k - 1, None])
+    return block, peak, _first_k(rows, cols, block[rows, cols], k)
+
+
+def _certified_neighbours(x, allf, a, bound, k, metric):
+    """_exact_rows' maxima and neighbours from the rows' GEMM values a and
+    bounds (see _distance_pass); None where the exact path must decide."""
+    peak_rows, peak_cols = _entries(a >= (a.max(axis=1) - 2 * bound)[:, None])
+    limit = np.partition(a, k - 1, axis=1)[:, k - 1] + 4 * bound
+    rows, cols = _entries(a <= limit[:, None])
+    if len(peak_rows) + len(rows) > _block_rows(8):
+        return None
+    dist = _original_distances(_pair_sums(
+        x, allf, np.concatenate([peak_rows, rows]),
+        np.concatenate([peak_cols, cols])), metric)
+    peak = np.maximum.reduceat(dist[:len(peak_rows)],
+                               _row_ptr(peak_rows, len(x))[:-1])
+    if not (np.isfinite(peak) & (peak > 0)).all():
+        return None
+    return peak, _first_k(rows, cols, dist[len(peak_rows):] / peak[rows], k)
 
 
 def _pair_sums(a, b, rows, cols):
@@ -543,7 +622,7 @@ def _pair_sums(a, b, rows, cols):
     _sum_squares follows, so it equals pairwise_distances' squared entry
     bit for bit."""
     out = np.empty(len(rows))
-    step = _block_rows(a.shape[1])
+    step = _block_rows(4 * a.shape[1])
     for start in range(0, len(rows), step):
         diff = a[rows[start:start + step]]
         diff -= b[cols[start:start + step]]
@@ -557,11 +636,11 @@ def _encode_weights(allf, near, row_max, k1, metric):
     Each weight's squared distance comes from _pair_sums, so it is the entry
     of the normalised all-vs-all matrix bit for bit."""
     half = int(round(k1 / 2.0))
-    recip = [r[m].tolist() for r, m in zip(near, _reciprocal(near))]
     recip_half = [r[m].tolist() for r, m in
                   zip(near[:, :half + 1], _reciprocal(near[:, :half + 1]))]
     indices = []
-    for forward in recip:
+    for r, m in zip(near, _reciprocal(near)):
+        forward = r[m].tolist()
         own = set(forward)
         expanded = set(forward)
         for cand in forward:
@@ -574,8 +653,9 @@ def _encode_weights(allf, near, row_max, k1, metric):
     indptr = _row_ptr(rows, len(indices))
     dist = _pair_sums(allf, allf, rows, cols)
     weight = np.exp(-(_original_distances(dist, metric) / row_max[rows]))
-    data = [w / w.sum() for w in np.split(weight, indptr[1:-1])]
-    return indptr, cols, np.concatenate(data)
+    for w in np.split(weight, indptr[1:-1]):
+        w /= w.sum()
+    return indptr, cols, weight
 
 
 def _mean_rows(indptr, indices, data, nearest):
@@ -584,8 +664,8 @@ def _mean_rows(indptr, indices, data, nearest):
     rows in the order of nearest[i], as the dense mean over rows does (an
     absent entry there adds 0.0, which changes no value)."""
     n, k = nearest.shape
-    rows = _block_rows(n)
-    out_rows, out_cols, out_data = [], [], []
+    rows = _block_rows(4 * n)
+    counts, cols, out = [], [], []
     for start in range(0, n, rows):
         src = nearest[start:start + rows].ravel()
         lens = indptr[src + 1] - indptr[src]
@@ -593,13 +673,17 @@ def _mean_rows(indptr, indices, data, nearest):
         block_n = len(src) // k
         owner = np.repeat(np.arange(block_n), k).repeat(lens)
         total = np.bincount(owner * n + indices[take], weights=data[take],
-                            minlength=block_n * n).reshape(block_n, n)
-        r, c = np.nonzero(total)
-        out_rows.append(r + start)
-        out_cols.append(c)
-        out_data.append(total[r, c] / k)
-    return (_row_ptr(np.concatenate(out_rows), n), np.concatenate(out_cols),
-            np.concatenate(out_data))
+                            minlength=block_n * n)
+        nonzero = np.flatnonzero(total)
+        counts.append(np.bincount(nonzero // n, minlength=block_n))
+        cols.append(nonzero % n)
+        out.append(total[nonzero] / k)
+    # free the last block, and each list once joined, so that the output is
+    # held twice only one array at a time
+    del total
+    cols = np.concatenate(cols)
+    out = np.concatenate(out)
+    return np.concatenate([[0], np.cumsum(np.concatenate(counts))]), cols, out
 
 
 def k_reciprocal_rerank(queries, gallery, rerank=None, metric="euclidean"):
@@ -607,9 +691,11 @@ def k_reciprocal_rerank(queries, gallery, rerank=None, metric="euclidean"):
     neighbor sets (with local query expansion), returning an Nq x Ng matrix.
 
     Bitwise equal to the dense algorithm over the all-vs-all matrix, in
-    O(Nq x N + N x k1) memory: only the query rows and each row's top k1+1
-    neighbours are kept of the distances, and the neighbour weights are
-    sparse rows.
+    O(Nq x N + N x k1) memory: only the query rows and each row's maximum
+    and top k1+1 neighbours are kept of the distances, and the neighbour
+    weights are sparse rows. Only the query rows are computed exactly in
+    full; GEMM values certify the other rows' maxima and neighbours
+    (_distance_pass), so the output does not depend on the BLAS kernel.
     """
     if rerank is None:
         rerank = RerankParams()
@@ -626,6 +712,8 @@ def k_reciprocal_rerank(queries, gallery, rerank=None, metric="euclidean"):
     row_max, near, final = _distance_pass(allf, nq, rerank.k1 + 1, metric)
     indptr, indices, data = _encode_weights(allf, near, row_max, rerank.k1,
                                             metric)
+    # arrays are freed once unused, so that the peak stays near the output
+    del allf
     # local query expansion; with k2 == 1 a row stays as it is, though its
     # nearest row may be a lower-index duplicate
     if rerank.k2 != 1:
@@ -638,6 +726,7 @@ def k_reciprocal_rerank(queries, gallery, rerank=None, metric="euclidean"):
     col_ptr = _row_ptr(indices[by_col], n)
     col_rows = np.repeat(np.arange(n), np.diff(indptr))[by_col]
     col_data = data[by_col]
+    del by_col, near
     lam = rerank.lambda_orig
     for i in range(nq):
         cols = indices[indptr[i]:indptr[i + 1]]
@@ -667,7 +756,7 @@ def evaluate_retrieval(query_feats, gallery_feats, query_ids, gallery_ids,
     ids = _checked_ids(len(q), len(g), query_ids, gallery_ids, exclude)
     if config.rerank is not None:
         dist = k_reciprocal_rerank(q, g, config.rerank, config.metric)
-        positions = _ranked(lambda rows: dist[rows], *ids)
+        positions = _ranked(dist, *ids)
     else:
         positions = _certified_ranked(q, g, config.metric, *ids)
     map_k, aps = _map_of_ranked(positions, config.top_k)

@@ -25,14 +25,15 @@ class Sample:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        has_all = (self.color is not None and self.type is not None
-                   and self.orientation_deg is not None)
-        has_none = (self.color is None and self.type is None
-                    and self.orientation_deg is None)
-        if self.domain == REAL and not has_none:
-            raise ValueError(f"real sample id={self.id} carries disjoint labels")
-        if self.domain == SYNTHETIC and not has_all:
-            raise ValueError(f"synthetic sample id={self.id} missing disjoint labels")
+        labels = ("color", "type", "orientation_deg")
+        carried = [k for k in labels if getattr(self, k) is not None]
+        if self.domain == REAL and carried:
+            raise ValueError(f"real sample id={self.id} carries disjoint "
+                             f"fields {carried}")
+        missing = [k for k in labels if getattr(self, k) is None]
+        if self.domain == SYNTHETIC and missing:
+            raise ValueError(f"synthetic sample id={self.id} missing "
+                             f"fields {missing}")
 
 
 @dataclass

@@ -13,7 +13,7 @@ from oracles import (ap_brute_force, cmc_brute_force, naive_distances,
                      rerank_reference)
 
 from dareid import evaluation
-from dareid.evaluation import (CMC_RANKS, EvalConfig, RerankParams, _top_k,
+from dareid.evaluation import (CMC_RANKS, EvalConfig, RerankParams,
                                cmc, evaluate_retrieval,
                                k_reciprocal_rerank,
                                mean_average_precision, pairwise_distances,
@@ -156,6 +156,38 @@ class TestMeanAveragePrecision:
             map_k, _ = mean_average_precision(dist, rng.integers(2, size=3),
                                               gids, k=4)
             assert 0.0 <= map_k <= 1.0
+
+    def test_equals_the_per_query_sum(self):
+        # APs with 0, 1, 7, 8, 9, 128 and 129 terms (positions below k), two
+        # queries each, in shuffled order: every AP, the mAP and the CMC are
+        # == a loop over the queries that sums each query's terms alone
+        rng = np.random.default_rng(44)
+        in_order = []
+        for k in (1, 8, 9, 100, 129, 300):
+            positions = []
+            for t in (0, 1, 7, 8, 9, 128, 129) * 2:
+                if t <= k:
+                    below = rng.choice(k, size=t, replace=False)
+                    above = k + rng.choice(40, size=rng.integers(t == 0, 4),
+                                           replace=False)
+                    positions.append(np.sort(np.concatenate([below, above])))
+            positions = [positions[i] for i in rng.permutation(len(positions))]
+            map_k, aps = evaluation._map_of_ranked(positions, k)
+            want = []
+            for p in positions:
+                terms = (np.arange(1, len(p) + 1) / (p + 1.0))[p < k]
+                want.append(float(terms.sum() / min(len(p), k)))
+                total = 0.0
+                for x in terms:
+                    total += x
+                in_order.append(total / min(len(p), k) != want[-1])
+            assert [a.hex() for a in aps] == [w.hex() for w in want]
+            assert map_k.hex() == float(np.mean(want)).hex()
+            assert evaluation._cmc_of_ranked(positions, CMC_RANKS) == {
+                r: float(np.mean([p[0] < r for p in positions]))
+                for r in CMC_RANKS}
+        # the per-query sums are pairwise: adding in order differs
+        assert any(in_order)
 
 
 class TestCmc:
@@ -474,8 +506,9 @@ class TestCertifiedRanking:
 
 
 class TestBlasIndependence:
-    """The GEMM values the ranking is ordered by differ between OpenBLAS
-    kernels; the ranking, decided by exact distances, must not."""
+    """The GEMM values the ranking and the re-ranker's gallery rows are
+    certified from differ between OpenBLAS kernels; the ranking and the
+    re-ranked distances, decided by exact distances, must not."""
 
     SCRIPT = """
 import json
@@ -488,13 +521,27 @@ g = centres[gids] + 0.9 * rng.normal(size=(2048, 32))
 qids = rng.integers(128, size=256)
 q = centres[qids] + 0.9 * rng.normal(size=(256, 32))
 exact = []
-evaluation.pairwise_distances = lambda *args: exact.append(1)
-out = {"exact path": bool(exact)}
+pairwise = evaluation.pairwise_distances
+
+
+def counting(x, *args):
+    exact.append(len(x))
+    return pairwise(x, *args)
+
+
+evaluation.pairwise_distances = counting
+out = {}
 for metric in ("euclidean", "squared-euclidean"):
     report = evaluation.evaluate_retrieval(
         q, g, qids, gids, evaluation.EvalConfig(metric=metric))
     out[metric] = [[p.tolist() for p in report.positions],
                    [ap.hex() for ap in report.per_query_ap]]
+out["exact rows"] = sum(exact)
+exact.clear()
+for metric in ("euclidean", "squared-euclidean"):
+    dist = evaluation.k_reciprocal_rerank(q[:64], g[:448], metric=metric)
+    out["rerank " + metric] = [x.hex() for x in dist.ravel().tolist()]
+out["rerank exact rows"] = sum(exact)
 print(json.dumps(out))
 """
 
@@ -515,7 +562,10 @@ print(json.dumps(out))
             settings += [{"OPENBLAS_CORETYPE": "Haswell"},
                          {"OPENBLAS_CORETYPE": "SandyBridge"}]
         base = self.run()
-        assert not base["exact path"]
+        # no block of the ranking falls back, and the re-ranker computes
+        # only the 64 query rows exactly, once per metric
+        assert base["exact rows"] == 0
+        assert base["rerank exact rows"] == 2 * 64
         for setting in settings:
             assert self.run(**setting) == base, setting
 
@@ -577,19 +627,25 @@ class TestRerank:
         assert np.array_equal(got, rerank_reference(g, g, k1=6, k2=3))
 
     def test_no_row_of_the_all_vs_all_matrix_is_sorted(self, monkeypatch):
-        row_widths = []
+        # the neighbour lists sort candidate entries only, the top 7 of each
+        # row's 64 distances, and no 2-D array is argsorted
+        widths = []
+        first_k = evaluation._first_k
+
+        def recording(rows, cols, vals, k):
+            widths.append(len(rows) / len(np.unique(rows)))
+            return first_k(rows, cols, vals, k)
         argsort = np.argsort
 
-        def recording(a, *args, **kwargs):
-            if np.ndim(a) == 2:
-                row_widths.append(np.shape(a)[1])
+        def one_dimensional(a, *args, **kwargs):
+            assert np.ndim(a) < 2
             return argsort(a, *args, **kwargs)
-        monkeypatch.setattr(np, "argsort", recording)
+        monkeypatch.setattr(evaluation, "_first_k", recording)
+        monkeypatch.setattr(np, "argsort", one_dimensional)
         rng = np.random.default_rng(17)
         q, g = rng.normal(size=(8, 3)), rng.normal(size=(56, 3))
         k_reciprocal_rerank(q, g, RerankParams(k1=6, k2=3))
-        # the rows hold 64 distances; only the top-7 candidates are sorted
-        assert row_widths and max(row_widths) < 64
+        assert widths and max(widths) == 7
 
     def test_memory_stays_below_one_dense_matrix(self):
         rng = np.random.default_rng(18)
@@ -612,6 +668,13 @@ class TestRerank:
         same = np.ones((8, 3))
         with pytest.raises(ValueError, match="identical"):
             k_reciprocal_rerank(same[:2], same[2:], RerankParams(k1=3, k2=2))
+
+    def test_gallery_row_whose_distances_all_underflow_rejected(self):
+        # every squared distance from the gallery rows at 0 rounds to 0,
+        # though the query row's largest is the smallest subnormal
+        q, g = np.array([[-1e-162]]), np.array([[0.0], [1e-162], [0.0]])
+        with pytest.raises(ValueError, match="identical"):
+            k_reciprocal_rerank(q, g, RerankParams(k1=1, k2=1))
 
     def test_non_finite_embeddings_rejected(self):
         rng = np.random.default_rng(19)
@@ -648,7 +711,7 @@ class TestRerank:
         assert np.allclose(got, d2[:, 2:] / d2.max(axis=1)[:, None],
                            rtol=0, atol=1e-12)
 
-    def test_distances_are_computed_once_per_block_of_rows(self, monkeypatch):
+    def test_exact_distances_only_for_the_query_rows(self, monkeypatch):
         calls = []
         original = evaluation.pairwise_distances
 
@@ -659,10 +722,12 @@ class TestRerank:
         rng = np.random.default_rng(27)
         q, g = rng.normal(size=(512, 8)), rng.normal(size=(1536, 8))
         k_reciprocal_rerank(q, g)
-        n = len(q) + len(g)
-        assert sum(calls) == n
-        blocks = -(-n // evaluation._block_rows(n))
-        assert blocks == 8 and len(calls) <= blocks
+        assert sum(calls) == len(q)
+        # a norm too large for the bound: every block takes the exact path
+        calls.clear()
+        g[0] *= 5.5e153 / np.linalg.norm(g[0])
+        k_reciprocal_rerank(q, g)
+        assert sum(calls) == len(q) + len(g)
 
     def test_smallest_neighbourhoods_accepted(self):
         rng = np.random.default_rng(24)
@@ -672,21 +737,126 @@ class TestRerank:
         assert np.array_equal(got, ref)
 
 
-class TestTopK:
+class TestCertifiedDistancePass:
+    """The re-ranker's distance pass computes exact distances for the query
+    rows only, and certifies the gallery rows' maxima and neighbours from
+    GEMM values; its outputs must equal, ==, those of the pass with every
+    block on the exact path, which must equal the dense matrix's."""
+
+    NQ, NG = 14, 40
+
+    @pytest.fixture(params=[None, 3], ids=["one-block", "3-row-blocks"])
+    def blocks(self, request, monkeypatch):
+        # 3-row gallery blocks (of 54 columns, in a quarter of BLOCK_BYTES)
+        # make the last block ragged and leave room for 81 candidates a
+        # block: a block with more falls back
+        if request.param:
+            monkeypatch.setattr(evaluation, "BLOCK_BYTES",
+                                4 * 8 * (self.NQ + self.NG) * request.param)
+        return request.param
+
+    @pytest.fixture
+    def exact_rows(self, monkeypatch):
+        """The rows of each block given to the exact kernel."""
+        rows = []
+        original = evaluation.pairwise_distances
+
+        def recording(q, *args, **kwargs):
+            rows.append(len(q))
+            return original(q, *args, **kwargs)
+        monkeypatch.setattr(evaluation, "pairwise_distances", recording)
+        return rows
+
     @staticmethod
-    def expected(dist, k):
-        return np.argsort(dist, axis=1, kind="stable")[:, :k]
+    def check(q, g, k, metric, exact_rows):
+        """Asserts the three passes agree; returns the rows the certified
+        pass computed exactly."""
+        allf, nq = np.concatenate([q, g]), len(q)
+        exact_rows.clear()
+        got = evaluation._distance_pass(allf, nq, k, metric)
+        computed = sum(exact_rows)
+        with pytest.MonkeyPatch.context() as patch:
+            # no norm is below a zero limit: every block is exact
+            patch.setattr(evaluation, "_NORM_LIMIT", 0.0)
+            want = evaluation._distance_pass(allf, nq, k, metric)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        dense = evaluation._original_distances(
+            pairwise_distances(allf, allf, "squared-euclidean"), metric)
+        peak = dense.max(axis=1)
+        dense /= peak[:, None]
+        assert np.array_equal(want[0], peak)
+        assert np.array_equal(want[1], np.argsort(dense, axis=1,
+                                                  kind="stable")[:, :k])
+        assert np.array_equal(want[2], dense[:nq, nq:])
+        return computed
+
+    def inputs(self, rng, d):
+        q = rng.normal(size=(self.NQ, d))
+        g = rng.normal(size=(self.NG, d))
+        base = rng.normal(size=(8, d))
+        yield "random", q, g
+        yield ("duplicate rows", base[rng.integers(8, size=self.NQ)],
+               base[rng.integers(8, size=self.NG)])
+        # as the final report calls it: every row holds each value twice
+        yield "query set as gallery", g, g
+        yield ("integer-valued", rng.integers(-2, 3, size=q.shape) * 1.0,
+               rng.integers(-2, 3, size=g.shape) * 1.0)
+        yield "subnormal products", 1e-160 * q, 1e-160 * g
+        # the GEMM cancels almost every digit: its order is noise
+        yield "common offset", 1e6 + 1e-4 * q, 1e6 + 1e-4 * g
+        yield "large", 1e150 * q, 1e150 * g
+
+    @pytest.mark.parametrize("metric", ["euclidean", "squared-euclidean"])
+    def test_equals_the_exact_pass(self, metric, blocks, exact_rows):
+        rng = np.random.default_rng(41)
+        fell_back = certified = 0
+        for d in (1, 3, 8, 33, 129):
+            for kind, q, g in self.inputs(rng, d):
+                for k in (3, 7, len(g)):     # k1 = 2, 6, gallery size - 1
+                    computed = self.check(q, g, k, metric, exact_rows)
+                    if not blocks:
+                        # the gallery block is certified
+                        assert computed == len(q), (kind, d, k)
+                    fell_back += computed > len(q)
+                    certified += computed < len(q) + len(g)
+        assert certified and bool(fell_back) == bool(blocks)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "squared-euclidean"])
+    def test_norms_at_the_limit_take_the_exact_path(self, metric, exact_rows):
+        rng = np.random.default_rng(42)
+        q, g = rng.normal(size=(self.NQ, 4)), rng.normal(size=(self.NG, 4))
+        # a squared norm of 3e307 is above the bound's limit, though every
+        # squared distance stays finite
+        g[5] *= np.sqrt(3e307) / np.linalg.norm(g[5])
+        assert self.check(q, g, 7, metric, exact_rows) == self.NQ + self.NG
+
+
+class TestTopK:
+    """The neighbour lists' top-k routine against a stable argsort, from the
+    candidates the exact path gives it (the entries at or below each row's
+    k-th value), from a wider set and from every entry."""
+
+    @staticmethod
+    def check(dist, k):
+        want = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
+        for cand in (dist <= kth, dist <= kth + 0.25,
+                     np.ones(dist.shape, dtype=bool)):
+            rows, cols = np.nonzero(cand)
+            got = evaluation._first_k(rows, cols, dist[rows, cols], k)
+            assert np.array_equal(got, want)
 
     def test_untied_rows(self):
         dist = np.random.default_rng(21).normal(size=(7, 50))
         for k in (1, 5, 21, 50):
-            assert np.array_equal(_top_k(dist, k), self.expected(dist, k))
+            self.check(dist, k)
 
     def test_integer_valued_rows(self):
         dist = np.random.default_rng(22).integers(0, 4, size=(9, 40))
         dist = dist.astype(float)
         for k in (1, 3, 10, 39, 40):
-            assert np.array_equal(_top_k(dist, k), self.expected(dist, k))
+            self.check(dist, k)
 
     def test_ties_across_the_boundary(self):
         rng = np.random.default_rng(23)
@@ -698,7 +868,7 @@ class TestTopK:
         dist[3, [29, 0]] = dist[3].min()                   # tie at rank one
         kth = np.sort(dist, axis=1)[:, k - 1]
         assert ((dist <= kth[:, None]).sum(axis=1)[:3] > k).all()
-        assert np.array_equal(_top_k(dist, k), self.expected(dist, k))
+        self.check(dist, k)
 
 
 class TestEvaluateRetrieval:

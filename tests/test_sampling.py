@@ -39,6 +39,13 @@ class TestSampleSchema:
         with pytest.raises(ValueError):
             Sample(SYNTHETIC, 0, [1.0], color=2, type=1)
 
+    def test_errors_name_the_offending_fields(self):
+        with pytest.raises(ValueError, match=r"real .*\['color'\]"):
+            Sample(REAL, 0, [1.0], color=3)
+        with pytest.raises(ValueError,
+                           match=r"synthetic .*\['type', 'orientation_deg'\]"):
+            Sample(SYNTHETIC, 0, [1.0], color=3)
+
 
 class TestIdentityIndex:
     def test_empty_dataset(self):
