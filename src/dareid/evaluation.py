@@ -65,8 +65,7 @@ class EvalReport:
 # The work space of pairwise_distances (nine arrays of a block of query rows
 # by Ng) and of the certified ranking's blocks stays within this many bytes
 # (one row at least), whatever the number of queries. The re-ranker, which
-# holds its Nq x Ng output throughout, keeps each block's arrays within a
-# quarter of it.
+# holds its Nq x Ng output throughout, sizes its blocks to a quarter of it.
 BLOCK_BYTES = 4 * 2**20
 
 
@@ -480,6 +479,12 @@ def precision_recall_points(positions):
 
 # ---- k-reciprocal re-ranking ----
 
+# A block of the re-ranker's gallery rows takes the exact path when more
+# than this share of its entries are candidates: on 64 x 2048 blocks the
+# certified path is the slower above about 1/18 at D = 8 and 1/9 at D = 16.
+_CANDIDATES = 1 / 20
+
+
 def _first_k(rows, cols, vals, k):
     """Per row, the columns of its first k entries by (value, column), as a
     stable argsort orders them, from candidate entries that hold them (rows
@@ -494,7 +499,7 @@ def _reciprocal(near):
     n, k = near.shape
     rows = np.repeat(np.arange(n), k)
     cols = near.ravel()
-    return _member(np.sort(rows * n + cols), cols * n + rows).reshape(n, k)
+    return np.isin(cols * n + rows, rows * n + cols).reshape(n, k)
 
 
 def _ranges(starts, lengths):
@@ -544,8 +549,9 @@ def _distance_pass(allf, nq, k, metric):
     plus eta/2, so S more than 16.1uM + (2.01M + 1) eta apart stay strictly
     ordered, and the first k by (value, column) have a <= t. A gallery
     block takes the exact path if a norm is not finite or not below
-    _NORM_LIMIT, if it has over BLOCK_BYTES / 64 candidates, or if a
-    maximum is not finite and positive (the exact path then raises)."""
+    _NORM_LIMIT, if over a _CANDIDATES share of its entries are candidates,
+    or if a maximum is not finite and positive (the exact path then
+    raises)."""
     n = len(allf)
     row_max = np.empty(n)
     near = np.empty((n, k), dtype=np.intp)
@@ -553,8 +559,9 @@ def _distance_pass(allf, nq, k, metric):
     norms = _norms(allf)
     top = norms.max()
     columns = np.asfortranarray(allf)   # pairwise_distances needs no copy
-    # a block's arrays fit a quarter of BLOCK_BYTES: an exact block's are
-    # pairwise_distances' nine, a certified block's one of GEMM values
+    # an exact block's nine pairwise_distances arrays fit a quarter of
+    # BLOCK_BYTES, as a certified block's GEMM values do; with a partitioned
+    # copy of them, two masks and the candidates it takes about twice that
     spans = [(s, min(s + _block_rows(36 * n), nq))
              for s in range(0, nq, _block_rows(36 * n))]
     spans += [(s, min(s + _block_rows(4 * n), n))
@@ -575,7 +582,8 @@ def _distance_pass(allf, nq, k, metric):
 
 
 def _entries(mask):
-    """np.nonzero of a 2-D mask, from its flat indices (the faster way)."""
+    """np.nonzero of a 2-D mask, from its flat indices: 60 us against 490
+    on a 64 x 2048 mask of 1280 entries."""
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
@@ -601,11 +609,12 @@ def _exact_rows(x, allf, k, metric):
 def _certified_neighbours(x, allf, a, bound, k, metric):
     """_exact_rows' maxima and neighbours from the rows' GEMM values a and
     bounds (see _distance_pass); None where the exact path must decide."""
-    peak_rows, peak_cols = _entries(a >= (a.max(axis=1) - 2 * bound)[:, None])
-    limit = np.partition(a, k - 1, axis=1)[:, k - 1] + 4 * bound
-    rows, cols = _entries(a <= limit[:, None])
-    if len(peak_rows) + len(rows) > _block_rows(8):
+    tops = a >= (a.max(axis=1) - 2 * bound)[:, None]
+    near = a <= (np.partition(a, k - 1, axis=1)[:, k - 1] + 4 * bound)[:, None]
+    if np.count_nonzero(tops) + np.count_nonzero(near) > a.size * _CANDIDATES:
         return None
+    peak_rows, peak_cols = _entries(tops)
+    rows, cols = _entries(near)
     dist = _original_distances(_pair_sums(
         x, allf, np.concatenate([peak_rows, rows]),
         np.concatenate([peak_cols, cols])), metric)
@@ -665,7 +674,7 @@ def _mean_rows(indptr, indices, data, nearest):
     absent entry there adds 0.0, which changes no value)."""
     n, k = nearest.shape
     rows = _block_rows(4 * n)
-    counts, cols, out = [], [], []
+    flat, out = [], []
     for start in range(0, n, rows):
         src = nearest[start:start + rows].ravel()
         lens = indptr[src + 1] - indptr[src]
@@ -675,15 +684,14 @@ def _mean_rows(indptr, indices, data, nearest):
         total = np.bincount(owner * n + indices[take], weights=data[take],
                             minlength=block_n * n)
         nonzero = np.flatnonzero(total)
-        counts.append(np.bincount(nonzero // n, minlength=block_n))
-        cols.append(nonzero % n)
+        flat.append(nonzero + start * n)
         out.append(total[nonzero] / k)
-    # free the last block, and each list once joined, so that the output is
-    # held twice only one array at a time
+    # each list is freed once joined, so the output is held twice one array
+    # at a time
     del total
-    cols = np.concatenate(cols)
+    flat = np.concatenate(flat)
     out = np.concatenate(out)
-    return np.concatenate([[0], np.cumsum(np.concatenate(counts))]), cols, out
+    return _row_ptr(flat // n, n), flat % n, out
 
 
 def k_reciprocal_rerank(queries, gallery, rerank=None, metric="euclidean"):
@@ -712,8 +720,6 @@ def k_reciprocal_rerank(queries, gallery, rerank=None, metric="euclidean"):
     row_max, near, final = _distance_pass(allf, nq, rerank.k1 + 1, metric)
     indptr, indices, data = _encode_weights(allf, near, row_max, rerank.k1,
                                             metric)
-    # arrays are freed once unused, so that the peak stays near the output
-    del allf
     # local query expansion; with k2 == 1 a row stays as it is, though its
     # nearest row may be a lower-index duplicate
     if rerank.k2 != 1:
@@ -726,7 +732,6 @@ def k_reciprocal_rerank(queries, gallery, rerank=None, metric="euclidean"):
     col_ptr = _row_ptr(indices[by_col], n)
     col_rows = np.repeat(np.arange(n), np.diff(indptr))[by_col]
     col_data = data[by_col]
-    del by_col, near
     lam = rerank.lambda_orig
     for i in range(nq):
         cols = indices[indptr[i]:indptr[i + 1]]

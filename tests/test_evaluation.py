@@ -723,6 +723,11 @@ class TestRerank:
         q, g = rng.normal(size=(512, 8)), rng.normal(size=(1536, 8))
         k_reciprocal_rerank(q, g)
         assert sum(calls) == len(q)
+        # a common offset leaves the GEMM values almost no digits, so nearly
+        # every entry is a candidate: every block takes the exact path
+        calls.clear()
+        k_reciprocal_rerank(1e6 + 1e-4 * q, 1e6 + 1e-4 * g)
+        assert sum(calls) == len(q) + len(g)
         # a norm too large for the bound: every block takes the exact path
         calls.clear()
         g[0] *= 5.5e153 / np.linalg.norm(g[0])
@@ -747,9 +752,12 @@ class TestCertifiedDistancePass:
 
     @pytest.fixture(params=[None, 3], ids=["one-block", "3-row-blocks"])
     def blocks(self, request, monkeypatch):
-        # 3-row gallery blocks (of 54 columns, in a quarter of BLOCK_BYTES)
-        # make the last block ragged and leave room for 81 candidates a
-        # block: a block with more falls back
+        # one block may hold any number of candidates, so it is certified
+        # whatever the input; 3-row gallery blocks (of 54 columns, in a
+        # quarter of BLOCK_BYTES) make the last block ragged and leave room
+        # for 40 candidates a block: a block with more falls back
+        monkeypatch.setattr(evaluation, "_CANDIDATES",
+                            0.25 if request.param else 2.0)
         if request.param:
             monkeypatch.setattr(evaluation, "BLOCK_BYTES",
                                 4 * 8 * (self.NQ + self.NG) * request.param)
