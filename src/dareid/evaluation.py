@@ -561,7 +561,8 @@ def _distance_pass(allf, nq, k, metric):
     columns = np.asfortranarray(allf)   # pairwise_distances needs no copy
     # an exact block's nine pairwise_distances arrays fit a quarter of
     # BLOCK_BYTES, as a certified block's GEMM values do; with a partitioned
-    # copy of them, two masks and the candidates it takes about twice that
+    # copy, two masks, the candidates and _pair_sums' rows it takes 2 to 3.5
+    # times that
     spans = [(s, min(s + _block_rows(36 * n), nq))
              for s in range(0, nq, _block_rows(36 * n))]
     spans += [(s, min(s + _block_rows(4 * n), n))
