@@ -284,7 +284,6 @@ def _final_report(params, real_data, config):
 
 EVAL_OPTIONS = (
     Opt("topk", int, EvalConfig.top_k, "K of mAP@K"),
-    Opt("metric", str, EvalConfig.metric, "euclidean or squared-euclidean"),
     Opt("rerank", parse_bool, False, "k-reciprocal re-ranking"),
     Opt("k1", int, RerankParams.k1, "re-ranking neighbourhood size"),
     Opt("k2", int, RerankParams.k2, "re-ranking query-expansion size"),
@@ -303,8 +302,7 @@ def cmd_eval(args):
     if vals["rerank"]:
         rerank = RerankParams(k1=vals["k1"], k2=vals["k2"],
                               lambda_orig=vals["lambda"])
-    config = EvalConfig(top_k=vals["topk"], metric=vals["metric"],
-                        rerank=rerank)
+    config = EvalConfig(top_k=vals["topk"], rerank=rerank)
     report = evaluate(params, query, gallery, config,
                       exclude_self=vals["exclude_self"])
 

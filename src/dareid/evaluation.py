@@ -30,14 +30,11 @@ class RerankParams:
 @dataclass
 class EvalConfig:
     top_k: int = 100
-    metric: str = "euclidean"
     rerank: Optional[RerankParams] = None
 
     def __post_init__(self):
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if self.metric not in ("euclidean", "squared-euclidean"):
-            raise ValueError(f"unknown metric {self.metric!r}")
 
 
 @dataclass
@@ -48,7 +45,7 @@ class EvalReport:
     config: dict
     reranked: bool
     # per query, the ascending positions of its relevant items in the
-    # ranking the metrics were computed from (exclusions removed); not
+    # ranking mAP and CMC were computed from (exclusions removed); not
     # serialised
     positions: list = field(repr=False, compare=False)
 
@@ -243,7 +240,7 @@ def _positions(row, s, cols):
 def _rank_rows(dist, start, relevant, excluded):
     """Per row of a block of distances (query rows start, start + 1, ...):
     the ascending positions of its relevant columns in its stable ranking,
-    the excluded columns removed."""
+    the excluded columns removed; the rows' positions concatenated."""
     s = np.sort(dist, axis=1)
     stop = start + len(dist)
     rel = _block(relevant, start, stop, dist.shape[1])
@@ -258,21 +255,20 @@ def _rank_rows(dist, start, relevant, excluded):
             ahead = np.sort(_positions(row, s[i], ex_cols))
             pos -= np.searchsorted(ahead, pos)
         positions.append(np.sort(pos))
-    return positions
+    return np.concatenate(positions)
 
 
 def _ranked(dist, query_ids, gallery_ids, excluded):
     """Per query: the ascending positions of its relevant gallery items in
     the ranking of its row of the distance matrix dist, exclusions removed,
-    each block of rows sorted once. Takes _checked_ids' output; errors if a
-    query has no relevant item."""
+    each block of rows sorted once. Returns the queries' positions
+    concatenated and their row pointer. Takes _checked_ids' output; errors
+    if a query has no relevant item."""
     relevant = _relevant(query_ids, gallery_ids, excluded)
     step = _block_rows(len(gallery_ids))
-    positions = []
-    for start in range(0, len(query_ids), step):
-        positions += _rank_rows(dist[start:start + step], start, relevant,
-                                excluded)
-    return positions
+    return np.concatenate([
+        _rank_rows(dist[start:start + step], start, relevant, excluded)
+        for start in range(0, len(query_ids), step)]), relevant[0]
 
 
 def _ranked_matrix(dist, query_ids, gallery_ids, exclude):
@@ -294,7 +290,7 @@ _ETA = 2.0 ** -1074
 _NORM_LIMIT = np.finfo(np.float64).max / 8
 
 
-def _certified_ranked(q, g, metric, query_ids, gallery_ids, excluded):
+def _certified_ranked(q, g, query_ids, gallery_ids, excluded):
     """_ranked for the distances between q and g, without computing them.
 
     A BLAS product orders the entries and the exact kernel decides. Per
@@ -325,14 +321,13 @@ def _certified_ranked(q, g, metric, query_ids, gallery_ids, excluded):
         rows = slice(start, start + step)
         block = _gemm_rows(q[rows], qn[rows], g, gn, gmax)
         if block is not None:
-            block = _certified_rows(q[rows], g, qn[rows], *block, metric,
-                                    start, relevant, excluded)
+            block = _certified_rows(q[rows], g, qn[rows], *block, start,
+                                    relevant, excluded)
         if block is None:
-            block = np.concatenate(_rank_rows(
-                pairwise_distances(q[rows], g, metric), start, relevant,
-                excluded))
+            block = _rank_rows(pairwise_distances(q[rows], g), start,
+                               relevant, excluded)
         positions.append(block)
-    return np.split(np.concatenate(positions), relevant[0][1:-1])
+    return np.concatenate(positions), relevant[0]
 
 
 def _norms(x):
@@ -352,11 +347,11 @@ def _gemm_rows(q, qn, g, gn, gmax):
     return a, (4 * q.shape[1] + 24) * (_U * (qn + gmax) + _ETA)
 
 
-def _certified_rows(q, g, qn, a, bound, metric, start, relevant, excluded):
-    """The positions of _rank_rows, concatenated, for the distances between
-    the block of query rows q (rows start, start + 1, ...) and g, from the
-    GEMM values a certified by the bound (see _certified_ranked); None if
-    too many entries might rank ahead of a relevant item."""
+def _certified_rows(q, g, qn, a, bound, start, relevant, excluded):
+    """The positions _rank_rows gives for the distances between the block of
+    query rows q (rows start, start + 1, ...) and g, from the GEMM values a
+    certified by the bound (see _certified_ranked); None if too many entries
+    might rank ahead of a relevant item."""
     ng = len(g)
     rel_rows, rel_cols = _block(relevant, start, start + len(q), ng)
     ex_rows, ex_cols = _block(excluded, start, start + len(q), ng)
@@ -375,7 +370,7 @@ def _certified_rows(q, g, qn, a, bound, metric, start, relevant, excluded):
     uncertain, ahead = _certainly_ahead(a.ravel()[flat], flat // ng, excl,
                                         rel_rows, lo, hi)
     ahead += _resolve(q, g, flat[uncertain], ~excl[uncertain],
-                      rel_rows * ng + rel_cols, metric)
+                      rel_rows * ng + rel_cols)
     return np.sort(rel_rows * ng + ahead) - rel_rows * ng
 
 
@@ -411,15 +406,14 @@ def _certainly_ahead(vals, rows, excl, item_rows, lo, hi):
     return uncertain, ahead
 
 
-def _resolve(q, g, flat, kept, items, metric):
+def _resolve(q, g, flat, kept, items):
     """For each of the entries items (flat indices row * ng + col, a subset
     of the ascending flat): the entries of flat in its row that are kept and
     rank ahead of it by exact distance, ties to the lower column."""
     ng = len(g)
     rows, cols = np.divmod(flat, ng)
     w = _pair_sums(q, g, rows, cols)
-    if metric == "euclidean":
-        np.sqrt(w, out=w)
+    np.sqrt(w, out=w)
     order = np.lexsort((cols, w, rows))
     slot = np.empty_like(order)
     slot[order] = np.arange(len(order))
@@ -428,45 +422,47 @@ def _resolve(q, g, flat, kept, items, metric):
             - seen[np.searchsorted(rows, items // ng)])
 
 
-def _flat(positions):
-    """Per-query positions concatenated, with each query's start and count."""
-    counts = np.fromiter(map(len, positions), np.intp, len(positions))
-    return np.concatenate(positions), np.cumsum(counts) - counts, counts
+def _row_sums(values, ptr):
+    """The sum of each row of the CSR pair (ptr, values), bit for bit the
+    row's own .sum(): the rows of one length t are summed as one matrix
+    along its last axis, NumPy's pairwise sum of t contiguous terms."""
+    counts = np.diff(ptr)
+    sums = np.zeros(len(counts))
+    for t in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == t)
+        sums[rows] = values[ptr[rows, None] + np.arange(t)].sum(axis=1)
+    return sums
 
 
-def _map_of_ranked(positions, k):
-    """mAP@k and per-query APs from each query's ascending positions. An AP
-    sums hits / (position + 1) over the positions below k; the queries with
-    t such terms are summed as one matrix along its last axis, NumPy's
-    pairwise sum of t contiguous terms, as each query's own sum adds them."""
-    pos, starts, counts = _flat(positions)
-    terms = (np.arange(1, len(pos) + 1) - np.repeat(starts, counts)) / (
+def _map_of_ranked(pos, ptr, k):
+    """mAP@k and per-query APs from the queries' ascending positions pos,
+    concatenated, and their row pointer ptr. An AP sums hits / (position +
+    1) over the positions below k, a prefix of its row."""
+    counts = np.diff(ptr)
+    terms = (np.arange(1, len(pos) + 1) - np.repeat(ptr[:-1], counts)) / (
         pos + 1.0)
-    within = np.add.reduceat(pos < k, starts)
-    aps = np.zeros(len(counts))
-    for t in np.unique(within[within > 0]):
-        qs = np.flatnonzero(within == t)
-        aps[qs] = terms[starts[qs, None] + np.arange(t)].sum(axis=1)
+    below = pos < k
+    aps = _row_sums(terms[below],
+                    np.concatenate([[0], np.cumsum(below)])[ptr])
     aps /= np.minimum(counts, k)
     return float(np.mean(aps)), aps.tolist()
 
 
-def _cmc_of_ranked(positions, ranks):
-    pos, starts, _ = _flat(positions)
-    first_hit = pos[starts]
+def _cmc_of_ranked(pos, ptr, ranks):
+    first_hit = pos[ptr[:-1]]
     return {r: float((first_hit < r).mean()) for r in ranks}
 
 
 def mean_average_precision(dist, query_ids, gallery_ids, k, exclude=None):
     """mAP@k plus per-query APs; errors if any query lacks relevant items."""
     return _map_of_ranked(
-        _ranked_matrix(dist, query_ids, gallery_ids, exclude), k)
+        *_ranked_matrix(dist, query_ids, gallery_ids, exclude), k)
 
 
 def cmc(dist, query_ids, gallery_ids, ranks=CMC_RANKS, exclude=None):
     """Fraction of queries whose first relevant item appears within each rank."""
     return _cmc_of_ranked(
-        _ranked_matrix(dist, query_ids, gallery_ids, exclude), ranks)
+        *_ranked_matrix(dist, query_ids, gallery_ids, exclude), ranks)
 
 
 def precision_recall_points(positions):
@@ -519,21 +515,19 @@ def _block_rows(n):
     return max(1, BLOCK_BYTES // (8 * max(1, n)))
 
 
-def _original_distances(sq, metric):
+def _original_distances(sq):
     """The re-ranker's original distance, in place: the squared Euclidean
-    distances sq under either metric, though under "euclidean" taken through
-    the square root and back, as the published algorithm computes them."""
-    if metric == "euclidean":
-        np.square(np.sqrt(sq, out=sq), out=sq)
-    return sq
+    distances sq taken through the square root and back, as the published
+    algorithm computes them."""
+    return np.square(np.sqrt(sq, out=sq), out=sq)
 
 
-def _distance_pass(allf, nq, k, metric):
+def _distance_pass(allf, nq, k):
     """One pass over the rows of the all-vs-all original distances, each
-    divided by its maximum (the matrix is exactly symmetric, so these are
-    the column maxima the dense algorithm divides by). Returns the maxima,
-    each row's first k neighbours by (normalised distance, column) and the
-    query rows' normalised distances to the gallery rows.
+    divided by its maximum (the matrix equals its transpose exactly, so
+    these are the column maxima the dense algorithm divides by). Returns the
+    maxima, each row's first k neighbours by (normalised distance, column)
+    and the query rows' normalised distances to the gallery rows.
 
     Query rows are exact (_exact_rows). A block of gallery rows x is
     certified by the GEMM values a of _certified_ranked, within E' = E -
@@ -573,9 +567,9 @@ def _distance_pass(allf, nq, k, metric):
         if start >= nq:
             got = _gemm_rows(x, norms[start:stop], allf, norms, top)
         if got is not None:
-            got = _certified_neighbours(x, allf, *got, k, metric)
+            got = _certified_neighbours(x, allf, *got, k)
         if got is None:
-            block, *got = _exact_rows(x, columns, k, metric)
+            block, *got = _exact_rows(x, columns, k)
             if start < nq:
                 query_rows[start:stop] = block[:, nq:]
         row_max[start:stop], near[start:stop] = got
@@ -588,11 +582,11 @@ def _entries(mask):
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
-def _exact_rows(x, allf, k, metric):
+def _exact_rows(x, allf, k):
     """The rows x of the normalised all-vs-all matrix, their maxima and
     first k neighbours; errors if a maximum overflows or is 0."""
     block = _original_distances(
-        pairwise_distances(x, allf, "squared-euclidean"), metric)
+        pairwise_distances(x, allf, "squared-euclidean"))
     peak = block.max(axis=1)
     if not np.isfinite(peak).all():
         raise ValueError("k-reciprocal re-ranking needs finite distances, "
@@ -607,7 +601,7 @@ def _exact_rows(x, allf, k, metric):
     return block, peak, _first_k(rows, cols, block[rows, cols], k)
 
 
-def _certified_neighbours(x, allf, a, bound, k, metric):
+def _certified_neighbours(x, allf, a, bound, k):
     """_exact_rows' maxima and neighbours from the rows' GEMM values a and
     bounds (see _distance_pass); None where the exact path must decide."""
     tops = a >= (a.max(axis=1) - 2 * bound)[:, None]
@@ -618,7 +612,7 @@ def _certified_neighbours(x, allf, a, bound, k, metric):
     rows, cols = _entries(near)
     dist = _original_distances(_pair_sums(
         x, allf, np.concatenate([peak_rows, rows]),
-        np.concatenate([peak_cols, cols])), metric)
+        np.concatenate([peak_cols, cols])))
     peak = np.maximum.reduceat(dist[:len(peak_rows)],
                                _row_ptr(peak_rows, len(x))[:-1])
     if not (np.isfinite(peak) & (peak > 0)).all():
@@ -640,7 +634,7 @@ def _pair_sums(a, b, rows, cols):
     return out
 
 
-def _encode_weights(allf, near, row_max, k1, metric):
+def _encode_weights(allf, near, row_max, k1):
     """V as CSR arrays: per row, Gaussian weights over its expanded
     k-reciprocal set in ascending column order, normalised to sum to one.
     Each weight's squared distance comes from _pair_sums, so it is the entry
@@ -662,9 +656,8 @@ def _encode_weights(allf, near, row_max, k1, metric):
     rows = np.repeat(np.arange(len(indices)), [len(c) for c in indices])
     indptr = _row_ptr(rows, len(indices))
     dist = _pair_sums(allf, allf, rows, cols)
-    weight = np.exp(-(_original_distances(dist, metric) / row_max[rows]))
-    for w in np.split(weight, indptr[1:-1]):
-        w /= w.sum()
+    weight = np.exp(-(_original_distances(dist) / row_max[rows]))
+    weight /= np.repeat(_row_sums(weight, indptr), np.diff(indptr))
     return indptr, cols, weight
 
 
@@ -695,7 +688,7 @@ def _mean_rows(indptr, indices, data, nearest):
     return _row_ptr(flat // n, n), flat % n, out
 
 
-def k_reciprocal_rerank(queries, gallery, rerank=None, metric="euclidean"):
+def k_reciprocal_rerank(queries, gallery, rerank=None):
     """Blend the original distances with a Jaccard distance over k-reciprocal
     neighbor sets (with local query expansion), returning an Nq x Ng matrix.
 
@@ -718,9 +711,8 @@ def k_reciprocal_rerank(queries, gallery, rerank=None, metric="euclidean"):
         raise ValueError("k-reciprocal re-ranking needs finite embeddings, "
                          "but the embeddings are not finite")
     n = allf.shape[0]
-    row_max, near, final = _distance_pass(allf, nq, rerank.k1 + 1, metric)
-    indptr, indices, data = _encode_weights(allf, near, row_max, rerank.k1,
-                                            metric)
+    row_max, near, final = _distance_pass(allf, nq, rerank.k1 + 1)
+    indptr, indices, data = _encode_weights(allf, near, row_max, rerank.k1)
     # local query expansion; with k2 == 1 a row stays as it is, though its
     # nearest row may be a lower-index duplicate
     if rerank.k2 != 1:
@@ -761,11 +753,10 @@ def evaluate_retrieval(query_feats, gallery_feats, query_ids, gallery_ids,
     g = np.asarray(gallery_feats, dtype=np.float64)
     ids = _checked_ids(len(q), len(g), query_ids, gallery_ids, exclude)
     if config.rerank is not None:
-        dist = k_reciprocal_rerank(q, g, config.rerank, config.metric)
-        positions = _ranked(dist, *ids)
+        pos, ptr = _ranked(k_reciprocal_rerank(q, g, config.rerank), *ids)
     else:
-        positions = _certified_ranked(q, g, config.metric, *ids)
-    map_k, aps = _map_of_ranked(positions, config.top_k)
-    cmc_points = _cmc_of_ranked(positions, CMC_RANKS)
-    return EvalReport(map_k, aps, cmc_points, asdict(config),
-                      config.rerank is not None, positions)
+        pos, ptr = _certified_ranked(q, g, *ids)
+    map_k, aps = _map_of_ranked(pos, ptr, config.top_k)
+    return EvalReport(map_k, aps, _cmc_of_ranked(pos, ptr, CMC_RANKS),
+                      asdict(config), config.rerank is not None,
+                      np.split(pos, ptr[1:-1]))

@@ -239,7 +239,7 @@ class TestEval:
                      "--exclude-self", "--topk", "7", "--out", str(out)])
         assert code == EXIT_OK
         report = json.loads(out.read_text())
-        assert report["config"]["top_k"] == 7
+        assert report["config"] == {"top_k": 7, "rerank": None}
         assert 0.0 <= report["mAP"] <= 1.0
         assert len(report["per_query_ap"]) == 16
 
@@ -364,6 +364,21 @@ class TestEval:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "error: k" in err and "Traceback" not in err
+
+    def test_metric_is_not_a_setting(self, trained, capsys):
+        # rankings are Euclidean: neither a flag nor a config file sets a
+        # metric, and no report is written
+        data, ckpt, tmp_path = trained
+        out = tmp_path / "metric.json"
+        cfg = tmp_path / "metric.cfg"
+        cfg.write_text("metric=euclidean\n")
+        base = ["eval", "--checkpoint", str(ckpt),
+                "--query", str(data / "real.jsonl"),
+                "--gallery", str(data / "real.jsonl"), "--out", str(out)]
+        assert main(base + ["--metric", "euclidean"]) == EXIT_USAGE
+        assert main(base + ["--config", str(cfg)]) == EXIT_USAGE
+        assert f"{cfg}:1: unknown key 'metric'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_checkpoint_is_runtime_error(self, trained):
         data, _, tmp_path = trained

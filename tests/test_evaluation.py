@@ -23,6 +23,13 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 
 
+def ranked_rows(dist, query_ids, gallery_ids, exclude):
+    """Per query, its positions in the ranking of its row of dist."""
+    pos, ptr = evaluation._ranked_matrix(dist, query_ids, gallery_ids,
+                                         exclude)
+    return np.split(pos, ptr[1:-1])
+
+
 class TestPairwiseDistances:
     def test_identical_vectors_give_zero(self):
         v = np.array([[1.0, 2.0, 3.0]])
@@ -172,20 +179,26 @@ class TestMeanAveragePrecision:
                                            replace=False)
                     positions.append(np.sort(np.concatenate([below, above])))
             positions = [positions[i] for i in rng.permutation(len(positions))]
-            map_k, aps = evaluation._map_of_ranked(positions, k)
-            want = []
+            pos = np.concatenate(positions)
+            ptr = np.cumsum([0] + [len(p) for p in positions])
+            map_k, aps = evaluation._map_of_ranked(pos, ptr, k)
+            want, sums = [], []
             for p in positions:
                 terms = (np.arange(1, len(p) + 1) / (p + 1.0))[p < k]
                 want.append(float(terms.sum() / min(len(p), k)))
+                sums.append(float((1.0 / (p + 1.0)).sum()))
                 total = 0.0
                 for x in terms:
                     total += x
                 in_order.append(total / min(len(p), k) != want[-1])
             assert [a.hex() for a in aps] == [w.hex() for w in want]
             assert map_k.hex() == float(np.mean(want)).hex()
-            assert evaluation._cmc_of_ranked(positions, CMC_RANKS) == {
+            assert evaluation._cmc_of_ranked(pos, ptr, CMC_RANKS) == {
                 r: float(np.mean([p[0] < r for p in positions]))
                 for r in CMC_RANKS}
+            # the row sums behind each AP, on rows of every length
+            row_sums = evaluation._row_sums(1.0 / (pos + 1.0), ptr)
+            assert [x.hex() for x in row_sums] == [x.hex() for x in sums]
         # the per-query sums are pairwise: adding in order differs
         assert any(in_order)
 
@@ -236,7 +249,7 @@ class TestRanking:
         dist[4] = 0.0
         gids = np.arange(40) % 5
         qids = np.array([0, 1, 2, 3, 4, 0])
-        positions = evaluation._ranked_matrix(dist, qids, gids, None)
+        positions = ranked_rows(dist, qids, gids, None)
         for qid, row, got in zip(qids, dist, positions):
             assert np.array_equal(got, np.flatnonzero(
                 gids[np.argsort(row, kind="stable")] == qid))
@@ -294,7 +307,7 @@ class TestBlockBoundaries:
             index = None if mask is None else np.nonzero(mask)
             aps = mean_average_precision(dist, qids, gids, 7, index)[1]
             self.check(dist, qids, gids, 7, mask,
-                       evaluation._ranked_matrix(dist, qids, gids, index),
+                       ranked_rows(dist, qids, gids, index),
                        aps, cmc(dist, qids, gids, exclude=index))
 
     @pytest.mark.parametrize("rerank", [None, RerankParams(k1=5, k2=3)])
@@ -326,12 +339,11 @@ class TestCertifiedRanking:
     NG = 40
 
     @staticmethod
-    def assert_exact(q, g, qids, gids, metric, exclude, k=7):
-        report = evaluate_retrieval(q, g, qids, gids,
-                                    EvalConfig(top_k=k, metric=metric),
+    def assert_exact(q, g, qids, gids, exclude, k=7):
+        report = evaluate_retrieval(q, g, qids, gids, EvalConfig(top_k=k),
                                     exclude)
-        dist = pairwise_distances(q, g, metric)
-        want = evaluation._ranked_matrix(dist, qids, gids, exclude)
+        dist = pairwise_distances(q, g)
+        want = ranked_rows(dist, qids, gids, exclude)
         assert len(report.positions) == len(want)
         for got, expected in zip(report.positions, want):
             assert np.array_equal(got, expected)
@@ -357,9 +369,9 @@ class TestCertifiedRanking:
         others = []
         resolve = evaluation._resolve
 
-        def recording(q, g, flat, kept, items, metric):
+        def recording(q, g, flat, kept, items):
             others.append(len(flat) - len(items) - int((~kept).sum()))
-            return resolve(q, g, flat, kept, items, metric)
+            return resolve(q, g, flat, kept, items)
         monkeypatch.setattr(evaluation, "_resolve", recording)
         return others
 
@@ -395,8 +407,7 @@ class TestCertifiedRanking:
         q = centres[qids] + spread * rng.normal(size=(14, d))
         return g, q, gids, qids
 
-    @pytest.mark.parametrize("metric", ["euclidean", "squared-euclidean"])
-    def test_clustered_embeddings(self, metric, blocks, fallback_rows):
+    def test_clustered_embeddings(self, blocks, fallback_rows):
         rng = np.random.default_rng(35)
         for d in (1, 3, 8, 33):
             g, q, gids, qids = self.clustered(rng, d)
@@ -406,29 +417,26 @@ class TestCertifiedRanking:
                     (q, qids, gids, None), (q, qids, gids, np.nonzero(mask)),
                     (g, gids, gids, (np.arange(self.NG),
                                      np.arange(self.NG)))):
-                self.assert_exact(q, g, qids, gids, metric, exclude)
+                self.assert_exact(q, g, qids, gids, exclude)
             # a Fortran-order gallery is ranked the same
-            self.assert_exact(q, np.asfortranarray(g), qids, gids, metric,
-                              None)
+            self.assert_exact(q, np.asfortranarray(g), qids, gids, None)
         assert not fallback_rows
 
-    @pytest.mark.parametrize("metric", ["euclidean", "squared-euclidean"])
-    def test_random_embeddings(self, metric, blocks, fallback_rows):
+    def test_random_embeddings(self, blocks, fallback_rows):
         rng = np.random.default_rng(36)
         for d in (1, 3, 8, 33):
             g = rng.normal(size=(self.NG, d))
             q = rng.normal(size=(14, d))
             for q, qids, gids, exclude in self.cases(g, q, rng):
-                self.assert_exact(q, g, qids, gids, metric, exclude)
+                self.assert_exact(q, g, qids, gids, exclude)
         # relevant items lie anywhere in the ranking, so with little work
         # space most blocks have too many candidates for the GEMM path
         assert bool(fallback_rows) == bool(blocks)
 
-    @pytest.mark.parametrize("metric", ["euclidean", "squared-euclidean"])
     @pytest.mark.parametrize("kind", ["duplicate rows", "integer grid",
                                       "scaled copies"])
-    def test_inputs_that_need_exact_resolution(self, metric, kind,
-                                               resolved, fallback_rows):
+    def test_inputs_that_need_exact_resolution(self, kind, resolved,
+                                               fallback_rows):
         rng = np.random.default_rng(37)
         d = 6
         if kind == "duplicate rows":
@@ -443,36 +451,32 @@ class TestCertifiedRanking:
             g = 1e6 + 1e-4 * rng.normal(size=(self.NG, d))
             q = 1e6 + 1e-4 * rng.normal(size=(14, d))
         for q, qids, gids, exclude in self.cases(g, q, rng):
-            self.assert_exact(q, g, qids, gids, metric, exclude)
+            self.assert_exact(q, g, qids, gids, exclude)
         assert sum(resolved) > 0 and not fallback_rows
 
     def test_distances_closer_than_the_bound(self, resolved, fallback_rows):
         # from the origin: 1 and 1 + 2^-52 apart in squared distance, which
         # the square root maps to the same 1.0, so the ranking ties them
-        # (lower column first) under "euclidean" only; and two squared
-        # distances one unit in the last place apart
+        # (lower column first); and two squared distances one unit in the
+        # last place apart
         g = np.array([[1.0, 2.0 ** -26], [1.0, 0.0],
                       [1.5, 0.0], [np.nextafter(1.5, 0.0), 0.0],
                       [3.0, 0.0], [0.0, 3.0]])
         q = np.zeros((1, 2))
-        for relevant, euclidean, squared in ((1, 1, 0), (2, 3, 3)):
+        for relevant, position in ((1, 1), (2, 3)):
             gids = np.zeros(6, dtype=int)
             gids[relevant] = 1
-            for metric, position in (("euclidean", euclidean),
-                                     ("squared-euclidean", squared)):
-                report = evaluate_retrieval(q, g, [1], gids,
-                                            EvalConfig(metric=metric))
-                assert report.positions[0].tolist() == [position]
-                self.assert_exact(q, g, [1], gids, metric, None)
+            report = evaluate_retrieval(q, g, [1], gids, EvalConfig())
+            assert report.positions[0].tolist() == [position]
+            self.assert_exact(q, g, [1], gids, None)
         assert min(resolved) > 0 and not fallback_rows
 
-    @pytest.mark.parametrize("metric", ["euclidean", "squared-euclidean"])
-    def test_non_finite_rows_take_the_exact_path(self, metric, blocks,
-                                                 resolved, fallback_rows):
+    def test_non_finite_rows_take_the_exact_path(self, blocks, resolved,
+                                                 fallback_rows):
         rng = np.random.default_rng(38)
         g, q, gids, qids = self.clustered(rng, 4)
         q[4, 1], q[5] = np.nan, np.inf      # NaN ranks last, inf ties
-        self.assert_exact(q, g, qids, gids, metric, None)
+        self.assert_exact(q, g, qids, gids, None)
         # only the block holding rows 4 and 5 falls back
         assert fallback_rows == ([3] if blocks else [14])
         assert bool(resolved) == bool(blocks)
@@ -480,7 +484,7 @@ class TestCertifiedRanking:
             # a gallery row that is not finite: every block falls back
             fallback_rows.clear()
             g[7, 2] = bad
-            self.assert_exact(q[6:], g, qids[6:], gids, metric,
+            self.assert_exact(q[6:], g, qids[6:], gids,
                               (np.arange(8), np.arange(8) * 3))
             assert sum(fallback_rows) == 8
 
@@ -530,17 +534,13 @@ def counting(x, *args):
 
 
 evaluation.pairwise_distances = counting
-out = {}
-for metric in ("euclidean", "squared-euclidean"):
-    report = evaluation.evaluate_retrieval(
-        q, g, qids, gids, evaluation.EvalConfig(metric=metric))
-    out[metric] = [[p.tolist() for p in report.positions],
-                   [ap.hex() for ap in report.per_query_ap]]
-out["exact rows"] = sum(exact)
+report = evaluation.evaluate_retrieval(q, g, qids, gids)
+out = {"ranking": [[p.tolist() for p in report.positions],
+                   [ap.hex() for ap in report.per_query_ap]],
+       "exact rows": sum(exact)}
 exact.clear()
-for metric in ("euclidean", "squared-euclidean"):
-    dist = evaluation.k_reciprocal_rerank(q[:64], g[:448], metric=metric)
-    out["rerank " + metric] = [x.hex() for x in dist.ravel().tolist()]
+dist = evaluation.k_reciprocal_rerank(q[:64], g[:448])
+out["rerank"] = [x.hex() for x in dist.ravel().tolist()]
 out["rerank exact rows"] = sum(exact)
 print(json.dumps(out))
 """
@@ -563,9 +563,9 @@ print(json.dumps(out))
                          {"OPENBLAS_CORETYPE": "SandyBridge"}]
         base = self.run()
         # no block of the ranking falls back, and the re-ranker computes
-        # only the 64 query rows exactly, once per metric
+        # only the 64 query rows exactly
         assert base["exact rows"] == 0
-        assert base["rerank exact rows"] == 2 * 64
+        assert base["rerank exact rows"] == 64
         for setting in settings:
             assert self.run(**setting) == base, setting
 
@@ -698,19 +698,6 @@ class TestRerank:
             with pytest.raises(ValueError, match="k1 must|k2 must"):
                 RerankParams(k1=k1, k2=k2)
 
-    def test_squared_metric_blends_squared_distances(self):
-        # at lambda 1 the output is the original distance: the squared
-        # distance divided by its row maximum over the query and gallery rows
-        rng = np.random.default_rng(26)
-        q, g = rng.normal(size=(2, 4)), rng.normal(size=(6, 4))
-        got = k_reciprocal_rerank(
-            q, g, RerankParams(k1=3, k2=1, lambda_orig=1.0),
-            "squared-euclidean")
-        allf = np.concatenate([q, g])
-        d2 = pairwise_distances(allf, allf, "squared-euclidean")[:2]
-        assert np.allclose(got, d2[:, 2:] / d2.max(axis=1)[:, None],
-                           rtol=0, atol=1e-12)
-
     def test_exact_distances_only_for_the_query_rows(self, monkeypatch):
         calls = []
         original = evaluation.pairwise_distances
@@ -776,21 +763,21 @@ class TestCertifiedDistancePass:
         return rows
 
     @staticmethod
-    def check(q, g, k, metric, exact_rows):
+    def check(q, g, k, exact_rows):
         """Asserts the three passes agree; returns the rows the certified
         pass computed exactly."""
         allf, nq = np.concatenate([q, g]), len(q)
         exact_rows.clear()
-        got = evaluation._distance_pass(allf, nq, k, metric)
+        got = evaluation._distance_pass(allf, nq, k)
         computed = sum(exact_rows)
         with pytest.MonkeyPatch.context() as patch:
             # no norm is below a zero limit: every block is exact
             patch.setattr(evaluation, "_NORM_LIMIT", 0.0)
-            want = evaluation._distance_pass(allf, nq, k, metric)
+            want = evaluation._distance_pass(allf, nq, k)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         dense = evaluation._original_distances(
-            pairwise_distances(allf, allf, "squared-euclidean"), metric)
+            pairwise_distances(allf, allf, "squared-euclidean"))
         peak = dense.max(axis=1)
         dense /= peak[:, None]
         assert np.array_equal(want[0], peak)
@@ -815,14 +802,13 @@ class TestCertifiedDistancePass:
         yield "common offset", 1e6 + 1e-4 * q, 1e6 + 1e-4 * g
         yield "large", 1e150 * q, 1e150 * g
 
-    @pytest.mark.parametrize("metric", ["euclidean", "squared-euclidean"])
-    def test_equals_the_exact_pass(self, metric, blocks, exact_rows):
+    def test_equals_the_exact_pass(self, blocks, exact_rows):
         rng = np.random.default_rng(41)
         fell_back = certified = 0
         for d in (1, 3, 8, 33, 129):
             for kind, q, g in self.inputs(rng, d):
                 for k in (3, 7, len(g)):     # k1 = 2, 6, gallery size - 1
-                    computed = self.check(q, g, k, metric, exact_rows)
+                    computed = self.check(q, g, k, exact_rows)
                     if not blocks:
                         # the gallery block is certified
                         assert computed == len(q), (kind, d, k)
@@ -830,14 +816,13 @@ class TestCertifiedDistancePass:
                     certified += computed < len(q) + len(g)
         assert certified and bool(fell_back) == bool(blocks)
 
-    @pytest.mark.parametrize("metric", ["euclidean", "squared-euclidean"])
-    def test_norms_at_the_limit_take_the_exact_path(self, metric, exact_rows):
+    def test_norms_at_the_limit_take_the_exact_path(self, exact_rows):
         rng = np.random.default_rng(42)
         q, g = rng.normal(size=(self.NQ, 4)), rng.normal(size=(self.NG, 4))
         # a squared norm of 3e307 is above the bound's limit, though every
         # squared distance stays finite
         g[5] *= np.sqrt(3e307) / np.linalg.norm(g[5])
-        assert self.check(q, g, 7, metric, exact_rows) == self.NQ + self.NG
+        assert self.check(q, g, 7, exact_rows) == self.NQ + self.NG
 
 
 class TestTopK:
@@ -982,12 +967,11 @@ class TestEvaluateRetrieval:
         rng = np.random.default_rng(15)
         g = rng.normal(size=(64, 3))
         ids = np.arange(64) % 16
-        for metric in ("euclidean", "squared-euclidean"):
-            evaluate_retrieval(g, g, ids, ids, EvalConfig(metric=metric),
-                               (np.arange(64), np.arange(64)))
+        evaluate_retrieval(g, g, ids, ids, EvalConfig(),
+                           (np.arange(64), np.arange(64)))
         assert not argsorts and not float_sorts
         # 3 relevant items and 1 excluded entry per query
-        assert sum(resolved) == 2 * 64 * 4
+        assert sum(resolved) == 64 * 4
 
     def test_memory_does_not_grow_with_the_queries(self):
         # without re-ranking, the distances are ranked a block of rows at a
@@ -1063,10 +1047,9 @@ class TestShapeChecks:
         # duplicates and any order mean the same entries as the mask
         mask = np.zeros((3, 6), dtype=bool)
         mask[[0, 2, 2], [1, 0, 4]] = True
-        want = evaluation._ranked_matrix(self.dist, [1, 2, 1], self.gids,
-                                         np.nonzero(mask))
-        got = evaluation._ranked_matrix(self.dist, [1, 2, 1], self.gids,
-                                        ([2, 0, 2, 2], [4, 1, 0, 4]))
+        want = ranked_rows(self.dist, [1, 2, 1], self.gids, np.nonzero(mask))
+        got = ranked_rows(self.dist, [1, 2, 1], self.gids,
+                          ([2, 0, 2, 2], [4, 1, 0, 4]))
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert [len(p) for p in got] == [3, 3, 1]
 
