@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import inspect
 import json
 import os
 import platform
@@ -51,6 +53,18 @@ class TestPairwiseDistances:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pairwise_distances(np.zeros((1, 3)), np.zeros((1, 4)))
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="unknown metric 'cosine'"):
+            pairwise_distances(np.zeros((1, 3)), np.zeros((1, 3)), "cosine")
+
+    def test_euclidean_is_the_root_of_the_squared_distances(self):
+        # the triplet loss takes the squared entries, ranking their roots
+        rng = np.random.default_rng(2)
+        q, g = rng.normal(size=(5, 9)), rng.normal(size=(7, 9))
+        assert np.array_equal(
+            pairwise_distances(q, g),
+            np.sqrt(pairwise_distances(q, g, "squared-euclidean")))
 
     def test_symmetry_under_role_swap(self):
         rng = np.random.default_rng(1)
@@ -253,6 +267,24 @@ class TestRanking:
         for qid, row, got in zip(qids, dist, positions):
             assert np.array_equal(got, np.flatnonzero(
                 gids[np.argsort(row, kind="stable")] == qid))
+
+    def test_positions_are_flat_with_a_row_pointer(self):
+        # one array of every query's positions, each row ascending, and a
+        # pointer to the rows: its steps count the relevant items kept
+        rng = np.random.default_rng(6)
+        dist = rng.normal(size=(5, 12))
+        gids = np.arange(12) % 3
+        qids = np.array([0, 1, 2, 0, 1])
+        mask = rng.uniform(size=(5, 12)) < 0.3
+        mask[:, :3] = False
+        pos, ptr = evaluation._ranked_matrix(dist, qids, gids,
+                                             np.nonzero(mask))
+        assert pos.ndim == 1 and len(ptr) == 6
+        assert ptr[0] == 0 and ptr[-1] == len(pos)
+        assert np.diff(ptr).tolist() == [
+            int(((gids == qid) & ~m).sum()) for qid, m in zip(qids, mask)]
+        for row in np.split(pos, ptr[1:-1]):
+            assert np.array_equal(row, np.sort(row))
 
 
 class TestBlockBoundaries:
@@ -488,6 +520,26 @@ class TestCertifiedRanking:
                               (np.arange(8), np.arange(8) * 3))
             assert sum(fallback_rows) == 8
 
+    def test_flat_positions_equal_the_exact_ranking(self, blocks,
+                                                    fallback_rows):
+        # the positions and row pointer themselves, as mAP and CMC take them
+        def check(q, g, qids, gids, exclude):
+            ids = evaluation._checked_ids(len(q), len(g), qids, gids, exclude)
+            got = evaluation._certified_ranked(q, g, *ids)
+            want = evaluation._ranked_matrix(pairwise_distances(q, g), qids,
+                                             gids, exclude)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+        rng = np.random.default_rng(40)
+        g, q, gids, qids = self.clustered(rng, 5)
+        check(q, g, qids, gids, None)
+        check(g, g, gids, gids, (np.arange(self.NG), np.arange(self.NG)))
+        assert not fallback_rows
+        g = rng.normal(size=(self.NG, 5))
+        for q, qids, gids, exclude in self.cases(g, q, rng):
+            check(q, g, qids, gids, exclude)
+
     @pytest.mark.parametrize("spread", [0.3, None],
                              ids=["clustered", "random"])
     def test_self_exclusion_memory_below_one_mask(self, spread):
@@ -588,6 +640,25 @@ class TestRerank:
             for i in range(4):
                 assert np.array_equal(np.argsort(final[i], kind="stable"),
                                       np.argsort(base[i], kind="stable"))
+
+    def test_lambda_one_gives_the_original_distance(self):
+        # at lambda 1 the output is the original distance: the squared
+        # distance through the square root and back, divided by its row
+        # maximum over the query and gallery rows
+        rng = np.random.default_rng(26)
+        q, g = rng.normal(size=(2, 4)), rng.normal(size=(6, 4))
+        got = k_reciprocal_rerank(
+            q, g, RerankParams(k1=3, k2=1, lambda_orig=1.0))
+        allf = np.concatenate([q, g])
+        d2 = np.square(pairwise_distances(allf, allf))[:2]
+        assert np.array_equal(got, d2[:, 2:] / d2.max(axis=1)[:, None])
+
+    def test_metric_is_not_a_parameter(self):
+        params = inspect.signature(k_reciprocal_rerank).parameters
+        assert list(params) == ["queries", "gallery", "rerank"]
+        q, g = np.eye(2, 3), np.eye(3)
+        with pytest.raises(TypeError):
+            k_reciprocal_rerank(q, g, RerankParams(k1=1, k2=1), "euclidean")
 
     def test_exact_match_stays_rank_one(self):
         rng = np.random.default_rng(9)
@@ -864,6 +935,20 @@ class TestTopK:
         self.check(dist, k)
 
 
+class TestEvalConfig:
+    def test_fields_are_top_k_and_rerank(self):
+        # rankings are Euclidean: no metric is set
+        assert [f.name for f in dataclasses.fields(EvalConfig)] == [
+            "top_k", "rerank"]
+        with pytest.raises(TypeError):
+            EvalConfig(metric="euclidean")
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, top_k):
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            EvalConfig(top_k=top_k)
+
+
 class TestEvaluateRetrieval:
     def test_report_consistency(self):
         rng = np.random.default_rng(12)
@@ -887,6 +972,18 @@ class TestEvaluateRetrieval:
         parsed = json.loads(report.to_json())
         assert parsed["mAP"] == report.map_at_k
         assert parsed["config"]["top_k"] == 5
+
+    def test_config_records_the_rerank_params(self):
+        rng = np.random.default_rng(16)
+        g = rng.normal(size=(8, 3))
+        ids = np.arange(8) % 4
+        report = evaluate_retrieval(
+            g[:4], g, ids[:4], ids,
+            EvalConfig(top_k=5, rerank=RerankParams(k1=4, k2=2)))
+        want = {"top_k": 5,
+                "rerank": {"k1": 4, "k2": 2, "lambda_orig": 0.3}}
+        assert report.reranked and report.config == want
+        assert json.loads(report.to_json())["config"] == want
 
     def test_tied_distances_with_exclusions_match_the_metric_functions(self):
         rng = np.random.default_rng(14)
@@ -1059,3 +1156,34 @@ class TestShapeChecks:
         with pytest.raises(ValueError, match="no queries"):
             evaluate_retrieval(np.zeros((0, 2)), np.ones((6, 2)), [],
                                self.gids)
+
+
+class TestIndexHelpers:
+    """The CSR index helpers the ranking and the re-ranker share."""
+
+    def test_ranges_concatenates_aranges(self):
+        starts = np.array([4, 0, 9, 2])
+        lengths = np.array([3, 0, 1, 2])
+        assert evaluation._ranges(starts, lengths).tolist() == [
+            4, 5, 6, 9, 2, 3]
+        assert evaluation._ranges(starts[:0], lengths[:0]).tolist() == []
+
+    def test_row_ptr_of_ascending_rows(self):
+        # rows without entries, at the start, inside and at the end, take
+        # no span
+        ptr = evaluation._row_ptr(np.array([1, 1, 3, 3, 3, 4]), 7)
+        assert ptr.tolist() == [0, 0, 2, 2, 5, 6, 6, 6]
+
+    def test_member_matches_isin(self):
+        rng = np.random.default_rng(43)
+        keys = rng.integers(0, 30, size=50)
+        for sorted_keys in (np.unique(rng.integers(0, 30, size=12)),
+                            np.array([29]), np.empty(0, dtype=int)):
+            assert np.array_equal(evaluation._member(sorted_keys, keys),
+                                  np.isin(keys, sorted_keys))
+
+    def test_reciprocal_matches_the_definition(self):
+        rng = np.random.default_rng(44)
+        near = np.array([rng.permutation(9)[:4] for _ in range(9)])
+        want = [[i in near[j] for j in row] for i, row in enumerate(near)]
+        assert evaluation._reciprocal(near).tolist() == want
