@@ -25,7 +25,8 @@ from .datagen import (DatasetFormatError, ToySpec, generate_toy_dataset,
 from .evaluation import (EvalConfig, RerankParams, evaluate_retrieval,
                          precision_recall_points)
 from .losses import LossWeights
-from .network import ModelConfig, load_checkpoint, save_checkpoint
+from .network import (CheckpointFormatError, ModelConfig, load_checkpoint,
+                      save_checkpoint)
 from .optimizer import LrSchedule
 from .sampling import REAL, SYNTHETIC, BatchSpec, build_train_set
 from .trainer import (DivergenceError, TrainConfig, embed_samples, evaluate,
@@ -374,7 +375,7 @@ def main(argv=None):
     except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, DatasetFormatError, OSError) as e:
+    except (CheckpointFormatError, DatasetFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -293,7 +293,7 @@ _NORM_LIMIT = np.finfo(np.float64).max / 8
 def _certified_ranked(q, g, query_ids, gallery_ids, excluded):
     """_ranked for the distances between q and g, without computing them.
 
-    A BLAS product orders the entries and the exact kernel decides. Per
+    A BLAS product picks the entries and the exact kernel ranks them. Per
     block of query rows, a = |g|^2 - 2 q.g (the GEMM distance less |q|^2)
     is within E = (4D + 24)(u (|q|^2 + max |g|^2) + eta) (u = 2^-53, eta
     the smallest subnormal) of the exact kernel's squared distance less
@@ -302,16 +302,20 @@ def _certified_ranked(q, g, query_ids, gallery_ids, excluded):
     rounding in forming the thresholds, 5 u M; 8 u M for the square root,
     since squared distances v that differ by more than 4 u v still differ
     after it and v <= 2M; 5 u M for second-order terms; and eta terms for
-    subnormal products. Each relevant item's exact squared distance v
-    gives the interval [v - E, v + E]: an entry whose a lies below it
-    ranks ahead of the item, one above it behind. The entries inside some
-    interval, and the excluded ones, are ranked by their exact values.
+    subnormal products. With v a relevant item's exact squared distance,
+    an entry whose a lies above v + E - |q|^2 for every relevant item of
+    its row ranks behind them all; every other entry, a candidate, is
+    ranked by its exact distance, ties to the lower column.
 
     A block takes the exact path (pairwise_distances and a sort of each
     row) if its norms are not finite or too large for the bound, or if
-    more of its entries than BLOCK_BYTES / 64 might rank ahead of a
-    relevant item: their work space would not fit, and counting each of
-    them costs more than computing and sorting its exact distance."""
+    more of its entries than BLOCK_BYTES / 64 (one in eight) are
+    candidates: their work space would not fit, and at small D ranking
+    them costs as much as the exact path or more. On 64 x 8192 blocks
+    (GEMM excluded, 2-core Xeon), ranking 1/8 of the entries takes 28 ms
+    against 16-21 for the exact path at D = 8, 33 against 32-35 at D = 32
+    and 60 against 89-114 at D = 128; well separated embeddings have
+    under 1/128 candidates, 1-5 ms."""
     relevant = _relevant(query_ids, gallery_ids, excluded)
     qn, gn = _norms(q), _norms(g)
     gmax = gn.max()
@@ -351,13 +355,11 @@ def _certified_rows(q, g, qn, a, bound, start, relevant, excluded):
     """The positions _rank_rows gives for the distances between the block of
     query rows q (rows start, start + 1, ...) and g, from the GEMM values a
     certified by the bound (see _certified_ranked); None if too many entries
-    might rank ahead of a relevant item."""
+    are candidates."""
     ng = len(g)
     rel_rows, rel_cols = _block(relevant, start, start + len(q), ng)
     ex_rows, ex_cols = _block(excluded, start, start + len(q), ng)
-    ex_flat = ex_rows * ng + ex_cols
     v = _pair_sums(q, g, rel_rows, rel_cols)
-    lo = (v - bound[rel_rows]) - qn[rel_rows]
     hi = (v + bound[rel_rows]) - qn[rel_rows]
     # candidates: the entries not certainly behind every relevant item of
     # their row
@@ -366,44 +368,9 @@ def _certified_rows(q, g, qn, a, bound, start, relevant, excluded):
     if np.count_nonzero(cand) > _block_rows(8):
         return None
     flat = np.flatnonzero(cand)
-    excl = _member(ex_flat, flat)
-    uncertain, ahead = _certainly_ahead(a.ravel()[flat], flat // ng, excl,
-                                        rel_rows, lo, hi)
-    ahead += _resolve(q, g, flat[uncertain], ~excl[uncertain],
-                      rel_rows * ng + rel_cols)
+    ahead = _resolve(q, g, flat, ~_member(ex_rows * ng + ex_cols, flat),
+                     rel_rows * ng + rel_cols)
     return np.sort(rel_rows * ng + ahead) - rel_rows * ng
-
-
-def _certainly_ahead(vals, rows, excl, item_rows, lo, hi):
-    """For candidate entries (values vals in ascending rows rows, excl
-    marking the excluded ones) and relevant items (ascending rows item_rows,
-    intervals [lo, hi]): which candidates are uncertain (inside an interval
-    of their row, or excluded) and, per item, how many of the others lie
-    below its interval."""
-    # integer keys that order (row, value) pairs as the values order within
-    # a row, equal for equal values: a value's rank among the interval ends
-    # (2i, or 2i + 1 if it equals the i-th), offset by its row
-    edges = np.unique(np.concatenate([lo, hi]))
-    width = 2 * len(edges) + 1
-
-    def key(r, x):
-        i = np.searchsorted(edges, x)
-        return r * width + 2 * i + (edges[np.minimum(i, len(edges) - 1)] == x)
-
-    lo_keys = 2 * key(item_rows, lo)
-    ends = np.sort(np.concatenate([lo_keys, 2 * key(item_rows, hi) + 1]))
-    # per candidate, the interval ends at or below it: lo keys are even and
-    # hi keys odd, and each earlier row has as many of one as of the other
-    at = np.searchsorted(ends, 2 * key(rows, vals), "right")
-    los = np.concatenate([[0], np.cumsum(ends % 2 == 0)])[at]
-    uncertain = (2 * los > at) | excl
-    # a certain candidate is ahead of exactly the items of its row whose lo
-    # key is above its own
-    sure = ~uncertain
-    below = np.cumsum(np.bincount(at[sure], minlength=len(ends) + 1))
-    ahead = (below[np.searchsorted(ends, lo_keys)]
-             - np.searchsorted(rows[sure], item_rows))
-    return uncertain, ahead
 
 
 def _resolve(q, g, flat, kept, items):
@@ -495,7 +462,7 @@ def _reciprocal(near):
     n, k = near.shape
     rows = np.repeat(np.arange(n), k)
     cols = near.ravel()
-    return np.isin(cols * n + rows, rows * n + cols).reshape(n, k)
+    return _member(np.sort(rows * n + cols), cols * n + rows).reshape(n, k)
 
 
 def _ranges(starts, lengths):
@@ -744,9 +711,8 @@ def evaluate_retrieval(query_feats, gallery_feats, query_ids, gallery_ids,
     """Full evaluation pass producing an EvalReport. exclude is None or the
     (rows, cols) index arrays of the query/gallery entries to leave out, as
     np.nonzero(mask) returns them. Without re-ranking the distances are
-    never computed as a matrix: a BLAS product orders each block of query
-    rows and exact distances decide where it cannot
-    (_certified_ranked)."""
+    never computed as a matrix: a BLAS product picks, per block of query
+    rows, the entries that exact distances rank (_certified_ranked)."""
     if config is None:
         config = EvalConfig()
     q = np.asarray(query_feats, dtype=np.float64)

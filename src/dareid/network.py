@@ -17,6 +17,10 @@ HEAD_NAMES = ("id", "domain", "color", "type", "orientation")
 CHECKPOINT_VERSION = 1
 
 
+class CheckpointFormatError(Exception):
+    pass
+
+
 @dataclass
 class ModelConfig:
     input_dim: int
@@ -147,6 +151,12 @@ def save_checkpoint(path, params, epoch=0, seed=0, optim_state=None):
 
 
 def load_checkpoint(path):
+    """The parameters and container of a checkpoint file; a file that is not
+    a checkpoint of this version raises CheckpointFormatError naming it."""
     with open(path) as f:
-        ckpt = json.load(f)
-    return params_from_checkpoint(ckpt), ckpt
+        try:
+            ckpt = json.load(f)
+            return params_from_checkpoint(ckpt), ckpt
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise CheckpointFormatError(
+                f"{path}: bad checkpoint ({type(e).__name__}: {e})") from None

@@ -427,6 +427,33 @@ class TestBadInput:
         assert main(argv) == EXIT_RUNTIME
         assert "line 3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda text, ckpt: text[:len(text) // 2],
+        lambda text, ckpt: json.dumps([ckpt]),
+        lambda text, ckpt: json.dumps(
+            {**ckpt, "params": {k: v for k, v in ckpt["params"].items()
+                                if k != "embed.1.W"}}),
+        lambda text, ckpt: json.dumps(
+            {**ckpt, "config": {**ckpt["config"], "depth": 3}}),
+        lambda text, ckpt: json.dumps(
+            {**ckpt, "params": {**ckpt["params"], "embed.0.b": [[0.0]]}}),
+    ], ids=["truncated", "a-list", "missing-layer", "unknown-config-key",
+            "wrong-shape"])
+    def test_bad_checkpoint_names_the_file(self, trained, tmp_path, capsys,
+                                           edit):
+        data, ckpt, _ = trained
+        text = ckpt.read_text()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(edit(text, json.loads(text)))
+        out = tmp_path / "e.json"
+        assert main(["eval", "--checkpoint", str(bad),
+                     "--query", str(data / "real.jsonl"),
+                     "--gallery", str(data / "real.jsonl"),
+                     "--out", str(out)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,line", [
         ("gen", "per_id=abc"), ("train", "normalize_embeddings=yes")])
     def test_bad_config_value_names_file_and_line(self, tmp_path, capsys,

@@ -1036,8 +1036,9 @@ class TestEvaluateRetrieval:
 
     def test_certified_path_sorts_no_distance_row(self, monkeypatch):
         # without re-ranking: no distance matrix, nothing argsorted, no
-        # float array sorted, and the only exact values ranked are those of
-        # the relevant and excluded entries (no other entry is in doubt)
+        # float array sorted, and the exact values ranked are those of the
+        # relevant and excluded entries and of entries no farther than
+        # their row's farthest relevant item
         argsorts, float_sorts, resolved = [], [], []
         sort, argsort = np.sort, np.argsort
         resolve = evaluation._resolve
@@ -1051,9 +1052,9 @@ class TestEvaluateRetrieval:
             argsorts.append(1)
             return argsort(*args, **kwargs)
 
-        def recording_resolve(q, g, flat, *args):
-            resolved.append(len(flat))
-            return resolve(q, g, flat, *args)
+        def recording_resolve(q, g, flat, kept, items):
+            resolved.append((flat, kept))
+            return resolve(q, g, flat, kept, items)
 
         def no_distances(*args):
             raise AssertionError("pairwise_distances called")
@@ -1067,8 +1068,15 @@ class TestEvaluateRetrieval:
         evaluate_retrieval(g, g, ids, ids, EvalConfig(),
                            (np.arange(64), np.arange(64)))
         assert not argsorts and not float_sorts
-        # 3 relevant items and 1 excluded entry per query
-        assert sum(resolved) == 64 * 4
+        # one block; the excluded entries are the diagonal, so the kept
+        # entries of another id are neither relevant nor excluded
+        (flat, kept), = resolved
+        rows, cols = np.divmod(flat, 64)
+        dist = pairwise_distances(g, g)
+        farthest = np.where(ids[:, None] == ids, dist, 0.0).max(axis=1)
+        others = kept & (ids[rows] != ids[cols])
+        assert (dist[rows, cols][others]
+                <= farthest[rows[others]] + 1e-9).all()
 
     def test_memory_does_not_grow_with_the_queries(self):
         # without re-ranking, the distances are ranked a block of rows at a
