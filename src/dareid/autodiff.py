@@ -194,21 +194,6 @@ def grad_reversal(x, lam):
     return out
 
 
-def l2_normalize_rows(x, eps=1e-12):
-    """Scale each row to unit Euclidean norm."""
-    norms = np.sqrt((x.data ** 2).sum(axis=1, keepdims=True))
-    denom = np.maximum(norms, eps)
-    y = x.data / denom
-    out = Tensor(y, parents=(x,), op="l2_normalize")
-
-    def _bw(g):
-        # d(x/|x|)/dx = (I - y y^T) / |x| applied row-wise
-        dot = (g * y).sum(axis=1, keepdims=True)
-        x._accumulate((g - y * dot) / denom)
-    out._backward_fn = _bw
-    return out
-
-
 def softmax_cross_entropy(logits, labels, mask=None):
     """Fused softmax + cross-entropy, averaged over the batch.
 

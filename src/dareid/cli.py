@@ -169,7 +169,6 @@ TRAIN_OPTIONS = (
     Opt("base_lr", float, LrSchedule.base_lr, "lr; x0.1 at epochs 20 and 40"),
     Opt("hidden_dims", str, "32", "comma list of hidden layer widths"),
     Opt("embed_dim", int, 16, "embedding width"),
-    Opt("normalize_embeddings", parse_bool, False, "L2-normalise embeddings"),
     Opt("orientation_bins", int, None, "angle bins; unset: the manifest's"),
 )
 
@@ -200,8 +199,7 @@ def build_train_config(vals, manifest):
             "color": max(1, manifest["num_colors"]),
             "type": max(1, manifest["num_types"]),
             "orientation": bins,
-        },
-        normalize_embeddings=vals["normalize_embeddings"])
+        })
     return TrainConfig(
         model=model,
         batch=BatchSpec(n=vals["n"], m=vals["m"]),
@@ -327,8 +325,10 @@ def _write_pr_csv(path, report):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["query_index", "recall", "precision"])
-        for qi, positions in enumerate(report.positions):
-            for recall, precision in precision_recall_points(positions):
+        pos, ptr = report.ranked
+        for qi in range(len(ptr) - 1):
+            for recall, precision in precision_recall_points(
+                    pos[ptr[qi]:ptr[qi + 1]]):
                 writer.writerow([qi, recall, precision])
 
 

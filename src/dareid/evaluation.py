@@ -44,10 +44,11 @@ class EvalReport:
     cmc: dict                 # rank -> hit rate
     config: dict
     reranked: bool
-    # per query, the ascending positions of its relevant items in the
-    # ranking mAP and CMC were computed from (exclusions removed); not
-    # serialised
-    positions: list = field(repr=False, compare=False)
+    # (pos, ptr): per query, the ascending positions of its relevant items
+    # in the ranking mAP and CMC were computed from (exclusions removed),
+    # concatenated, and their row pointer, so query i's are
+    # pos[ptr[i]:ptr[i + 1]]; not serialised
+    ranked: tuple = field(repr=False, compare=False)
 
     def to_json(self):
         return json.dumps({
@@ -724,5 +725,4 @@ def evaluate_retrieval(query_feats, gallery_feats, query_ids, gallery_ids,
         pos, ptr = _certified_ranked(q, g, *ids)
     map_k, aps = _map_of_ranked(pos, ptr, config.top_k)
     return EvalReport(map_k, aps, _cmc_of_ranked(pos, ptr, CMC_RANKS),
-                      asdict(config), config.rerank is not None,
-                      np.split(pos, ptr[1:-1]))
+                      asdict(config), config.rerank is not None, (pos, ptr))

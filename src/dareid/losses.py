@@ -42,16 +42,6 @@ class LossBreakdown:
         return dict(self.__dict__)
 
 
-def cross_entropy(logits, labels):
-    """Mean softmax cross-entropy over the batch."""
-    return softmax_cross_entropy(logits, labels)
-
-
-def masked_cross_entropy(logits, labels, mask):
-    """Cross-entropy over masked rows, normalized by the full batch size."""
-    return softmax_cross_entropy(logits, labels, mask=mask)
-
-
 def domain_loss(embeddings, domain_labels, lam, domain_head):
     """Discriminator cross-entropy on the domain head behind gradient reversal."""
     labels = np.asarray(domain_labels, dtype=np.int64).reshape(-1)
@@ -62,16 +52,14 @@ def domain_loss(embeddings, domain_labels, lam, domain_head):
     return softmax_cross_entropy(logits, labels)
 
 
-def triplet_batch_hard(embeddings, ids, margin, squared=False, reduction="sum"):
+def triplet_batch_hard(embeddings, ids, margin):
     """Batch-hard triplet loss over Euclidean embedding distances.
 
     Per anchor, hinge on margin + (farthest same-id distance) - (nearest
-    different-id distance). Sum reduction over anchors by default.
+    different-id distance); the loss is the sum over anchors.
     """
     if margin < 0:
         raise GraphError("margin must be non-negative")
-    if reduction not in ("sum", "mean"):
-        raise GraphError(f"unknown reduction {reduction!r}")
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
     x = embeddings.data
     n = x.shape[0]
@@ -83,8 +71,7 @@ def triplet_batch_hard(embeddings, ids, margin, squared=False, reduction="sum"):
     if counts.min() < 2:
         raise GraphError("every identity needs at least two samples per batch")
 
-    sq = pairwise_distances(x, x, "squared-euclidean")
-    dist = sq if squared else np.sqrt(sq)
+    dist = np.sqrt(pairwise_distances(x, x, "squared-euclidean"))
     # hardest positive and negative per anchor; ties go to the first index
     same_id = ids[:, None] == ids[None, :]
     positive = same_id & ~np.eye(n, dtype=bool)
@@ -94,8 +81,7 @@ def triplet_batch_hard(embeddings, ids, margin, squared=False, reduction="sum"):
     anchors = np.arange(n)
     terms = margin + dist[anchors, hard_pos] - dist[anchors, hard_neg]
     active = terms > 0.0
-    scale = 1.0 / n if reduction == "mean" else 1.0
-    value = float(np.where(active, terms, 0.0).sum() * scale)
+    value = float(np.where(active, terms, 0.0).sum())
 
     out = Tensor([[value]], parents=(embeddings,), op="triplet_batch_hard")
 
@@ -103,17 +89,15 @@ def triplet_batch_hard(embeddings, ids, margin, squared=False, reduction="sum"):
         a = anchors[active]
         pn = np.stack([hard_pos[active], hard_neg[active]])
         diff = x[a] - x[pn]
-        if squared:
-            dp, dn = 2.0 * diff
-        else:   # a Euclidean distance of 0 contributes 0
-            d = dist[a, pn][..., None]
-            dp, dn = np.divide(diff, d, out=np.zeros_like(diff), where=d > 0)
+        # a distance of 0 contributes 0
+        d = dist[a, pn][..., None]
+        dp, dn = np.divide(diff, d, out=np.zeros_like(diff), where=d > 0)
         # rows a, p, n of each active anchor in turn: np.add.at adds them
         # unbuffered in this order, as a loop over the anchors would
         grad = np.zeros_like(x)
         np.add.at(grad, np.stack([a, *pn], axis=1).reshape(-1),
                   np.stack([dp - dn, -dp, dn], axis=1).reshape(-1, x.shape[1]))
-        embeddings._accumulate(g[0, 0] * scale * grad)
+        embeddings._accumulate(g[0, 0] * grad)
     out._backward_fn = _bw
     return out
 
@@ -127,7 +111,7 @@ def total_loss(embeddings, id_logits, disjoint_logits, domain_head, batch,
     The disjoint losses are masked to the synthetic rows: the mask is the
     batch's domain labels, since SYNTHETIC is 1.
     """
-    l_id = cross_entropy(id_logits, batch.id_labels)
+    l_id = softmax_cross_entropy(id_logits, batch.id_labels)
     terms = [l_id]
 
     l_dom_val = 0.0
@@ -147,8 +131,8 @@ def total_loss(embeddings, id_logits, disjoint_logits, domain_head, batch,
     w = weights.disjoint_weight
     for name in DISJOINT_NAMES:
         if name in disjoint_logits:
-            l = masked_cross_entropy(disjoint_logits[name], labels[name],
-                                     batch.domain_labels)
+            l = softmax_cross_entropy(disjoint_logits[name], labels[name],
+                                      mask=batch.domain_labels)
             disjoint_vals[name] = l.item()
             terms.append(w * l)
         else:

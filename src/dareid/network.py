@@ -6,11 +6,11 @@ producing pre-softmax logits; softmax lives inside the fused loss node.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import GraphError, Tensor, _as_matrix, l2_normalize_rows
+from .autodiff import GraphError, Tensor, _as_matrix
 
 HEAD_NAMES = ("id", "domain", "color", "type", "orientation")
 
@@ -27,7 +27,6 @@ class ModelConfig:
     hidden_dims: list
     embed_dim: int
     head_class_counts: dict
-    normalize_embeddings: bool = False
 
     def __post_init__(self):
         if self.input_dim < 1 or self.embed_dim < 1:
@@ -99,8 +98,6 @@ def embed(params, features):
         x = x @ w + b
         if i < n_layers - 1:
             x = x.relu()
-    if params.config.normalize_embeddings:
-        x = l2_normalize_rows(x)
     return x
 
 
@@ -123,7 +120,6 @@ def checkpoint_dict(params, epoch=0, seed=0, optim_state=None):
             "hidden_dims": list(cfg.hidden_dims),
             "embed_dim": cfg.embed_dim,
             "head_class_counts": dict(cfg.head_class_counts),
-            "normalize_embeddings": cfg.normalize_embeddings,
         },
         "params": {name: p.data.tolist() for name, p in params.named()},
         "epoch": epoch,
@@ -135,7 +131,12 @@ def checkpoint_dict(params, epoch=0, seed=0, optim_state=None):
 def params_from_checkpoint(ckpt):
     if ckpt.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {ckpt.get('version')}")
-    cfg = ModelConfig(**ckpt["config"])
+    config = dict(ckpt["config"])
+    # older checkpoints carry a normalisation setting; only its off value,
+    # the embedding this network computes, loads
+    if config.pop("normalize_embeddings", False) is not False:
+        raise ValueError("normalised embeddings are not supported")
+    cfg = ModelConfig(**config)
     params = init_params(cfg, seed=0)
     for name, p in params.named():
         stored = np.asarray(ckpt["params"][name], dtype=np.float64)

@@ -15,13 +15,13 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 from oracles import ap_brute_force, rerank_reference, triplet_brute_force
 
-from dareid.autodiff import Tensor, finite_difference_check, grad_reversal
+from dareid.autodiff import (Tensor, finite_difference_check, grad_reversal,
+                             softmax_cross_entropy)
 from dareid.cli import EXIT_DIVERGED, EXIT_OK, main as cli_main
 from dareid.datagen import ToySpec, generate_toy_dataset
 from dareid.evaluation import (RerankParams, k_reciprocal_rerank,
                                mean_average_precision, pairwise_distances)
-from dareid.losses import (LossWeights, cross_entropy, domain_loss,
-                           masked_cross_entropy, triplet_batch_hard)
+from dareid.losses import LossWeights, domain_loss, triplet_batch_hard
 from dareid.network import ModelConfig
 from dareid.optimizer import LrSchedule, OptimState, amsgrad_step, lr_at_epoch
 from dareid.sampling import REAL, BatchSpec
@@ -90,9 +90,10 @@ def test_criterion_1_gradient_correctness():
         worst = max(
             worst,
             finite_difference_check(
-                lambda t: cross_entropy(t @ wi + bi, labels), x),
+                lambda t: softmax_cross_entropy(t @ wi + bi, labels), x),
             finite_difference_check(
-                lambda t: masked_cross_entropy(t @ wi + bi, labels, mask), x),
+                lambda t: softmax_cross_entropy(t @ wi + bi, labels, mask),
+                x),
             finite_difference_check(
                 lambda t: triplet_batch_hard(t, ids, margin), x))
 
@@ -100,21 +101,23 @@ def test_criterion_1_gradient_correctness():
         # gradient disagree on purpose, so the numeric reference is the
         # non-reversed composite plus -lam times the plain discriminator term
         leaf = Tensor(x)
-        full = (cross_entropy(leaf @ wi + bi, labels)
+        full = (softmax_cross_entropy(leaf @ wi + bi, labels)
                 + domain_loss(leaf, dom, lam, (wd, bd))
                 + triplet_batch_hard(leaf, ids, margin)
-                + masked_cross_entropy(leaf @ wi + bi, labels, mask) * w_dis)
+                + softmax_cross_entropy(leaf @ wi + bi, labels, mask)
+                * w_dis)
         full.backward()
         analytic = leaf.grad
 
         def non_domain(t):
-            return (cross_entropy(t @ wi + bi, labels)
+            return (softmax_cross_entropy(t @ wi + bi, labels)
                     + triplet_batch_hard(t, ids, margin)
-                    + masked_cross_entropy(t @ wi + bi, labels, mask) * w_dis)
+                    + softmax_cross_entropy(t @ wi + bi, labels, mask)
+                    * w_dis)
 
         numeric = (_central_diff(non_domain, x)
                    - lam * _central_diff(
-                       lambda t: cross_entropy(t @ wd + bd, dom), x))
+                       lambda t: softmax_cross_entropy(t @ wd + bd, dom), x))
         rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
         worst = max(worst, float(rel.max()))
     elapsed = time.monotonic() - start
@@ -133,11 +136,8 @@ def test_criterion_2_triplet_oracle():
         ids = np.repeat(np.arange(p), q)
         x = rng.normal(size=(p * q, d))
         margin = float(rng.uniform(0.0, 1.0))
-        squared = bool(rng.integers(2))
-        reduction = "mean" if rng.integers(2) else "sum"
-        got = triplet_batch_hard(Tensor(x), ids, margin, squared,
-                                 reduction).item()
-        want = triplet_brute_force(x, ids, margin, squared, reduction)
+        got = triplet_batch_hard(Tensor(x), ids, margin).item()
+        want = triplet_brute_force(x, ids, margin)
         worst = max(worst, abs(got - want))
     _report(2, worst < 1e-9,
             f"triplet vs brute force over 200 batches: max diff {worst:.2e}")
@@ -174,7 +174,7 @@ def test_criterion_4_masking_is_bitwise():
             mask[0], mask[-1] = 0.0, 1.0
         logits = Tensor(rng.normal(size=(n, classes)))
         labels = rng.integers(classes, size=n)
-        masked_cross_entropy(logits, labels, mask).backward()
+        softmax_cross_entropy(logits, labels, mask).backward()
         real_rows = logits.grad[mask == 0.0]
         ok = ok and np.all(real_rows == 0.0) \
             and real_rows.tobytes() == bytes(len(real_rows.tobytes()))
@@ -196,7 +196,7 @@ def test_criterion_5_gradient_reversal():
             domain_loss(reversed_leaf, dom, lam, (w, b)).backward()
 
             plain_leaf = Tensor(x)
-            cross_entropy(plain_leaf @ w + b, dom).backward()
+            softmax_cross_entropy(plain_leaf @ w + b, dom).backward()
 
             worst = max(worst, float(np.max(np.abs(
                 reversed_leaf.grad - (-lam) * plain_leaf.grad))))

@@ -437,8 +437,11 @@ class TestBadInput:
             {**ckpt, "config": {**ckpt["config"], "depth": 3}}),
         lambda text, ckpt: json.dumps(
             {**ckpt, "params": {**ckpt["params"], "embed.0.b": [[0.0]]}}),
+        lambda text, ckpt: json.dumps(
+            {**ckpt, "config": {**ckpt["config"],
+                                "normalize_embeddings": True}}),
     ], ids=["truncated", "a-list", "missing-layer", "unknown-config-key",
-            "wrong-shape"])
+            "wrong-shape", "normalised-embeddings"])
     def test_bad_checkpoint_names_the_file(self, trained, tmp_path, capsys,
                                            edit):
         data, ckpt, _ = trained
@@ -454,16 +457,35 @@ class TestBadInput:
         assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
         assert not out.exists()
 
+    def test_checkpoint_with_normalisation_off_evaluates_the_same(
+            self, trained, tmp_path):
+        # checkpoints written before the setting was removed carry it
+        data, ckpt, _ = trained
+        old = tmp_path / "old.ckpt"
+        stored = json.loads(ckpt.read_text())
+        old.write_text(json.dumps(
+            {**stored, "config": {**stored["config"],
+                                  "normalize_embeddings": False}}))
+        reports = []
+        for path in (ckpt, old):
+            out = tmp_path / f"{path.name}.json"
+            assert main(["eval", "--checkpoint", str(path),
+                         "--query", str(data / "real.jsonl"),
+                         "--gallery", str(data / "real.jsonl"),
+                         "--out", str(out)]) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("command,line", [
-        ("gen", "per_id=abc"), ("train", "normalize_embeddings=yes")])
+        ("gen", "per_id=abc"), ("eval", "rerank=yes")])
     def test_bad_config_value_names_file_and_line(self, tmp_path, capsys,
                                                   command, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"# settings\n{line}\n")
-        argv = {"gen": ["gen"],
-                "train": ["train", "--data", str(tmp_path / "d.jsonl")]}
-        code = main(argv[command] + ["--config", str(cfg),
-                                     "--out-dir", str(tmp_path / "o")])
+        argv = {"gen": ["gen", "--out-dir", str(tmp_path / "o")],
+                "eval": ["eval", "--checkpoint", "c", "--query", "q",
+                         "--gallery", "g"]}
+        code = main(argv[command] + ["--config", str(cfg)])
         assert code == EXIT_USAGE
         assert f"error: {cfg}:2: bad {line.split('=')[0]}:" \
             in capsys.readouterr().err

@@ -25,11 +25,17 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 
 
+def split_rows(ranked):
+    """Per query, its positions: the flat positions of (pos, ptr) split at
+    the row pointer."""
+    pos, ptr = ranked
+    return np.split(pos, ptr[1:-1])
+
+
 def ranked_rows(dist, query_ids, gallery_ids, exclude):
     """Per query, its positions in the ranking of its row of dist."""
-    pos, ptr = evaluation._ranked_matrix(dist, query_ids, gallery_ids,
-                                         exclude)
-    return np.split(pos, ptr[1:-1])
+    return split_rows(evaluation._ranked_matrix(dist, query_ids, gallery_ids,
+                                                exclude))
 
 
 class TestPairwiseDistances:
@@ -359,7 +365,7 @@ class TestBlockBoundaries:
                                         np.nonzero(mask))
             dist = (pairwise_distances(q, g) if rerank is None
                     else k_reciprocal_rerank(q, g, rerank))
-            self.check(dist, qids, gids, 7, mask, report.positions,
+            self.check(dist, qids, gids, 7, mask, split_rows(report.ranked),
                        report.per_query_ap, report.cmc)
 
 
@@ -376,8 +382,9 @@ class TestCertifiedRanking:
                                     exclude)
         dist = pairwise_distances(q, g)
         want = ranked_rows(dist, qids, gids, exclude)
-        assert len(report.positions) == len(want)
-        for got, expected in zip(report.positions, want):
+        got_rows = split_rows(report.ranked)
+        assert len(got_rows) == len(want)
+        for got, expected in zip(got_rows, want):
             assert np.array_equal(got, expected)
             assert (precision_recall_points(got)
                     == precision_recall_points(expected))
@@ -499,7 +506,7 @@ class TestCertifiedRanking:
             gids = np.zeros(6, dtype=int)
             gids[relevant] = 1
             report = evaluate_retrieval(q, g, [1], gids, EvalConfig())
-            assert report.positions[0].tolist() == [position]
+            assert report.ranked[0].tolist() == [position]
             self.assert_exact(q, g, [1], gids, None)
         assert min(resolved) > 0 and not fallback_rows
 
@@ -587,7 +594,7 @@ def counting(x, *args):
 
 evaluation.pairwise_distances = counting
 report = evaluation.evaluate_retrieval(q, g, qids, gids)
-out = {"ranking": [[p.tolist() for p in report.positions],
+out = {"ranking": [[a.tolist() for a in report.ranked],
                    [ap.hex() for ap in report.per_query_ap]],
        "exact rows": sum(exact)}
 exact.clear()
@@ -1094,7 +1101,7 @@ class TestEvaluateRetrieval:
                 _, peaks[nq] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            kept = sum(p.nbytes for p in report.positions)
+            kept = sum(a.nbytes for a in report.ranked)
         assert peaks[1024] - peaks[256] < 2**20 + kept
         assert peaks[1024] < 1024 * 4096 * 8
 

@@ -3,9 +3,8 @@ import pytest
 
 from oracles import triplet_brute_force
 
-from dareid.autodiff import GraphError, Tensor
-from dareid.losses import (LossWeights, cross_entropy, domain_loss,
-                           masked_cross_entropy, total_loss,
+from dareid.autodiff import GraphError, Tensor, softmax_cross_entropy
+from dareid.losses import (LossWeights, domain_loss, total_loss,
                            triplet_batch_hard)
 from dareid.network import init_params
 from dareid.sampling import Batch
@@ -16,40 +15,42 @@ from test_network import small_config
 class TestCrossEntropy:
     def test_uniform_logits_give_log_c(self):
         logits = Tensor(np.zeros((3, 4)))
-        assert cross_entropy(logits, [0, 2, 3]).item() == pytest.approx(
-            np.log(4), abs=1e-12)
+        assert softmax_cross_entropy(logits, [0, 2, 3]).item() == \
+            pytest.approx(np.log(4), abs=1e-12)
 
     def test_peaked_logits_hand_value(self):
         # -log softmax([10,0,0])[0] = log(1 + 2e^-10)
         logits = Tensor([[10.0, 0.0, 0.0]])
         expected = np.log(1.0 + 2.0 * np.exp(-10.0))
-        assert cross_entropy(logits, [0]).item() == pytest.approx(
+        assert softmax_cross_entropy(logits, [0]).item() == pytest.approx(
             expected, rel=1e-12)
         assert expected == pytest.approx(9.08e-5, rel=1e-2)
 
     def test_batch_is_mean_of_singles(self):
         rng = np.random.default_rng(0)
         z = rng.normal(size=(2, 5))
-        both = cross_entropy(Tensor(z), [1, 3]).item()
-        singles = [cross_entropy(Tensor(z[i:i + 1]), [[1, 3][i]]).item()
-                   for i in range(2)]
+        both = softmax_cross_entropy(Tensor(z), [1, 3]).item()
+        singles = [
+            softmax_cross_entropy(Tensor(z[i:i + 1]), [[1, 3][i]]).item()
+            for i in range(2)]
         assert both == pytest.approx(np.mean(singles), abs=1e-12)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(GraphError):
-            cross_entropy(Tensor(np.zeros((0, 3))), [])
+            softmax_cross_entropy(Tensor(np.zeros((0, 3))), [])
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(GraphError):
-            cross_entropy(Tensor(np.zeros((1, 3))), [3])
+            softmax_cross_entropy(Tensor(np.zeros((1, 3))), [3])
 
     def test_nonnegative_and_log_c_for_any_c(self):
         rng = np.random.default_rng(1)
         for c in (2, 5, 17):
             z = rng.normal(size=(4, c))
-            assert cross_entropy(Tensor(z), rng.integers(c, size=4)).item() >= 0
-            assert cross_entropy(Tensor(np.zeros((2, c))),
-                                 [0, c - 1]).item() == pytest.approx(
+            assert softmax_cross_entropy(
+                Tensor(z), rng.integers(c, size=4)).item() >= 0
+            assert softmax_cross_entropy(Tensor(np.zeros((2, c))),
+                                         [0, c - 1]).item() == pytest.approx(
                 np.log(c), abs=1e-12)
 
 
@@ -81,7 +82,7 @@ class TestDomainLoss:
             x1 = Tensor(point)
             domain_loss(x1, labels, lam, head).backward()
             x2 = Tensor(point)
-            cross_entropy(x2 @ head[0] + head[1], labels).backward()
+            softmax_cross_entropy(x2 @ head[0] + head[1], labels).backward()
             assert np.allclose(x1.grad, -lam * x2.grad, atol=1e-12)
 
     def test_bad_labels_rejected(self):
@@ -122,19 +123,9 @@ class TestTripletBatchHard:
             d = rng.integers(1, 9)
             ids = np.repeat(np.arange(p), q)
             x = rng.normal(size=(p * q, d))
-            for red in ("sum", "mean"):
-                got = triplet_batch_hard(Tensor(x), ids, 0.4,
-                                         reduction=red).item()
-                assert got == pytest.approx(
-                    triplet_brute_force(x, ids, 0.4, reduction=red), abs=1e-9)
-
-    def test_squared_distance_flag(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(6, 3))
-        ids = [0, 0, 0, 1, 1, 1]
-        got = triplet_batch_hard(Tensor(x), ids, 0.4, squared=True).item()
-        assert got == pytest.approx(
-            triplet_brute_force(x, ids, 0.4, squared=True), abs=1e-9)
+            got = triplet_batch_hard(Tensor(x), ids, 0.4).item()
+            assert got == pytest.approx(
+                triplet_brute_force(x, ids, 0.4), abs=1e-9)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(6)
@@ -170,11 +161,10 @@ class TestTripletBatchHard:
         assert worst < 1e-4
 
 
-def per_anchor_triplet(x, ids, margin, squared, reduction):
+def per_anchor_triplet(x, ids, margin):
     """Value and gradient of the batch-hard triplet loss, from the broadcast
     N x N x D distances and one gradient update per active anchor."""
-    sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-    dist = sq if squared else np.sqrt(sq)
+    dist = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
     same = ids[:, None] == ids[None, :]
     pos = same.copy()
     np.fill_diagonal(pos, False)
@@ -183,29 +173,22 @@ def per_anchor_triplet(x, ids, margin, squared, reduction):
     anchors = np.arange(len(x))
     terms = margin + dist[anchors, hard_pos] - dist[anchors, hard_neg]
     active = terms > 0.0
-    scale = 1.0 / len(x) if reduction == "mean" else 1.0
-    value = float(np.where(active, terms, 0.0).sum() * scale)
+    value = float(np.where(active, terms, 0.0).sum())
     grad = np.zeros_like(x)
     for a in anchors[active]:
         p, nn = hard_pos[a], hard_neg[a]
-        if squared:
-            dp = 2.0 * (x[a] - x[p])
-            dn = 2.0 * (x[a] - x[nn])
-        else:
-            dp = (x[a] - x[p]) / dist[a, p] if dist[a, p] > 0 else 0.0
-            dn = (x[a] - x[nn]) / dist[a, nn] if dist[a, nn] > 0 else 0.0
+        dp = (x[a] - x[p]) / dist[a, p] if dist[a, p] > 0 else 0.0
+        dn = (x[a] - x[nn]) / dist[a, nn] if dist[a, nn] > 0 else 0.0
         grad[a] += dp - dn
         grad[p] -= dp
         grad[nn] += dn
-    return value, 1.0 * scale * grad + 0.0
+    return value, 1.0 * grad + 0.0
 
 
 class TestTripletAgainstPerAnchorLoop:
     @pytest.mark.parametrize("d", [1, 3, 8, 16, 32, 33])
-    @pytest.mark.parametrize("squared", [False, True])
-    @pytest.mark.parametrize("reduction", ["sum", "mean"])
-    def test_value_and_gradient_bitwise_equal(self, d, squared, reduction):
-        rng = np.random.default_rng([d, squared])
+    def test_value_and_gradient_bitwise_equal(self, d):
+        rng = np.random.default_rng([d, 0])
         for trial in range(17):
             p, q = rng.integers(2, 6), rng.integers(2, 5)
             ids = rng.permutation(np.repeat(np.arange(p), q))
@@ -217,11 +200,9 @@ class TestTripletAgainstPerAnchorLoop:
                 x[rng.integers(p * q, size=3)] = x[0]
             margin = float(rng.uniform(0.0, 1.5))
             t = Tensor(x)
-            loss = triplet_batch_hard(t, ids, margin, squared=squared,
-                                      reduction=reduction)
+            loss = triplet_batch_hard(t, ids, margin)
             loss.backward()
-            value, grad = per_anchor_triplet(x, ids, margin, squared,
-                                             reduction)
+            value, grad = per_anchor_triplet(x, ids, margin)
             assert loss.item() == value
             assert np.array_equal(t.grad, grad)
 
@@ -229,7 +210,7 @@ class TestTripletAgainstPerAnchorLoop:
 class TestMaskedCrossEntropy:
     def test_fully_masked_is_zero_with_zero_grads(self):
         logits = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-        loss = masked_cross_entropy(logits, [0, 1, 2], [0, 0, 0])
+        loss = softmax_cross_entropy(logits, [0, 1, 2], [0, 0, 0])
         assert loss.item() == 0.0
         loss.backward()
         assert np.array_equal(logits.grad, np.zeros((3, 4)))
@@ -238,26 +219,28 @@ class TestMaskedCrossEntropy:
         rng = np.random.default_rng(1)
         z = rng.normal(size=(4, 3))
         labels = [0, 2, 1, 1]
-        assert masked_cross_entropy(Tensor(z), labels, [1, 1, 1, 1]).item() == \
-            pytest.approx(cross_entropy(Tensor(z), labels).item(), abs=1e-15)
+        masked = softmax_cross_entropy(Tensor(z), labels, [1, 1, 1, 1])
+        assert masked.item() == pytest.approx(
+            softmax_cross_entropy(Tensor(z), labels).item(), abs=1e-15)
 
     def test_partial_mask_hand_value(self):
         # two unmasked uniform rows over 3 classes, batch of 4
-        loss = masked_cross_entropy(Tensor(np.zeros((4, 3))),
-                                    [0, 1, 0, 2], [1, 1, 0, 0])
+        loss = softmax_cross_entropy(Tensor(np.zeros((4, 3))),
+                                     [0, 1, 0, 2], [1, 1, 0, 0])
         assert loss.item() == pytest.approx(2 * np.log(3) / 4, abs=1e-12)
 
     def test_masked_rows_get_exactly_zero_gradient(self):
         rng = np.random.default_rng(2)
         logits = Tensor(rng.normal(size=(5, 3)))
         mask = np.array([1, 0, 1, 0, 0])
-        masked_cross_entropy(logits, [0, 1, 2, 0, 1], mask).backward()
+        softmax_cross_entropy(logits, [0, 1, 2, 0, 1], mask).backward()
         assert np.all(logits.grad[mask == 0] == 0.0)
         assert np.any(logits.grad[mask == 1] != 0.0)
 
     def test_labels_ignored_where_masked(self):
         # out-of-range labels under a zero mask must not raise
-        loss = masked_cross_entropy(Tensor(np.zeros((2, 3))), [0, 99], [1, 0])
+        loss = softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0, 99],
+                                     [1, 0])
         assert loss.item() == pytest.approx(np.log(3) / 2, abs=1e-12)
 
 
