@@ -970,6 +970,17 @@ class TestEvaluateRetrieval:
         assert not report.reranked
         assert report.config["top_k"] == 100
 
+    def test_ranked_is_flat_positions_and_row_pointer(self):
+        # query 0 ranks the gallery 0,1,2,3 and query 1 ranks it 3,2,1,0;
+        # their relevant items sit at positions 0,3 and 1,2
+        report = evaluate_retrieval(
+            np.array([[0.0], [10.2]]), np.array([[1.0], [2.0], [9.0], [11.0]]),
+            [0, 1], [0, 1, 1, 0], EvalConfig())
+        pos, ptr = report.ranked
+        assert pos.tolist() == [0, 3, 1, 2] and ptr.tolist() == [0, 2, 4]
+        assert report.per_query_ap == pytest.approx([0.75, 7 / 12],
+                                                    abs=1e-15)
+
     def test_json_round_trip(self):
         import json
         rng = np.random.default_rng(13)

@@ -186,12 +186,18 @@ def per_anchor_triplet(x, ids, margin):
 
 
 class TestTripletAgainstPerAnchorLoop:
+    # grouped ids are the order the P x K sampler emits; shuffled ones move
+    # which of several tied rows is the hardest positive or negative
     @pytest.mark.parametrize("d", [1, 3, 8, 16, 32, 33])
-    def test_value_and_gradient_bitwise_equal(self, d):
-        rng = np.random.default_rng([d, 0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("layout", ["shuffled", "grouped"])
+    def test_value_and_gradient_bitwise_equal(self, d, seed, layout):
+        rng = np.random.default_rng([d, seed])
         for trial in range(17):
             p, q = rng.integers(2, 6), rng.integers(2, 5)
-            ids = rng.permutation(np.repeat(np.arange(p), q))
+            ids = np.repeat(np.arange(p), q)
+            if layout == "shuffled":
+                ids = rng.permutation(ids)
             if trial % 3 == 1:       # integer-valued rows tie often
                 x = rng.integers(-2, 3, size=(p * q, d)).astype(np.float64)
             else:
