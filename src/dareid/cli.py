@@ -7,7 +7,8 @@ Each command declares its settings once, in an option table. The setting
 some_key is the flag --some-key and the line some_key=value in a --config
 file; a flag overrides the file, which overrides the default. `gen` and
 `train` echo their effective settings to <out_dir>/config.echo as flat
-key=value lines; `eval` has no out-dir and writes no echo.
+key=value lines, which --config reads back; `eval` has no out-dir and
+writes no echo.
 """
 
 import argparse
@@ -228,9 +229,7 @@ def cmd_train(args):
                     config.model.head_class_counts)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    write_config_echo(args.out_dir, {
-        **vals, "data": args.data, "synth": args.synth or "",
-        "use_synthetic": synth_data is not None})
+    write_config_echo(args.out_dir, vals)
 
     start = time.monotonic()
     try:

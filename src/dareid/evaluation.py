@@ -306,17 +306,10 @@ def _certified_ranked(q, g, query_ids, gallery_ids, excluded):
     subnormal products. With v a relevant item's exact squared distance,
     an entry whose a lies above v + E - |q|^2 for every relevant item of
     its row ranks behind them all; every other entry, a candidate, is
-    ranked by its exact distance, ties to the lower column.
-
-    A block takes the exact path (pairwise_distances and a sort of each
-    row) if its norms are not finite or too large for the bound, or if
-    more of its entries than BLOCK_BYTES / 64 (one in eight) are
-    candidates: their work space would not fit, and at small D ranking
-    them costs as much as the exact path or more. On 64 x 8192 blocks
-    (GEMM excluded, 2-core Xeon), ranking 1/8 of the entries takes 28 ms
-    against 16-21 for the exact path at D = 8, 33 against 32-35 at D = 32
-    and 60 against 89-114 at D = 128; well separated embeddings have
-    under 1/128 candidates, 1-5 ms."""
+    ranked by its exact distance, ties to the lower column. A block takes
+    the exact path (pairwise_distances and a sort of each row) if its norms
+    are not finite or too large for the bound, or if more than _budget's
+    share of its entries are candidates."""
     relevant = _relevant(query_ids, gallery_ids, excluded)
     qn, gn = _norms(q), _norms(g)
     gmax = gn.max()
@@ -352,42 +345,63 @@ def _gemm_rows(q, qn, g, gn, gmax):
     return a, (4 * q.shape[1] + 24) * (_U * (qn + gmax) + _ETA)
 
 
+def _budget(d):
+    """The share of a certified block's entries that may be candidates at
+    dimension d; the cap keeps the ranking's within BLOCK_BYTES / 64. At
+    this share, ms per block (GEMM included, median of 9, 2-core Xeon) at
+    D = 8/16/32/128, certified against exact: ranking, 64 x 8192, 9.1/17/30/66
+    against 21/28/38/127; re-ranker, 64 x 2048, 2.9/4.7/8.7/17 against
+    5.1/7.9/13/43. With d / 160 the ranking is the slower at D = 16."""
+    return min(d / 320, 1 / 8)
+
+
+def _entries(mask):
+    """np.nonzero of a 2-D mask, from its flat indices: 60 us against 490
+    on a 64 x 2048 mask of 1280 entries."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _candidates(x, y, *masks):
+    """The entries of the len(x) x len(y) masks, mask after mask, as rows,
+    columns and exact squared distances between x[rows] and y[cols]; None
+    if they are more than _budget's share of one mask's entries."""
+    budget = _budget(x.shape[1]) * masks[0].size
+    if sum(map(np.count_nonzero, masks)) > budget:
+        return None
+    rows, cols = map(np.concatenate, zip(*map(_entries, masks)))
+    return rows, cols, _pair_sums(x, y, rows, cols)
+
+
 def _certified_rows(q, g, qn, a, bound, start, relevant, excluded):
     """The positions _rank_rows gives for the distances between the block of
-    query rows q (rows start, start + 1, ...) and g, from the GEMM values a
-    certified by the bound (see _certified_ranked); None if too many entries
-    are candidates."""
+    query rows q (rows start, start + 1, ...) and g, certified by the GEMM
+    values a and the bound (see _certified_ranked); None past _budget."""
     ng = len(g)
     rel_rows, rel_cols = _block(relevant, start, start + len(q), ng)
     ex_rows, ex_cols = _block(excluded, start, start + len(q), ng)
     v = _pair_sums(q, g, rel_rows, rel_cols)
     hi = (v + bound[rel_rows]) - qn[rel_rows]
-    # candidates: the entries not certainly behind every relevant item of
-    # their row
+    # candidates: entries not certainly behind their row's relevant items
     row_hi = np.maximum.reduceat(hi, _row_ptr(rel_rows, len(q))[:-1])
-    cand = a <= row_hi[:, None]
-    if np.count_nonzero(cand) > _block_rows(8):
+    cand = _candidates(q, g, a <= row_hi[:, None])
+    if cand is None:
         return None
-    flat = np.flatnonzero(cand)
-    ahead = _resolve(q, g, flat, ~_member(ex_rows * ng + ex_cols, flat),
-                     rel_rows * ng + rel_cols)
+    rows, cols, w = cand
+    flat = rows * ng + cols
+    ahead = _resolve(rows, cols, np.sqrt(w, out=w),
+                     ~_member(ex_rows * ng + ex_cols, flat),
+                     np.searchsorted(flat, rel_rows * ng + rel_cols))
     return np.sort(rel_rows * ng + ahead) - rel_rows * ng
 
 
-def _resolve(q, g, flat, kept, items):
-    """For each of the entries items (flat indices row * ng + col, a subset
-    of the ascending flat): the entries of flat in its row that are kept and
-    rank ahead of it by exact distance, ties to the lower column."""
-    ng = len(g)
-    rows, cols = np.divmod(flat, ng)
-    w = _pair_sums(q, g, rows, cols)
-    np.sqrt(w, out=w)
-    order = np.lexsort((cols, w, rows))
+def _resolve(rows, cols, dist, kept, at):
+    """Per candidate at the indices at (rows ascending): the kept
+    candidates of its row ahead of it by dist, ties to the lower column."""
+    order = np.lexsort((cols, dist, rows))
     slot = np.empty_like(order)
     slot[order] = np.arange(len(order))
     seen = np.concatenate([[0], np.cumsum(kept[order])])
-    return (seen[slot[np.searchsorted(flat, items)]]
-            - seen[np.searchsorted(rows, items // ng)])
+    return seen[slot[at]] - seen[np.searchsorted(rows, rows[at])]
 
 
 def _row_sums(values, ptr):
@@ -442,12 +456,6 @@ def precision_recall_points(positions):
 
 
 # ---- k-reciprocal re-ranking ----
-
-# A block of the re-ranker's gallery rows takes the exact path when more
-# than this share of its entries are candidates: on 64 x 2048 blocks the
-# certified path is the slower above about 1/18 at D = 8 and 1/9 at D = 16.
-_CANDIDATES = 1 / 20
-
 
 def _first_k(rows, cols, vals, k):
     """Per row, the columns of its first k entries by (value, column), as a
@@ -511,9 +519,8 @@ def _distance_pass(allf, nq, k):
     plus eta/2, so S more than 16.1uM + (2.01M + 1) eta apart stay strictly
     ordered, and the first k by (value, column) have a <= t. A gallery
     block takes the exact path if a norm is not finite or not below
-    _NORM_LIMIT, if over a _CANDIDATES share of its entries are candidates,
-    or if a maximum is not finite and positive (the exact path then
-    raises)."""
+    _NORM_LIMIT, if over _budget's share of its entries are candidates, or
+    if a maximum is not finite and positive, which the exact path raises."""
     n = len(allf)
     row_max = np.empty(n)
     near = np.empty((n, k), dtype=np.intp)
@@ -523,7 +530,7 @@ def _distance_pass(allf, nq, k):
     columns = np.asfortranarray(allf)   # pairwise_distances needs no copy
     # an exact block's nine pairwise_distances arrays fit a quarter of
     # BLOCK_BYTES, as a certified block's GEMM values do; with a partitioned
-    # copy, two masks, the candidates and _pair_sums' rows it takes 2 to 3.5
+    # copy, two masks, the candidates and _pair_sums' rows it takes 2 to 3.6
     # times that
     spans = [(s, min(s + _block_rows(36 * n), nq))
              for s in range(0, nq, _block_rows(36 * n))]
@@ -542,12 +549,6 @@ def _distance_pass(allf, nq, k):
                 query_rows[start:stop] = block[:, nq:]
         row_max[start:stop], near[start:stop] = got
     return row_max, near, query_rows
-
-
-def _entries(mask):
-    """np.nonzero of a 2-D mask, from its flat indices: 60 us against 490
-    on a 64 x 2048 mask of 1280 entries."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
 def _exact_rows(x, allf, k):
@@ -574,18 +575,17 @@ def _certified_neighbours(x, allf, a, bound, k):
     bounds (see _distance_pass); None where the exact path must decide."""
     tops = a >= (a.max(axis=1) - 2 * bound)[:, None]
     near = a <= (np.partition(a, k - 1, axis=1)[:, k - 1] + 4 * bound)[:, None]
-    if np.count_nonzero(tops) + np.count_nonzero(near) > a.size * _CANDIDATES:
+    cand = _candidates(x, allf, tops, near)
+    if cand is None:
         return None
-    peak_rows, peak_cols = _entries(tops)
-    rows, cols = _entries(near)
-    dist = _original_distances(_pair_sums(
-        x, allf, np.concatenate([peak_rows, rows]),
-        np.concatenate([peak_cols, cols])))
-    peak = np.maximum.reduceat(dist[:len(peak_rows)],
-                               _row_ptr(peak_rows, len(x))[:-1])
+    rows, cols, dist = cand
+    top = np.count_nonzero(tops)
+    peak = np.maximum.reduceat(_original_distances(dist)[:top],
+                               _row_ptr(rows[:top], len(x))[:-1])
     if not (np.isfinite(peak) & (peak > 0)).all():
         return None
-    return peak, _first_k(rows, cols, dist[len(peak_rows):] / peak[rows], k)
+    rows, cols = rows[top:], cols[top:]
+    return peak, _first_k(rows, cols, dist[top:] / peak[rows], k)
 
 
 def _pair_sums(a, b, rows, cols):

@@ -95,6 +95,22 @@ class TestTrain:
                      "config.echo"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_config_echo_replays_the_run(self, tmp_path):
+        _, data = run_gen(tmp_path)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run_train(data, first, ("--losses", "V,D,C",
+                                       "--margin", "0.7")) == EXIT_OK
+        echo = first / "config.echo"
+        assert {line.split("=", 1)[0] for line in
+                echo.read_text().splitlines()} <= {o.key for o in
+                                                   TRAIN_OPTIONS}
+        assert main(["train", "--config", str(echo),
+                     "--data", str(data / "real.jsonl"),
+                     "--synth", str(data / "synth.jsonl"),
+                     "--out-dir", str(again)]) == EXIT_OK
+        for name in ("config.echo", "run.log.jsonl", "checkpoint.bin"):
+            assert (first / name).read_bytes() == (again / name).read_bytes()
+
     def test_loss_selection_reflected_in_log(self, tmp_path):
         _, data = run_gen(tmp_path)
         out = tmp_path / "vd"

@@ -38,6 +38,37 @@ def ranked_rows(dist, query_ids, gallery_ids, exclude):
                                                 exclude))
 
 
+# Directions of an adversarial GEMM error, per entry, from a mask of chosen
+# items: the items up and every other entry down, the reverse, or random.
+ERROR_PATTERNS = {
+    "items up": lambda items, rng: np.where(items, 1.0, -1.0),
+    "items down": lambda items, rng: np.where(items, -1.0, 1.0),
+    "random signs": lambda items, rng: rng.choice([-1.0, 1.0], items.shape),
+}
+
+
+@pytest.fixture
+def gemm_error(monkeypatch):
+    """Replaces the GEMM values of _gemm_rows, keeping its bound, by the
+    exact kernel's S - |q|^2 moved by error["size"](d, qn, gn, gmax) per
+    entry in the direction error["signs"](S), so that the certified paths
+    meet the largest error their derivations allow, not the small one a
+    BLAS kernel makes. A block may hold any number of candidates."""
+    error = {}
+    gemm_rows = evaluation._gemm_rows
+
+    def perturbed(q, qn, g, gn, gmax):
+        got = gemm_rows(q, qn, g, gn, gmax)
+        if got is None:
+            return None
+        s = pairwise_distances(q, g, "squared-euclidean")
+        size = error["size"](q.shape[1], qn, gn, gmax)
+        return (s - qn[:, None]) + size * error["signs"](s), got[1]
+    monkeypatch.setattr(evaluation, "_gemm_rows", perturbed)
+    monkeypatch.setattr(evaluation, "_budget", lambda d: 2.0)
+    return error
+
+
 class TestPairwiseDistances:
     def test_identical_vectors_give_zero(self):
         v = np.array([[1.0, 2.0, 3.0]])
@@ -394,8 +425,12 @@ class TestCertifiedRanking:
 
     @pytest.fixture(params=[None, 3], ids=["one-block", "3-row-blocks"])
     def blocks(self, request, monkeypatch):
-        # 3-row blocks make the last block ragged, and leave work space for
-        # 15 candidates a block: a block with more takes the exact path
+        # one block may hold any number of candidates, so it is certified
+        # whatever the input; 3-row blocks make the last block ragged and
+        # leave room for 15 candidates a block: a block with more takes the
+        # exact path
+        monkeypatch.setattr(evaluation, "_budget",
+                            lambda d: 1 / 8 if request.param else 2.0)
         if request.param:
             monkeypatch.setattr(evaluation, "BLOCK_BYTES",
                                 8 * self.NG * request.param)
@@ -404,14 +439,16 @@ class TestCertifiedRanking:
     @pytest.fixture
     def resolved(self, monkeypatch):
         """Per call of the exact-resolve step: the entries it ranked that
-        are neither a relevant item nor excluded."""
+        are neither a relevant item nor excluded. A block may hold any
+        number of candidates."""
         others = []
         resolve = evaluation._resolve
 
-        def recording(q, g, flat, kept, items):
-            others.append(len(flat) - len(items) - int((~kept).sum()))
-            return resolve(q, g, flat, kept, items)
+        def recording(rows, cols, dist, kept, at):
+            others.append(len(rows) - len(at) - int((~kept).sum()))
+            return resolve(rows, cols, dist, kept, at)
         monkeypatch.setattr(evaluation, "_resolve", recording)
+        monkeypatch.setattr(evaluation, "_budget", lambda d: 2.0)
         return others
 
     @pytest.fixture
@@ -546,6 +583,31 @@ class TestCertifiedRanking:
         g = rng.normal(size=(self.NG, 5))
         for q, qids, gids, exclude in self.cases(g, q, rng):
             check(q, g, qids, gids, exclude)
+
+    @pytest.mark.parametrize("pattern", ERROR_PATTERNS)
+    def test_any_gemm_error_within_its_share_of_the_bound(
+            self, pattern, gemm_error, fallback_rows):
+        # the relevant items are the items; the error is the GEMM and norm
+        # share of E, (4D + 6)uM with M = |q|^2 + |g|^2, less 4uM for
+        # forming S - |q|^2 and adding the error
+        rng = np.random.default_rng(43)
+        gemm_error["size"] = lambda d, qn, gn, gmax: (
+            (4 * d + 2) * 2.0 ** -53 * (qn[:, None] + gn))
+        for d in (3, 8, 33):
+            g, q, _, _ = self.clustered(rng, d)
+            base = rng.normal(size=(self.NG // 4, d))
+            for g, q in ((g, q),
+                         (rng.normal(size=g.shape), rng.normal(size=q.shape)),
+                         (base[rng.integers(len(base), size=self.NG)],
+                          base[rng.integers(len(base), size=14)]),
+                         (rng.integers(-1, 2, size=g.shape) * 1.0,
+                          rng.integers(-1, 2, size=q.shape) * 1.0),
+                         (1e6 + 1e-4 * g, 1e6 + 1e-4 * q)):
+                for q, qids, gids, exclude in self.cases(g, q, rng):
+                    gemm_error["signs"] = lambda s: ERROR_PATTERNS[pattern](
+                        qids[:, None] == gids, rng)
+                    self.assert_exact(q, g, qids, gids, exclude)
+        assert not fallback_rows
 
     @pytest.mark.parametrize("spread", [0.3, None],
                              ids=["clustered", "random"])
@@ -821,8 +883,8 @@ class TestCertifiedDistancePass:
         # whatever the input; 3-row gallery blocks (of 54 columns, in a
         # quarter of BLOCK_BYTES) make the last block ragged and leave room
         # for 40 candidates a block: a block with more falls back
-        monkeypatch.setattr(evaluation, "_CANDIDATES",
-                            0.25 if request.param else 2.0)
+        monkeypatch.setattr(evaluation, "_budget",
+                            lambda d: 0.25 if request.param else 2.0)
         if request.param:
             monkeypatch.setattr(evaluation, "BLOCK_BYTES",
                                 4 * 8 * (self.NQ + self.NG) * request.param)
@@ -894,6 +956,25 @@ class TestCertifiedDistancePass:
                     certified += computed < len(q) + len(g)
         assert certified and bool(fell_back) == bool(blocks)
 
+    @pytest.mark.parametrize("pattern", ERROR_PATTERNS)
+    def test_any_gemm_error_within_its_share_of_the_bound(
+            self, pattern, gemm_error, exact_rows):
+        # each row's k-th neighbour is the item; the error is E' = E - 13uM
+        # with M = |x|^2 + max |y|^2, less 4uM for forming S - |x|^2 and
+        # adding the error
+        rng = np.random.default_rng(44)
+        gemm_error["size"] = lambda d, qn, gn, gmax: (
+            (4 * d + 7) * 2.0 ** -53 * (qn + gmax))[:, None]
+        for d in (1, 3, 8, 33, 129):
+            for kind, q, g in self.inputs(rng, d):
+                for k in (3, 7, len(g)):
+                    gemm_error["signs"] = lambda s: ERROR_PATTERNS[pattern](
+                        np.arange(s.shape[1]) == np.argsort(
+                            s, axis=1, kind="stable")[:, k - 1, None], rng)
+                    # the gallery block is certified
+                    assert self.check(q, g, k, exact_rows) == len(q), (
+                        kind, d, k)
+
     def test_norms_at_the_limit_take_the_exact_path(self, exact_rows):
         rng = np.random.default_rng(42)
         q, g = rng.normal(size=(self.NQ, 4)), rng.normal(size=(self.NG, 4))
@@ -901,6 +982,61 @@ class TestCertifiedDistancePass:
         # squared distance stays finite
         g[5] *= np.sqrt(3e307) / np.linalg.norm(g[5])
         assert self.check(q, g, 7, exact_rows) == self.NQ + self.NG
+
+
+class TestCandidateBudget:
+    """One rule, _budget, sets how many candidates a certified block of
+    either path may hold: a block with exactly as many as it allows is
+    certified, and one with one more takes the exact path."""
+
+    @pytest.mark.parametrize("path", ["ranking", "re-ranker"])
+    def test_a_block_at_the_budget_is_certified(self, path, monkeypatch):
+        rng = np.random.default_rng(45)
+        if path == "ranking":
+            q, g = rng.normal(size=(4, 8)), rng.normal(size=(64, 8))
+            ids = evaluation._checked_ids(4, 64, np.arange(4),
+                                          np.arange(64) % 16, None)
+            run = functools.partial(evaluation._certified_ranked, q, g, *ids)
+            # one block of 4 x 64 entries; exact rows when certified, not
+            entries, rows = 4 * 64, (0, 4)
+        else:
+            allf = rng.normal(size=(64, 8))
+            run = functools.partial(evaluation._distance_pass, allf, 32, 7)
+            # the query rows are exact; one gallery block of 32 x 64
+            entries, rows = 32 * 64, (32, 64)
+        counts, exact = [], []
+        candidates = evaluation._candidates
+        pairwise = evaluation.pairwise_distances
+
+        def counting(x, y, *masks):
+            counts.append(sum(map(np.count_nonzero, masks)))
+            return candidates(x, y, *masks)
+
+        def recording(x, *args):
+            exact.append(len(x))
+            return pairwise(x, *args)
+        monkeypatch.setattr(evaluation, "_candidates", counting)
+        monkeypatch.setattr(evaluation, "pairwise_distances", recording)
+        # the block's candidates, with any number allowed
+        monkeypatch.setattr(evaluation, "_budget", lambda d: 1.0)
+        run()
+        (count,) = counts
+        got = []
+        for extra, exact_rows in zip((0, 1), rows):
+            # a share of a power-of-two block, so the product is exact
+            monkeypatch.setattr(evaluation, "_budget",
+                                lambda d: (count - extra) / entries)
+            exact.clear()
+            got.append(run())
+            assert sum(exact) == exact_rows, (path, extra)
+        for a, b in zip(*got):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_ranking_candidates_stay_within_a_64th_of_block_bytes(self):
+        # a full ranking block has BLOCK_BYTES / 8 entries
+        for d in (1, 8, 32, 40, 128, 4096):
+            assert 0 < (evaluation._budget(d) * evaluation.BLOCK_BYTES / 8
+                        <= evaluation.BLOCK_BYTES / 64)
 
 
 class TestTopK:
@@ -1070,9 +1206,9 @@ class TestEvaluateRetrieval:
             argsorts.append(1)
             return argsort(*args, **kwargs)
 
-        def recording_resolve(q, g, flat, kept, items):
-            resolved.append((flat, kept))
-            return resolve(q, g, flat, kept, items)
+        def recording_resolve(rows, cols, dist, kept, at):
+            resolved.append((rows, cols, kept))
+            return resolve(rows, cols, dist, kept, at)
 
         def no_distances(*args):
             raise AssertionError("pairwise_distances called")
@@ -1080,6 +1216,8 @@ class TestEvaluateRetrieval:
         monkeypatch.setattr(np, "argsort", recording_argsort)
         monkeypatch.setattr(evaluation, "_resolve", recording_resolve)
         monkeypatch.setattr(evaluation, "pairwise_distances", no_distances)
+        # the one block may hold any number of candidates
+        monkeypatch.setattr(evaluation, "_budget", lambda d: 2.0)
         rng = np.random.default_rng(15)
         g = rng.normal(size=(64, 3))
         ids = np.arange(64) % 16
@@ -1088,8 +1226,7 @@ class TestEvaluateRetrieval:
         assert not argsorts and not float_sorts
         # one block; the excluded entries are the diagonal, so the kept
         # entries of another id are neither relevant nor excluded
-        (flat, kept), = resolved
-        rows, cols = np.divmod(flat, 64)
+        (rows, cols, kept), = resolved
         dist = pairwise_distances(g, g)
         farthest = np.where(ids[:, None] == ids, dist, 0.0).max(axis=1)
         others = kept & (ids[rows] != ids[cols])
