@@ -997,7 +997,8 @@ class TestCandidateBudget:
             ids = evaluation._checked_ids(4, 64, np.arange(4),
                                           np.arange(64) % 16, None)
             run = functools.partial(evaluation._certified_ranked, q, g, *ids)
-            # one block of 4 x 64 entries; exact rows when certified, not
+            # one block of 4 x 64 entries; its exact rows when certified
+            # and when not
             entries, rows = 4 * 64, (0, 4)
         else:
             allf = rng.normal(size=(64, 8))
@@ -1034,9 +1035,9 @@ class TestCandidateBudget:
 
     def test_ranking_candidates_stay_within_a_64th_of_block_bytes(self):
         # a full ranking block has BLOCK_BYTES / 8 entries
+        entries = evaluation.BLOCK_BYTES / 8
         for d in (1, 8, 32, 40, 128, 4096):
-            assert 0 < (evaluation._budget(d) * evaluation.BLOCK_BYTES / 8
-                        <= evaluation.BLOCK_BYTES / 64)
+            assert 0 < evaluation._budget(d) * entries <= entries / 8
 
 
 class TestTopK:
