@@ -238,14 +238,14 @@ def softmax_cross_entropy(logits, labels, mask=None):
     return out
 
 
-def finite_difference_check(scalar_fn, point, eps=1e-5):
-    """Max relative error between analytic and central-difference gradients.
+def finite_difference_check(scalar_fn, point):
+    """Max relative error between analytic and central-difference gradients
+    (step 1e-5).
 
     scalar_fn maps a leaf Tensor to a scalar Tensor. Relative error per
     coordinate is |analytic - numeric| / max(1, |analytic|).
     """
-    if eps <= 0:
-        raise GraphError("eps must be positive")
+    eps = 1e-5
     point = _as_matrix(point)
     x = Tensor(point)
     out = scalar_fn(x)

@@ -244,7 +244,7 @@ def cmd_train(args):
 
     _write_run_log(args.out_dir, result.run_log)
     save_checkpoint(os.path.join(args.out_dir, "checkpoint.bin"),
-                    result.params, epoch=result.epochs_done,
+                    result.params, epoch=config.epochs,
                     seed=config.seed, optim_state=result.optim.to_dict())
     report = _final_report(result.params, real_data, config)
     report["status"] = "completed"

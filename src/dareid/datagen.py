@@ -14,7 +14,7 @@ real/synthetic id pairs, and the generation spec.
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -115,17 +115,9 @@ def generate_toy_dataset(spec):
         "num_types": spec.num_types,
         "num_orientation_bins": spec.num_orientation_bins,
         "input_dim": spec.input_dim,
-        "spec": {
-            "num_ids_real": n_real, "num_ids_synth": n_synth,
-            "samples_per_id": spec.samples_per_id,
-            "input_dim": spec.input_dim, "num_colors": spec.num_colors,
-            "num_types": spec.num_types,
-            "num_orientation_bins": spec.num_orientation_bins,
-            "cluster_sep": spec.cluster_sep,
-            "domain_shift": None if spec.domain_shift is None else
-                [shift_mat.tolist(), shift_off.tolist()],
-            "noise_sigma": spec.noise_sigma, "seed": spec.seed,
-        },
+        "spec": {**asdict(spec), "domain_shift": (
+            None if spec.domain_shift is None else
+            [shift_mat.tolist(), shift_off.tolist()])},
     }
     return samples, manifest
 

@@ -67,20 +67,19 @@ class EvalReport:
 BLOCK_BYTES = 4 * 2**20
 
 
-def pairwise_distances(queries, gallery, metric="euclidean"):
-    """Distance matrix between query rows and gallery rows.
+def pairwise_distances(queries, gallery):
+    """Euclidean distance matrix between query rows and gallery rows.
 
-    Equal, bit for bit, to summing the broadcast Nq x Ng x D squared
-    differences over their last axis, but one block of query rows at a time
-    and one dimension at a time, so that no reduction runs over a short
-    axis: memory is the Nq x Ng output plus nine block-sized arrays.
+    The square root of, bit for bit, the sum of the broadcast Nq x Ng x D
+    squared differences over their last axis, but summed one block of query
+    rows at a time and one dimension at a time, so that no reduction runs
+    over a short axis: memory is the Nq x Ng output plus nine block-sized
+    arrays.
     """
     q = np.asarray(queries, dtype=np.float64)
     g = np.asarray(gallery, dtype=np.float64)
     if q.shape[1] != g.shape[1]:
         raise ValueError(f"dimension mismatch: {q.shape[1]} vs {g.shape[1]}")
-    if metric not in ("euclidean", "squared-euclidean"):
-        raise ValueError(f"unknown metric {metric!r}")
     out = np.empty((q.shape[0], g.shape[0]))
     gt = np.ascontiguousarray(g.T)  # a view if g is in Fortran order
     rows = max(1, min(len(q), BLOCK_BYTES // (9 * 8 * max(1, len(g)))))
@@ -89,9 +88,7 @@ def pairwise_distances(queries, gallery, metric="euclidean"):
         block = q[start:start + rows]
         _sum_squares(block, gt, out[start:start + rows],
                      work[:, :block.shape[0]])
-    if metric == "euclidean":
-        np.sqrt(out, out=out)
-    return out
+    return np.sqrt(out, out=out)
 
 
 def _sum_squares(q, gt, dest, work):
@@ -554,8 +551,8 @@ def _distance_pass(allf, nq, k):
 def _exact_rows(x, allf, k):
     """The rows x of the normalised all-vs-all matrix, their maxima and
     first k neighbours; errors if a maximum overflows or is 0."""
-    block = _original_distances(
-        pairwise_distances(x, allf, "squared-euclidean"))
+    block = pairwise_distances(x, allf)
+    np.square(block, out=block)     # the original distances, in place
     peak = block.max(axis=1)
     if not np.isfinite(peak).all():
         raise ValueError("k-reciprocal re-ranking needs finite distances, "

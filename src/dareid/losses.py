@@ -71,7 +71,7 @@ def triplet_batch_hard(embeddings, ids, margin):
     if counts.min() < 2:
         raise GraphError("every identity needs at least two samples per batch")
 
-    dist = np.sqrt(pairwise_distances(x, x, "squared-euclidean"))
+    dist = pairwise_distances(x, x)
     # hardest positive and negative per anchor; ties go to the first index
     same_id = ids[:, None] == ids[None, :]
     positive = same_id & ~np.eye(n, dtype=bool)

@@ -8,18 +8,22 @@ Update rule per parameter, with t the 1-based step count:
     m1_c  = m1 / (1 - beta1^t)
     v_c   = vhat / (1 - beta2^t)
     param = param - lr * m1_c / (sqrt(v_c) + eps)
-Bias correction is applied to both moments.
+Bias correction is applied to both moments. The moments are fixed:
+beta1 = 0.9, beta2 = 0.999, eps = 1e-8. The learning rate drops x0.1 at
+each milestone epoch.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+DECAY = 0.1
+
 
 @dataclass
 class LrSchedule:
     base_lr: float = 3e-4
-    decay: float = 0.1
     milestones: tuple = (20, 40)
 
 
@@ -28,16 +32,13 @@ def lr_at_epoch(schedule, epoch):
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
     drops = sum(1 for ms in schedule.milestones if epoch >= ms)
-    return schedule.base_lr * schedule.decay ** drops
+    return schedule.base_lr * DECAY ** drops
 
 
 @dataclass
 class OptimState:
     """Step count and AMSGrad moments: flat m1, v and vhat vectors in the
     parameters' order at the first step; slots[name] holds views into them."""
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0005
     t: int = 0
     slots: dict = field(default_factory=dict)  # name -> {m1, v, vhat}
@@ -60,7 +61,7 @@ class OptimState:
 
     def to_dict(self):
         return {
-            "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
+            "beta1": BETA1, "beta2": BETA2, "eps": EPS,
             "weight_decay": self.weight_decay, "t": self.t,
             "slots": {name: {k: v.tolist() for k, v in s.items()}
                       for name, s in self.slots.items()},
@@ -68,8 +69,11 @@ class OptimState:
 
     @classmethod
     def from_dict(cls, d):
-        state = cls(beta1=d["beta1"], beta2=d["beta2"], eps=d["eps"],
-                    weight_decay=d["weight_decay"], t=d["t"])
+        for key, value in (("beta1", BETA1), ("beta2", BETA2), ("eps", EPS)):
+            if d[key] != value:
+                raise ValueError(f"optimizer state has {key}={d[key]!r}, "
+                                 f"not {value!r}")
+        state = cls(weight_decay=d["weight_decay"], t=d["t"])
         for name, s in d["slots"].items():
             state.slots[name] = {k: np.asarray(v, dtype=np.float64)
                                  for k, v in s.items()}
@@ -89,18 +93,17 @@ def amsgrad_step(state, named_params, lr):
     if state._names != tuple(name for name, _ in pairs):
         state._layout(pairs)
     state.t += 1
-    b1, b2, t = state.beta1, state.beta2, state.t
     m1, v, vhat, tmp = state._flat
     param = np.concatenate([p.data.reshape(-1) for _, p in pairs])
     np.add(g, np.multiply(state.weight_decay, param, out=tmp), out=g)
-    np.add(np.multiply(b1, m1, out=m1), np.multiply(1.0 - b1, g, out=tmp),
-           out=m1)
-    np.multiply(1.0 - b2, g, out=tmp)
-    np.add(np.multiply(b2, v, out=v), np.multiply(tmp, g, out=tmp), out=v)
+    np.add(np.multiply(BETA1, m1, out=m1),
+           np.multiply(1.0 - BETA1, g, out=tmp), out=m1)
+    np.multiply(1.0 - BETA2, g, out=tmp)
+    np.add(np.multiply(BETA2, v, out=v), np.multiply(tmp, g, out=tmp), out=v)
     np.maximum(vhat, v, out=vhat)
-    np.sqrt(np.divide(vhat, 1.0 - b2 ** t, out=tmp), out=tmp)
-    np.add(tmp, state.eps, out=tmp)
-    np.multiply(lr, np.divide(m1, 1.0 - b1 ** t, out=g), out=g)
+    np.sqrt(np.divide(vhat, 1.0 - BETA2 ** state.t, out=tmp), out=tmp)
+    np.add(tmp, EPS, out=tmp)
+    np.multiply(lr, np.divide(m1, 1.0 - BETA1 ** state.t, out=g), out=g)
     np.subtract(param, np.divide(g, tmp, out=g), out=param)
     for (_, p), span in zip(pairs, state._spans):
         p.data = param[span].reshape(p.data.shape)

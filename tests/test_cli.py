@@ -356,6 +356,23 @@ class TestEval:
                 in err)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("empty_set", ["query", "gallery"])
+    def test_empty_set_is_usage_error(self, trained, capsys, empty_set):
+        data, ckpt, tmp_path = trained
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        sets = {"query": data / "real.jsonl", "gallery": data / "real.jsonl"}
+        sets[empty_set] = empty
+        out = tmp_path / "empty.json"
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--query", str(sets["query"]),
+                     "--gallery", str(sets["gallery"]), "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {empty_set} set is empty" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_exclude_self_needs_the_query_set_as_gallery(self, trained,
                                                          capsys):
         data, ckpt, tmp_path = trained

@@ -61,7 +61,7 @@ def gemm_error(monkeypatch):
         got = gemm_rows(q, qn, g, gn, gmax)
         if got is None:
             return None
-        s = pairwise_distances(q, g, "squared-euclidean")
+        s = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
         size = error["size"](q.shape[1], qn, gn, gmax)
         return (s - qn[:, None]) + size * error["signs"](s), got[1]
     monkeypatch.setattr(evaluation, "_gemm_rows", perturbed)
@@ -82,26 +82,19 @@ class TestPairwiseDistances:
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(0)
         q, g = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
-        for squared, metric in ((False, "euclidean"),
-                                (True, "squared-euclidean")):
-            got = pairwise_distances(q, g, metric)
-            assert np.allclose(got, naive_distances(q, g, squared), atol=1e-12)
+        assert np.allclose(pairwise_distances(q, g),
+                           naive_distances(q, g, False), atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pairwise_distances(np.zeros((1, 3)), np.zeros((1, 4)))
 
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ValueError, match="unknown metric 'cosine'"):
-            pairwise_distances(np.zeros((1, 3)), np.zeros((1, 3)), "cosine")
-
-    def test_euclidean_is_the_root_of_the_squared_distances(self):
-        # the triplet loss takes the squared entries, ranking their roots
-        rng = np.random.default_rng(2)
-        q, g = rng.normal(size=(5, 9)), rng.normal(size=(7, 9))
-        assert np.array_equal(
-            pairwise_distances(q, g),
-            np.sqrt(pairwise_distances(q, g, "squared-euclidean")))
+    def test_metric_is_not_a_parameter(self):
+        params = inspect.signature(pairwise_distances).parameters
+        assert list(params) == ["queries", "gallery"]
+        with pytest.raises(TypeError):
+            pairwise_distances(np.zeros((1, 3)), np.zeros((1, 3)),
+                               "euclidean")
 
     def test_symmetry_under_role_swap(self):
         rng = np.random.default_rng(1)
@@ -125,8 +118,11 @@ class TestPairwiseDistances:
         cases.append((ints[:16], ints))
         for q, g in cases:
             sq = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
-            assert np.array_equal(
-                pairwise_distances(q, g, "squared-euclidean"), sq)
+            # the squared sums, from the kernel itself
+            got = np.empty(sq.shape)
+            evaluation._sum_squares(q, np.ascontiguousarray(g.T), got,
+                                    np.empty((9, *sq.shape)))
+            assert np.array_equal(got, sq)
             assert np.array_equal(pairwise_distances(q, g),
                                   np.sqrt(np.maximum(sq, 0.0)))
             # a Fortran-order gallery, as evaluate_retrieval passes it
@@ -916,8 +912,7 @@ class TestCertifiedDistancePass:
             want = evaluation._distance_pass(allf, nq, k)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        dense = evaluation._original_distances(
-            pairwise_distances(allf, allf, "squared-euclidean"))
+        dense = np.square(pairwise_distances(allf, allf))
         peak = dense.max(axis=1)
         dense /= peak[:, None]
         assert np.array_equal(want[0], peak)

@@ -128,6 +128,16 @@ class TestAmsgradStep:
             assert np.array_equal(restored.slots["p"][key],
                                   state.slots["p"][key])
 
+    @pytest.mark.parametrize("key, value", [("beta1", 0.8), ("beta2", 0.99),
+                                            ("eps", 1e-6)])
+    def test_other_stored_moments_rejected(self, key, value):
+        # the moments are constants; a state stored with others would not
+        # resume the run it came from
+        d = OptimState().to_dict()
+        d[key] = value
+        with pytest.raises(ValueError, match=f"{key}={value!r}"):
+            OptimState.from_dict(d)
+
 
 def reference_step(slots, t, grads, params, lr, beta1=0.9, beta2=0.999,
                    eps=1e-8, weight_decay=0.0005):
@@ -201,6 +211,10 @@ class TestFlatState:
                 saved = json.loads(json.dumps(state.to_dict()))
                 for (_, p), (_, q) in zip(pairs, resumed):
                     q.data = p.data.copy()
+        # the stored format, fixed moments included, is unchanged
+        assert {k: v for k, v in saved.items() if k != "slots"} == {
+            "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+            "weight_decay": 0.0005, "t": 10}
         if reorder:
             saved["slots"] = dict(reversed(saved["slots"].items()))
         restored = OptimState.from_dict(saved)
