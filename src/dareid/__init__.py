@@ -11,8 +11,7 @@ from .datagen import ToySpec, generate_toy_dataset, read_dataset, write_dataset
 from .evaluation import (EvalConfig, EvalReport, RerankParams, cmc,
                          evaluate_retrieval, k_reciprocal_rerank,
                          mean_average_precision, pairwise_distances)
-from .losses import (LossBreakdown, LossWeights, domain_loss, total_loss,
-                     triplet_batch_hard)
+from .losses import LossWeights, domain_loss, total_loss, triplet_batch_hard
 from .network import (ModelConfig, ModelParams, embed, head_logits,
                       init_params, load_checkpoint, save_checkpoint)
 from .optimizer import LrSchedule, OptimState, amsgrad_step, lr_at_epoch

@@ -4,7 +4,7 @@ Every value is a (rows, cols) matrix; batches are rows, scalars are 1x1.
 Graphs are built dynamically: each op returns a Tensor holding a backward
 closure and references to its parents. Calling .backward() on a scalar
 output propagates gradients to every reachable node. A node holds no
-gradient until one reaches it. A plain array on the left of @ is a constant.
+gradient until one reaches it. A plain array operand is a constant.
 """
 
 import numpy as np
@@ -77,7 +77,7 @@ class Tensor:
     # ---- graph construction ----
 
     def __matmul__(self, other):
-        a, b = self, other
+        a, b = self, _wrap(other)
         if a.shape[1] != b.shape[0]:
             raise GraphError(f"matmul shape mismatch {a.shape} @ {b.shape}")
         out = Tensor(a.data @ b.data, parents=(a, b), op="matmul")
@@ -122,7 +122,7 @@ class Tensor:
                 a._accumulate(g * s)
             out._backward_fn = _bw
             return out
-        a, b = self, other
+        a, b = self, _wrap(other)
         if a.shape != b.shape:
             raise GraphError(f"mul shape mismatch {a.shape} * {b.shape}")
         out = Tensor(a.data * b.data, parents=(a, b), op="mul")
@@ -197,9 +197,10 @@ def grad_reversal(x, lam):
 def softmax_cross_entropy(logits, labels, mask=None):
     """Fused softmax + cross-entropy, averaged over the batch.
 
-    L = -(1/N) * sum_i mask_i * log softmax(logits_i)[labels_i] over a batch
-    of N rows. The gradient of row i is mask_i * (softmax_i - onehot_i) / N,
-    exactly zero for masked rows.
+    Nonzero mask rows are selected; without a mask every row is. Over a
+    batch of N rows, L = -(1/N) * sum over selected rows i of
+    log softmax(logits_i)[labels_i]. The gradient of a selected row i is
+    (softmax_i - onehot_i) / N, and exactly zero for the other rows.
     """
     n, c = logits.shape
     if n == 0:
@@ -207,13 +208,10 @@ def softmax_cross_entropy(logits, labels, mask=None):
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if labels.shape[0] != n:
         raise GraphError(f"expected {n} labels, got {labels.shape[0]}")
-    if mask is None:
-        mask = np.ones(n)
-    else:
-        mask = np.asarray(mask, dtype=np.float64).reshape(-1)
-        if mask.shape[0] != n:
-            raise GraphError(f"expected {n} mask values, got {mask.shape[0]}")
-    active = mask != 0.0
+    active = np.ones(n, dtype=bool) if mask is None else (
+        np.asarray(mask, dtype=np.float64).reshape(-1) != 0.0)
+    if active.shape[0] != n:
+        raise GraphError(f"expected {n} mask values, got {active.shape[0]}")
     if np.any((labels[active] < 0) | (labels[active] >= c)):
         raise GraphError(f"label out of range [0, {c})")
 
@@ -223,7 +221,7 @@ def softmax_cross_entropy(logits, labels, mask=None):
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + zmax
     safe_labels = np.where(active, labels, 0)
     logp = z[np.arange(n), safe_labels] - lse[:, 0]
-    value = -(mask * np.where(active, logp, 0.0)).sum() / n
+    value = -np.where(active, logp, 0.0).sum() / n
 
     out = Tensor([[value]], parents=(logits,), op="softmax_xent")
     probs = np.exp(z - lse)
@@ -231,7 +229,7 @@ def softmax_cross_entropy(logits, labels, mask=None):
     def _bw(g):
         d = probs.copy()
         d[np.arange(n), safe_labels] -= 1.0
-        d *= (mask / n)[:, None]
+        d *= 1.0 / n
         d[~active] = 0.0
         logits._accumulate(g[0, 0] * d)
     out._backward_fn = _bw

@@ -39,10 +39,6 @@ LOSS_TOKENS = {"V": "id", "D": "domain", "O": "orientation", "C": "color",
                "T": "type"}
 
 
-class UsageError(Exception):
-    pass
-
-
 def parse_bool(text):
     value = text.strip().lower()
     if value not in ("true", "false"):
@@ -81,15 +77,15 @@ def read_config_file(path, table):
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
+                raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, text = line.partition("=")
             key = key.strip()
             if key not in types:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 values[key] = types[key](text.strip())
             except ValueError as e:
-                raise UsageError(f"{path}:{lineno}: bad {key}: {e}") from None
+                raise ValueError(f"{path}:{lineno}: bad {key}: {e}") from None
     return values
 
 
@@ -178,15 +174,13 @@ def _parse_losses(text):
     tokens = [t.strip().upper() for t in text.split(",") if t.strip()]
     unknown = [t for t in tokens if t not in LOSS_TOKENS]
     if unknown:
-        raise UsageError(f"unknown loss tokens {unknown}; use V,D,O,C,T")
+        raise ValueError(f"unknown loss tokens {unknown}; use V,D,O,C,T")
     if "V" not in tokens:
-        raise UsageError("the vehicle-ID loss V is always required")
-    disjoint = tuple(LOSS_TOKENS[t] for t in tokens if t in ("O", "C", "T"))
-    return disjoint, "D" in tokens
+        raise ValueError("the vehicle-ID loss V is always required")
+    return tuple(LOSS_TOKENS[t] for t in tokens if t != "V")
 
 
 def build_train_config(vals, manifest):
-    disjoint, use_domain = _parse_losses(vals["losses"])
     hidden = [int(h) for h in vals["hidden_dims"].split(",") if h.strip()]
     num_ids = max(manifest["real_id_range"][1], manifest["synth_id_range"][1])
     bins = vals["orientation_bins"]
@@ -211,7 +205,7 @@ def build_train_config(vals, manifest):
         epochs=vals["epochs"],
         iterations_per_epoch=vals["iterations"],
         seed=vals["seed"],
-        disjoint=disjoint, use_domain_loss=use_domain)
+        losses=_parse_losses(vals["losses"]))
 
 
 def cmd_train(args):
@@ -246,7 +240,7 @@ def cmd_train(args):
     save_checkpoint(os.path.join(args.out_dir, "checkpoint.bin"),
                     result.params, epoch=config.epochs,
                     seed=config.seed, optim_state=result.optim.to_dict())
-    report = _final_report(result.params, real_data, config)
+    report = _final_report(result.params, real_data)
     report["status"] = "completed"
     with open(os.path.join(args.out_dir, "report.json"), "w") as f:
         json.dump(report, f, indent=2)
@@ -261,7 +255,7 @@ def _write_run_log(out_dir, run_log):
             f.write(json.dumps(entry) + "\n")
 
 
-def _final_report(params, real_data, config):
+def _final_report(params, real_data):
     """Self-retrieval snapshot on the real training split, with and without
     re-ranking when the gallery is large enough. The split is embedded once
     and each query's own row is excluded."""
@@ -371,7 +365,7 @@ def main(argv=None):
         return e.code if e.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (CheckpointFormatError, DatasetFormatError, OSError) as e:

@@ -13,6 +13,7 @@ real/synthetic id pairs, and the generation spec.
 """
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -139,23 +140,44 @@ def _sample_to_record(s):
     return rec
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value):
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):     # not a number, or a huge int
+        return False
+
+
 def _record_to_sample(rec, lineno):
     def fail(msg):
         raise DatasetFormatError(f"line {lineno}: {msg}")
 
+    if not isinstance(rec, dict):
+        fail("expected a JSON object")
     domain = rec.get("domain")
-    if domain not in _DOMAIN_CODES:
+    if not isinstance(domain, str) or domain not in _DOMAIN_CODES:
         fail(f"unknown domain {domain!r}")
     if "id" not in rec or "features" not in rec:
         fail("missing id or features")
+    for key in ("id", "color", "type"):
+        if rec.get(key) is not None and not _is_int(rec[key]):
+            fail(f"{key} must be an integer, got {rec[key]!r}")
+    angle = rec.get("orientation_deg")
+    if angle is not None and not _is_finite_number(angle):
+        fail(f"orientation_deg must be a finite number, got {angle!r}")
     try:
-        features = np.asarray(rec["features"], dtype=np.float64)
-        sample = Sample(_DOMAIN_CODES[domain], int(rec["id"]), features,
+        features = np.asarray(rec["features"])
+        if features.dtype.kind not in "iuf":
+            fail("features must be numbers")
+        sample = Sample(_DOMAIN_CODES[domain], rec["id"], features,
                         color=rec.get("color"), type=rec.get("type"),
-                        orientation_deg=rec.get("orientation_deg"))
+                        orientation_deg=angle)
     except (TypeError, ValueError) as e:
         fail(str(e))
-    if features.ndim != 1 or not np.isfinite(features).all():
+    if sample.features.ndim != 1 or not np.isfinite(sample.features).all():
         fail("features must be a flat list of finite numbers")
     return sample
 
@@ -199,6 +221,17 @@ def read_dataset(path):
     if not isinstance(manifest, dict) or not set(keys) <= set(manifest):
         raise DatasetFormatError(f"{mpath}: expected a JSON object with the "
                                  f"keys {', '.join(keys)}")
+    for key in keys:
+        value = manifest[key]
+        if key.endswith("_range"):
+            what = "a list of two integers"
+            ok = (isinstance(value, list) and len(value) == 2
+                  and all(map(_is_int, value)))
+        else:
+            what, ok = "an integer", _is_int(value)
+        if not ok:
+            raise DatasetFormatError(
+                f"{mpath}: {key} must be {what}, got {value!r}")
     if samples and manifest["input_dim"] != len(samples[0].features):
         raise DatasetFormatError(
             f"{mpath}: input_dim {manifest['input_dim']} differs from the "

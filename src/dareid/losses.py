@@ -28,20 +28,6 @@ class LossWeights:
             raise ValueError("loss weights must be non-negative")
 
 
-@dataclass
-class LossBreakdown:
-    id_loss: float
-    domain_loss: float
-    triplet_loss: float
-    color_loss: float
-    type_loss: float
-    orientation_loss: float
-    total: float
-
-    def as_dict(self):
-        return dict(self.__dict__)
-
-
 def domain_loss(embeddings, domain_labels, lam, domain_head):
     """Discriminator cross-entropy on the domain head behind gradient reversal."""
     labels = np.asarray(domain_labels, dtype=np.int64).reshape(-1)
@@ -104,51 +90,37 @@ def triplet_batch_hard(embeddings, ids, margin):
 
 def total_loss(embeddings, id_logits, disjoint_logits, domain_head, batch,
                weights):
-    """Combine joint and disjoint losses into one scalar node plus a breakdown.
+    """Combine joint and disjoint losses into one scalar node; return the
+    run-log row of their values and the node.
 
     disjoint_logits maps the enabled names of DISJOINT_NAMES to logit
     tensors; a missing name, like domain_head=None, contributes exactly zero.
     The disjoint losses are masked to the synthetic rows: the mask is the
     batch's domain labels, since SYNTHETIC is 1.
     """
-    l_id = softmax_cross_entropy(id_logits, batch.id_labels)
-    terms = [l_id]
+    total = softmax_cross_entropy(id_logits, batch.id_labels)
+    row = {"id_loss": total.item(), "domain_loss": 0.0}
 
-    l_dom_val = 0.0
     if domain_head is not None:
         l_dom = domain_loss(embeddings, batch.domain_labels,
                             weights.grl_lambda, domain_head)
-        terms.append(l_dom)
-        l_dom_val = l_dom.item()
+        row["domain_loss"] = l_dom.item()
+        total = total + l_dom
 
     l_tri = triplet_batch_hard(embeddings, batch.id_labels,
                                weights.triplet_margin)
-    terms.append(l_tri)
+    row["triplet_loss"] = l_tri.item()
+    total = total + l_tri
 
     labels = {"color": batch.color_labels, "type": batch.type_labels,
               "orientation": batch.orientation_labels}
-    disjoint_vals = {}
-    w = weights.disjoint_weight
     for name in DISJOINT_NAMES:
+        row[f"{name}_loss"] = 0.0
         if name in disjoint_logits:
             l = softmax_cross_entropy(disjoint_logits[name], labels[name],
                                       mask=batch.domain_labels)
-            disjoint_vals[name] = l.item()
-            terms.append(w * l)
-        else:
-            disjoint_vals[name] = 0.0
+            row[f"{name}_loss"] = l.item()
+            total = total + weights.disjoint_weight * l
 
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-
-    breakdown = LossBreakdown(
-        id_loss=l_id.item(),
-        domain_loss=l_dom_val,
-        triplet_loss=l_tri.item(),
-        color_loss=disjoint_vals["color"],
-        type_loss=disjoint_vals["type"],
-        orientation_loss=disjoint_vals["orientation"],
-        total=total.item(),
-    )
-    return breakdown, total
+    row["total"] = total.item()
+    return row, total

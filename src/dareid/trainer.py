@@ -40,8 +40,7 @@ class TrainConfig:
     epochs: int = 60
     iterations_per_epoch: Optional[int] = None
     seed: int = 0
-    disjoint: tuple = DISJOINT_NAMES
-    use_domain_loss: bool = True
+    losses: tuple = ("domain", *DISJOINT_NAMES)
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -49,9 +48,9 @@ class TrainConfig:
         if (self.iterations_per_epoch is not None
                 and self.iterations_per_epoch < 1):
             raise ValueError("iterations_per_epoch must be >= 1")
-        unknown = set(self.disjoint) - set(DISJOINT_NAMES)
+        unknown = set(self.losses) - {"domain", *DISJOINT_NAMES}
         if unknown:
-            raise ValueError(f"unknown disjoint losses: {sorted(unknown)}")
+            raise ValueError(f"unknown losses: {sorted(unknown)}")
 
 
 @dataclass
@@ -65,12 +64,12 @@ def _iteration_step(config, params, batch, two_domain):
     """Forward pass and loss; heads of disabled losses are not computed. A
     one-domain run has no synthetic rows to discriminate or to carry
     attribute labels, so it computes only the ID and triplet losses."""
+    enabled = config.losses if two_domain else ()
     emb = embed(params, batch.features)
     id_logits = head_logits(params, emb, "id")
     disjoint_logits = {name: head_logits(params, emb, name)
-                       for name in (config.disjoint if two_domain else ())}
-    domain_head = (params.heads["domain"]
-                   if two_domain and config.use_domain_loss else None)
+                       for name in enabled if name != "domain"}
+    domain_head = params.heads["domain"] if "domain" in enabled else None
     return total_loss(emb, id_logits, disjoint_logits, domain_head, batch,
                       config.weights)
 
@@ -106,17 +105,15 @@ def train(config, real_data, synth_data=None, resume_from=None):
             global_it += 1
             try:
                 batch = sample_batch(train_set, config.batch, rng)
-                breakdown, loss = _iteration_step(config, params, batch,
-                                                  domains == 2)
-                if not np.isfinite(breakdown.total):
-                    raise DivergenceError(global_it, run_log)
+                row, loss = _iteration_step(config, params, batch,
+                                            domains == 2)
                 params.zero_grad()
                 loss.backward()
                 amsgrad_step(optim, params.named(), lr)
             except (NonFiniteError, FloatingPointError):
                 raise DivergenceError(global_it, run_log)
             run_log.append({"iteration": global_it, "epoch": epoch, "lr": lr,
-                            **breakdown.as_dict()})
+                            **row})
     return TrainResult(params, optim, run_log)
 
 

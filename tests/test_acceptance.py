@@ -251,8 +251,8 @@ def _domain_run(seed, data, grl_lambda, use_domain, use_synthetic):
         model=model, batch=BatchSpec(4, 4),
         weights=LossWeights(grl_lambda=grl_lambda),
         schedule=LrSchedule(base_lr=3e-3, milestones=(105, 135)),
-        epochs=epochs, iterations_per_epoch=8, seed=seed, disjoint=(),
-        use_domain_loss=use_domain)
+        epochs=epochs, iterations_per_epoch=8, seed=seed,
+        losses=("domain",) if use_domain else ())
     result = train(config, r_tr, s_tr if use_synthetic else None)
 
     held_out = r_ev + s_ev

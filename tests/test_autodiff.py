@@ -77,6 +77,20 @@ def test_unreached_leaf_reads_zero_grad():
     assert np.array_equal(x.grad, [[0.0, 0.0]])
 
 
+@pytest.mark.parametrize("expr, shape", [
+    (lambda x, c: x @ c, (3, 1)),
+    (lambda x, c: x * c, (2, 3)),
+    (lambda x, c: c * x, (2, 3)),
+], ids=["matmul", "mul", "rmul"])
+def test_plain_array_operand_is_a_constant(expr, shape):
+    rng = np.random.default_rng(4)
+    data, c = rng.normal(size=(2, 3)), rng.normal(size=shape)
+    x, ref = Tensor(data), Tensor(data)
+    expr(x, c).sum().backward()
+    expr(ref, Tensor(c)).sum().backward()
+    assert np.array_equal(x.grad, ref.grad)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_overflow_to_minus_inf_before_relu_is_rejected():
     # relu would map -inf to 0, so the check runs on every node

@@ -167,21 +167,31 @@ class TestTrain:
             calls.append(len(samples))
             return embed_samples(params, samples)
         monkeypatch.setattr(cli, "embed_samples", counting)
-        report = cli._final_report(params, real, None)
+        report = cli._final_report(params, real)
         assert calls == [24]
         assert report["mAP_reranked"] is not None
         written = json.loads((out / "report.json").read_text())
         assert {**report, "status": "completed"} == written
 
-    @pytest.mark.parametrize("manifest, edit", [
+    @pytest.mark.parametrize("manifest, edit, named", [
         ("synth", lambda m: {k: v for k, v in m.items()
-                             if k != "synth_id_range"}),
-        ("real", lambda m: "not json"),
-        ("real", lambda m: [m]),
-        ("real", lambda m: {**m, "input_dim": 7}),
-    ], ids=["missing-key", "not-json", "not-an-object", "input-dim"])
+                             if k != "synth_id_range"}, "synth_id_range"),
+        ("real", lambda m: "not json", "invalid JSON"),
+        ("real", lambda m: [m], "JSON object"),
+        ("real", lambda m: {**m, "input_dim": 7}, "input_dim"),
+        ("real", lambda m: {**m, "real_id_range": "abc"}, "real_id_range"),
+        ("synth", lambda m: {**m, "num_colors": None}, "num_colors"),
+        ("synth", lambda m: {**m, "num_types": "7"}, "num_types"),
+        ("synth", lambda m: {**m, "num_orientation_bins": 2.5},
+         "num_orientation_bins"),
+        ("synth", lambda m: {**m, "synth_id_range": [0]}, "synth_id_range"),
+        ("real", lambda m: {**m, "input_dim": "6"},
+         "input_dim must be an integer"),
+    ], ids=["missing-key", "not-json", "not-an-object", "input-dim",
+            "range-string", "count-null", "count-string", "count-float",
+            "range-short", "input-dim-string"])
     def test_bad_manifest_names_the_file(self, tmp_path, capsys, manifest,
-                                         edit):
+                                         edit, named):
         _, data = run_gen(tmp_path)
         path = data / f"{manifest}.manifest.json"
         edited = edit(json.loads(path.read_text()))
@@ -190,7 +200,7 @@ class TestTrain:
         out = tmp_path / "run"
         assert run_train(data, out) == EXIT_RUNTIME
         err = capsys.readouterr().err
-        assert str(path) in err and "Traceback" not in err
+        assert str(path) in err and named in err and "Traceback" not in err
         assert not out.exists()
 
     def test_real_and_synthetic_widths_differ(self, tmp_path, capsys):
@@ -439,6 +449,34 @@ BAD_ROWS = {
 }
 
 
+def _set(key, value):
+    """A dataset line edit: the record with key set to value, as JSON."""
+    return lambda rec: json.dumps({**rec, key: value})
+
+
+# file-case -> edit of its third line; the file is real or synth
+BAD_FIELDS = {
+    "real-list-line": lambda rec: "[1, 2]",
+    "real-number-line": lambda rec: "5",
+    "real-list-domain": _set("domain", ["real"]),
+    "real-float-id": _set("id", 2.9),
+    "real-string-id": _set("id", "3"),
+    "real-bool-id": _set("id", True),
+    "synth-float-color": _set("color", 1.5),
+    "synth-bool-color": _set("color", True),
+    "synth-string-type": _set("type", "3"),
+    "synth-float-type": _set("type", 2.9),
+    "synth-nan-orientation": _set("orientation_deg", float("nan")),
+    "synth-inf-orientation": _set("orientation_deg", float("inf")),
+    "synth-string-orientation": _set("orientation_deg", "90"),
+    "synth-bool-orientation": _set("orientation_deg", True),
+    "real-string-features": lambda rec: json.dumps(
+        {**rec, "features": [str(v) for v in rec["features"]]}),
+    "real-bool-features": lambda rec: json.dumps(
+        {**rec, "features": [True] * len(rec["features"])}),
+}
+
+
 class TestBadInput:
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("edit", BAD_ROWS.values(), ids=BAD_ROWS.keys())
@@ -459,6 +497,21 @@ class TestBadInput:
                     "--out", str(tmp_path / "e.json")]
         assert main(argv) == EXIT_RUNTIME
         assert "line 3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, edit", BAD_FIELDS.items(),
+                             ids=BAD_FIELDS.keys())
+    def test_bad_field_names_its_line(self, tmp_path, capsys, name, edit):
+        # line 3 of either file; a synthetic row carries every field
+        _, data = run_gen(tmp_path)
+        path = data / f"{name.partition('-')[0]}.jsonl"
+        lines = path.read_text().splitlines()
+        lines[2] = edit(json.loads(lines[2]))
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert run_train(data, out) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "line 3:" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit", [
         lambda text, ckpt: text[:len(text) // 2],

@@ -283,15 +283,17 @@ class TestTotalLoss:
         emb, idl, dis = self.parts(batch)
         bd, _ = total_loss(emb, idl, dis, self.params.heads["domain"], batch,
                            LossWeights(disjoint_weight=0.0))
-        assert bd.total == pytest.approx(
-            bd.id_loss + bd.domain_loss + bd.triplet_loss, abs=1e-12)
+        assert bd["total"] == pytest.approx(
+            bd["id_loss"] + bd["domain_loss"] + bd["triplet_loss"],
+            abs=1e-12)
 
     def test_all_real_batch_zeroes_disjoint_terms(self):
         batch = make_batch(self.rng, all_real=True)
         emb, idl, dis = self.parts(batch)
         bd, _ = total_loss(emb, idl, dis, self.params.heads["domain"], batch,
                            LossWeights(disjoint_weight=2.5))
-        assert bd.color_loss == bd.type_loss == bd.orientation_loss == 0.0
+        assert (bd["color_loss"] == bd["type_loss"]
+                == bd["orientation_loss"] == 0.0)
 
     def test_total_is_weighted_sum_of_components(self):
         batch = make_batch(self.rng)
@@ -299,10 +301,11 @@ class TestTotalLoss:
         w = 0.7
         bd, node = total_loss(emb, idl, dis, self.params.heads["domain"],
                               batch, LossWeights(disjoint_weight=w))
-        expected = (bd.id_loss + bd.domain_loss + bd.triplet_loss
-                    + w * (bd.color_loss + bd.type_loss + bd.orientation_loss))
-        assert bd.total == pytest.approx(expected, abs=1e-12)
-        assert node.item() == bd.total
+        expected = (bd["id_loss"] + bd["domain_loss"] + bd["triplet_loss"]
+                    + w * (bd["color_loss"] + bd["type_loss"]
+                           + bd["orientation_loss"]))
+        assert bd["total"] == pytest.approx(expected, abs=1e-12)
+        assert node.item() == bd["total"]
 
     def test_missing_disjoint_logits_contribute_zero(self):
         batch = make_batch(self.rng)
@@ -311,14 +314,14 @@ class TestTotalLoss:
         full, _ = total_loss(emb, idl, dis, head, batch, LossWeights())
         bd, _ = total_loss(emb, idl, {"type": dis["type"]}, head, batch,
                            LossWeights())
-        assert bd.color_loss == bd.orientation_loss == 0.0
-        assert bd.type_loss == full.type_loss
-        assert bd.total == pytest.approx(
-            bd.id_loss + bd.domain_loss + bd.triplet_loss + bd.type_loss,
-            abs=1e-12)
+        assert bd["color_loss"] == bd["orientation_loss"] == 0.0
+        assert bd["type_loss"] == full["type_loss"]
+        assert bd["total"] == pytest.approx(
+            bd["id_loss"] + bd["domain_loss"] + bd["triplet_loss"]
+            + bd["type_loss"], abs=1e-12)
 
     def test_disabled_domain_contributes_zero(self):
         batch = make_batch(self.rng)
         emb, idl, dis = self.parts(batch)
         bd, _ = total_loss(emb, idl, dis, None, batch, LossWeights())
-        assert bd.domain_loss == 0.0
+        assert bd["domain_loss"] == 0.0

@@ -47,10 +47,10 @@ class TestTrain:
         result = train(config, real, synth)
         assert len(result.run_log) == 2 * 6
         first = result.run_log[0]
-        for key in ("iteration", "epoch", "lr", "total", "id_loss",
-                    "domain_loss", "triplet_loss", "color_loss", "type_loss",
-                    "orientation_loss"):
-            assert key in first
+        # the run log's bytes follow this order
+        assert list(first) == ["iteration", "epoch", "lr", "id_loss",
+                               "domain_loss", "triplet_loss", "color_loss",
+                               "type_loss", "orientation_loss", "total"]
         assert first["iteration"] == 1 and first["epoch"] == 0
 
     def test_all_losses_nonzero_at_first_iteration(self):
@@ -75,6 +75,10 @@ class TestTrain:
         for row in result.run_log:
             assert row["domain_loss"] == 0.0 and row["color_loss"] == 0.0
             assert row["type_loss"] == 0.0 and row["orientation_loss"] == 0.0
+
+    def test_unknown_loss_name_rejected(self):
+        with pytest.raises(ValueError, match="colour"):
+            small_train_config(losses=("domain", "colour"))
 
     @pytest.mark.parametrize("iterations", [0, -3])
     def test_iterations_below_one_rejected(self, iterations):
@@ -105,7 +109,7 @@ class TestTrain:
             heads.append(head)
             return head_logits(params, embeddings, head)
         monkeypatch.setattr(trainer, "head_logits", counting)
-        train(small_train_config(epochs=1, disjoint=disjoint), real, synth)
+        train(small_train_config(epochs=1, losses=disjoint), real, synth)
         assert heads == ["id", *disjoint] * 6
 
     def test_repeat_run_is_bitwise_identical(self):
