@@ -288,7 +288,9 @@ def cmd_eval(args):
     vals = resolve_options(EVAL_OPTIONS, args)
     params, _ = load_checkpoint(args.checkpoint)
     query, _ = read_dataset(args.query)
-    gallery, _ = read_dataset(args.gallery)
+    # one file is read once, and evaluate takes the one list as one set
+    gallery = (query if os.path.samefile(args.gallery, args.query)
+               else read_dataset(args.gallery)[0])
 
     rerank = None
     if vals["rerank"]:

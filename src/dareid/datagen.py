@@ -46,10 +46,12 @@ class ToySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.cluster_sep <= 0:
-            raise ValueError("cluster_sep must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not 0 < self.cluster_sep < math.inf:     # false for NaN
+            raise ValueError("cluster_sep must be finite and positive")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and non-negative")
+        if not all(np.isfinite(p).all() for p in self.domain_shift or ()):
+            raise ValueError("domain_shift's matrix and offset must be finite")
         if min(self.num_ids_real, self.num_ids_synth, self.samples_per_id,
                self.input_dim, self.num_colors, self.num_types,
                self.num_orientation_bins) < 1:
@@ -163,8 +165,9 @@ def _record_to_sample(rec, lineno):
     if "id" not in rec or "features" not in rec:
         fail("missing id or features")
     for key in ("id", "color", "type"):
-        if rec.get(key) is not None and not _is_int(rec[key]):
-            fail(f"{key} must be an integer, got {rec[key]!r}")
+        if rec.get(key) is not None and not (
+                _is_int(rec[key]) and -2**63 <= rec[key] < 2**63):
+            fail(f"{key} must be a 64-bit integer, got {rec[key]!r}")
     angle = rec.get("orientation_deg")
     if angle is not None and not _is_finite_number(angle):
         fail(f"orientation_deg must be a finite number, got {angle!r}")

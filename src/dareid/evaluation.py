@@ -62,8 +62,8 @@ class EvalReport:
 
 # The work space of pairwise_distances (nine arrays of a block of query rows
 # by Ng) and of the certified ranking's blocks stays within this many bytes
-# (one row at least), whatever the number of queries. The re-ranker, which
-# holds its Nq x Ng output throughout, sizes its blocks to a quarter of it.
+# (one row at least), whatever the number of queries. The re-ranker's
+# distance pass sizes its blocks to a quarter of it.
 BLOCK_BYTES = 4 * 2**20
 
 
@@ -495,62 +495,46 @@ def _original_distances(sq):
     return np.square(np.sqrt(sq, out=sq), out=sq)
 
 
-def _distance_pass(allf, nq, k):
+def _distance_pass(allf, k):
     """One pass over the rows of the all-vs-all original distances, each
     divided by its maximum (the matrix equals its transpose exactly, so
     these are the column maxima the dense algorithm divides by). Returns the
-    maxima, each row's first k neighbours by (normalised distance, column)
-    and the query rows' normalised distances to the gallery rows.
+    maxima and each row's first k neighbours by (normalised distance,
+    column).
 
-    Query rows are exact (_exact_rows). A block of gallery rows x is
-    certified by the GEMM values a of _certified_ranked, within E' = E -
-    13uM of S - |x|^2 (S the kernel's squared distance, M = |x|^2 +
-    max |y|^2: E less its threshold and square-root terms); a threshold t
-    formed from a and E rounds by under 3uM, as |a| <= 2M. The largest S
-    has a >= max(a) - 2E' > t = max(a) - 2E, so the exact values of the
-    entries with a >= t give the maximum p (_original_distances never
-    decreases). With A the row's k-th smallest a, an entry with a > t =
-    A + 4E has S more than 4E - 2E' - 3uM > 2E >= 56(uM + eta) above k
-    others' (eta the smallest subnormal). sqrt and square move S by at
-    most 3.01uS + eta/2, dividing by p <= 2.01M rounds by u of the quotient
-    plus eta/2, so S more than 16.1uM + (2.01M + 1) eta apart stay strictly
-    ordered, and the first k by (value, column) have a <= t. A gallery
-    block takes the exact path if a norm is not finite or not below
-    _NORM_LIMIT, if over _budget's share of its entries are candidates, or
-    if a maximum is not finite and positive, which the exact path raises."""
-    n = len(allf)
-    row_max = np.empty(n)
-    near = np.empty((n, k), dtype=np.intp)
-    query_rows = np.empty((nq, n - nq))
+    A block of rows x is certified by the GEMM values a of
+    _certified_ranked, within E' = E - 13uM of S - |x|^2 (S the kernel's
+    squared distance, M = |x|^2 + max |y|^2: E less its threshold and
+    square-root terms); a threshold t formed from a and E rounds by under
+    3uM, as |a| <= 2M. The largest S has a >= max(a) - 2E' > t = max(a) -
+    2E, so the exact values of the entries with a >= t give the maximum p
+    (_original_distances never decreases). With A the row's k-th smallest a,
+    an entry with a > t = A + 4E has S more than 4E - 2E' - 3uM > 2E >=
+    56(uM + eta) above k others' (eta the smallest subnormal). sqrt and
+    square move S by at most 3.01uS + eta/2, dividing by p <= 2.01M rounds
+    by u of the quotient plus eta/2, so S more than 16.1uM + (2.01M + 1) eta
+    apart stay strictly ordered, and the first k by (value, column) have a
+    <= t. A block takes the exact path (_exact_rows) if a norm is not finite
+    or not below _NORM_LIMIT, if over _budget's share of its entries are
+    candidates, or if a maximum is not finite and positive, which the exact
+    path raises."""
     norms = _norms(allf)
     top = norms.max()
-    columns = np.asfortranarray(allf)   # pairwise_distances needs no copy
-    # an exact block's nine pairwise_distances arrays fit a quarter of
-    # BLOCK_BYTES, as a certified block's GEMM values do; with a partitioned
-    # copy, two masks, the candidates and _pair_sums' rows it takes 2 to 3.6
-    # times that
-    spans = [(s, min(s + _block_rows(36 * n), nq))
-             for s in range(0, nq, _block_rows(36 * n))]
-    spans += [(s, min(s + _block_rows(4 * n), n))
-              for s in range(nq, n, _block_rows(4 * n))]
-    for start, stop in spans:
-        x = allf[start:stop]
-        got = None
-        if start >= nq:
-            got = _gemm_rows(x, norms[start:stop], allf, norms, top)
+    step = _block_rows(4 * len(allf))
+    blocks = []
+    for start in range(0, len(allf), step):
+        rows = slice(start, start + step)
+        got = _gemm_rows(allf[rows], norms[rows], allf, norms, top)
         if got is not None:
-            got = _certified_neighbours(x, allf, *got, k)
-        if got is None:
-            block, *got = _exact_rows(x, columns, k)
-            if start < nq:
-                query_rows[start:stop] = block[:, nq:]
-        row_max[start:stop], near[start:stop] = got
-    return row_max, near, query_rows
+            got = _certified_neighbours(allf[rows], allf, *got, k)
+        blocks.append(got or _exact_rows(allf[rows], allf, k))
+    row_max, near = map(np.concatenate, zip(*blocks))
+    return row_max, near
 
 
 def _exact_rows(x, allf, k):
-    """The rows x of the normalised all-vs-all matrix, their maxima and
-    first k neighbours; errors if a maximum overflows or is 0."""
+    """The maxima and first k neighbours of the rows x of the normalised
+    all-vs-all matrix; errors if a maximum overflows or is 0."""
     block = pairwise_distances(x, allf)
     np.square(block, out=block)     # the original distances, in place
     peak = block.max(axis=1)
@@ -564,7 +548,7 @@ def _exact_rows(x, allf, k):
     block /= peak[:, None]
     rows, cols = _entries(
         block <= np.partition(block, k - 1, axis=1)[:, k - 1, None])
-    return block, peak, _first_k(rows, cols, block[rows, cols], k)
+    return peak, _first_k(rows, cols, block[rows, cols], k)
 
 
 def _certified_neighbours(x, allf, a, bound, k):
@@ -660,9 +644,10 @@ def k_reciprocal_rerank(queries, gallery, rerank=None):
     Bitwise equal to the dense algorithm over the all-vs-all matrix, in
     O(Nq x N + N x k1) memory: only the query rows and each row's maximum
     and top k1+1 neighbours are kept of the distances, and the neighbour
-    weights are sparse rows. Only the query rows are computed exactly in
-    full; GEMM values certify the other rows' maxima and neighbours
-    (_distance_pass), so the output does not depend on the BLAS kernel.
+    weights are sparse rows. GEMM values certify every row's maximum and
+    neighbours (_distance_pass), so the output does not depend on the BLAS
+    kernel, and one exact call gives the blend's Nq x Ng distances. If every
+    block falls back, the exact rows are 2 Nq + Ng instead of Nq + Ng.
     """
     if rerank is None:
         rerank = RerankParams()
@@ -676,7 +661,10 @@ def k_reciprocal_rerank(queries, gallery, rerank=None):
         raise ValueError("k-reciprocal re-ranking needs finite embeddings, "
                          "but the embeddings are not finite")
     n = allf.shape[0]
-    row_max, near, final = _distance_pass(allf, nq, rerank.k1 + 1)
+    row_max, near = _distance_pass(allf, rerank.k1 + 1)
+    final = pairwise_distances(q, g)
+    np.square(final, out=final)     # the original distances, in place
+    final /= row_max[:nq, None]
     indptr, indices, data = _encode_weights(allf, near, row_max, rerank.k1)
     # local query expansion; with k2 == 1 a row stays as it is, though its
     # nearest row may be a lower-index duplicate

@@ -24,8 +24,9 @@ class LossWeights:
     triplet_margin: float = 0.3
 
     def __post_init__(self):
-        if min(self.disjoint_weight, self.grl_lambda, self.triplet_margin) < 0:
-            raise ValueError("loss weights must be non-negative")
+        for name, value in vars(self).items():
+            if not 0 <= value < np.inf:     # false for NaN
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 def domain_loss(embeddings, domain_labels, lam, domain_head):
@@ -44,8 +45,8 @@ def triplet_batch_hard(embeddings, ids, margin):
     Per anchor, hinge on margin + (farthest same-id distance) - (nearest
     different-id distance); the loss is the sum over anchors.
     """
-    if margin < 0:
-        raise GraphError("margin must be non-negative")
+    if not 0 <= margin < np.inf:
+        raise GraphError("margin must be finite and non-negative")
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
     x = embeddings.data
     n = x.shape[0]

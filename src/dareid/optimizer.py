@@ -26,6 +26,10 @@ class LrSchedule:
     base_lr: float = 3e-4
     milestones: tuple = (20, 40)
 
+    def __post_init__(self):
+        if not 0 <= self.base_lr < np.inf:      # false for NaN
+            raise ValueError("base_lr must be finite and non-negative")
+
 
 def lr_at_epoch(schedule, epoch):
     """Piecewise-constant rate: decayed once per milestone already reached."""

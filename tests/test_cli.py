@@ -235,6 +235,28 @@ class TestTrain:
         assert "color head's 12 classes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value, named", [
+        ("train", "--margin", "nan", "margin"),
+        ("train", "--base-lr", "-1", "base_lr"),
+        ("train", "--base-lr", "nan", "base_lr"),
+        ("train", "--grl-lambda", "inf", "grl_lambda"),
+        ("train", "--disjoint-weight", "nan", "disjoint_weight"),
+        ("gen", "--noise-sigma", "nan", "noise_sigma"),
+        ("gen", "--shift-offset", "inf", "offset"),
+    ])
+    def test_non_finite_or_negative_setting_is_usage_error(
+            self, tmp_path, capsys, command, flag, value, named):
+        out = tmp_path / "out"
+        if command == "gen":
+            code, _ = run_gen(tmp_path, "out", (flag, value))
+        else:
+            _, data = run_gen(tmp_path)
+            code = run_train(data, out, (flag, value))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_exit_code_and_report(self, tmp_path):
         _, data = run_gen(tmp_path)
@@ -423,6 +445,29 @@ class TestEval:
         assert f"{cfg}:1: unknown key 'metric'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_self_set_eval_reads_and_stacks_once(self, trained, monkeypatch):
+        # demo 04's eval: one file is the query and the gallery set
+        data, ckpt, tmp_path = trained
+        reads, stacks = [], []
+        read, stack = cli.read_dataset, np.stack
+
+        def reading(path):
+            reads.append(path)
+            return read(path)
+
+        def stacking(arrays, *args, **kwargs):
+            stacks.append(len(arrays))
+            return stack(arrays, *args, **kwargs)
+        monkeypatch.setattr(cli, "read_dataset", reading)
+        monkeypatch.setattr(np, "stack", stacking)
+        real = str(data / "real.jsonl")
+        assert main(["eval", "--checkpoint", str(ckpt), "--query", real,
+                     "--gallery", real, "--exclude-self", "--rerank",
+                     "--k1", "6", "--k2", "2",
+                     "--out", str(tmp_path / "self.json")]) == EXIT_OK
+        assert reads == [real]
+        assert stacks == [16]           # embed_samples' own stack
+
     def test_missing_checkpoint_is_runtime_error(self, trained):
         data, _, tmp_path = trained
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.bin"),
@@ -466,6 +511,10 @@ BAD_FIELDS = {
     "synth-bool-color": _set("color", True),
     "synth-string-type": _set("type", "3"),
     "synth-float-type": _set("type", 2.9),
+    "real-int64-overflow-id": _set("id", 2**63),
+    "real-int64-underflow-id": _set("id", -2**63 - 1),
+    "synth-huge-color": _set("color", 10**20),
+    "synth-huge-type": _set("type", 10**20),
     "synth-nan-orientation": _set("orientation_deg", float("nan")),
     "synth-inf-orientation": _set("orientation_deg", float("inf")),
     "synth-string-orientation": _set("orientation_deg", "90"),

@@ -92,6 +92,16 @@ class TestGenerate:
             ToySpec(noise_sigma=-1.0)
         with pytest.raises(ValueError):
             ToySpec(samples_per_id=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="cluster_sep"):
+                ToySpec(cluster_sep=bad)
+            with pytest.raises(ValueError, match="noise_sigma"):
+                ToySpec(noise_sigma=bad)
+            with pytest.raises(ValueError, match="domain_shift"):
+                ToySpec(input_dim=2, domain_shift=(np.eye(2), [0.0, bad]))
+            with pytest.raises(ValueError, match="domain_shift"):
+                ToySpec(input_dim=2, domain_shift=([[1.0, bad], [0.0, 1.0]],
+                                                   np.zeros(2)))
 
 
 class TestFileFormat:

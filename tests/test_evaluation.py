@@ -838,24 +838,27 @@ class TestRerank:
         calls = []
         original = evaluation.pairwise_distances
 
-        def counting(*args, **kwargs):
-            calls.append(len(args[0]))
-            return original(*args, **kwargs)
+        def counting(x, y):
+            calls.append((len(x), len(y)))
+            return original(x, y)
         monkeypatch.setattr(evaluation, "pairwise_distances", counting)
         rng = np.random.default_rng(27)
         q, g = rng.normal(size=(512, 8)), rng.normal(size=(1536, 8))
         k_reciprocal_rerank(q, g)
-        assert sum(calls) == len(q)
+        # every block is certified: one Nq x Ng call gives the blend's
+        # distances
+        assert calls == [(len(q), len(g))]
         # a common offset leaves the GEMM values almost no digits, so nearly
-        # every entry is a candidate: every block takes the exact path
+        # every entry is a candidate: every block takes the exact path, and
+        # the query rows are computed once more for the blend
         calls.clear()
         k_reciprocal_rerank(1e6 + 1e-4 * q, 1e6 + 1e-4 * g)
-        assert sum(calls) == len(q) + len(g)
+        assert sum(rows for rows, _ in calls) == 2 * len(q) + len(g)
         # a norm too large for the bound: every block takes the exact path
         calls.clear()
         g[0] *= 5.5e153 / np.linalg.norm(g[0])
         k_reciprocal_rerank(q, g)
-        assert sum(calls) == len(q) + len(g)
+        assert sum(rows for rows, _ in calls) == 2 * len(q) + len(g)
 
     def test_smallest_neighbourhoods_accepted(self):
         rng = np.random.default_rng(24)
@@ -866,19 +869,19 @@ class TestRerank:
 
 
 class TestCertifiedDistancePass:
-    """The re-ranker's distance pass computes exact distances for the query
-    rows only, and certifies the gallery rows' maxima and neighbours from
-    GEMM values; its outputs must equal, ==, those of the pass with every
-    block on the exact path, which must equal the dense matrix's."""
+    """The re-ranker's distance pass certifies every row's maximum and
+    neighbours from GEMM values, query and gallery rows alike; its outputs
+    must equal, ==, those of the pass with every block on the exact path,
+    which must equal the dense matrix's."""
 
     NQ, NG = 14, 40
 
     @pytest.fixture(params=[None, 3], ids=["one-block", "3-row-blocks"])
     def blocks(self, request, monkeypatch):
         # one block may hold any number of candidates, so it is certified
-        # whatever the input; 3-row gallery blocks (of 54 columns, in a
-        # quarter of BLOCK_BYTES) make the last block ragged and leave room
-        # for 40 candidates a block: a block with more falls back
+        # whatever the input; 3-row blocks (of 54 columns, in a quarter of
+        # BLOCK_BYTES) make the last block ragged and leave room for 40
+        # candidates a block: a block with more falls back
         monkeypatch.setattr(evaluation, "_budget",
                             lambda d: 0.25 if request.param else 2.0)
         if request.param:
@@ -902,14 +905,14 @@ class TestCertifiedDistancePass:
     def check(q, g, k, exact_rows):
         """Asserts the three passes agree; returns the rows the certified
         pass computed exactly."""
-        allf, nq = np.concatenate([q, g]), len(q)
+        allf = np.concatenate([q, g])
         exact_rows.clear()
-        got = evaluation._distance_pass(allf, nq, k)
+        got = evaluation._distance_pass(allf, k)
         computed = sum(exact_rows)
         with pytest.MonkeyPatch.context() as patch:
             # no norm is below a zero limit: every block is exact
             patch.setattr(evaluation, "_NORM_LIMIT", 0.0)
-            want = evaluation._distance_pass(allf, nq, k)
+            want = evaluation._distance_pass(allf, k)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         dense = np.square(pairwise_distances(allf, allf))
@@ -918,7 +921,6 @@ class TestCertifiedDistancePass:
         assert np.array_equal(want[0], peak)
         assert np.array_equal(want[1], np.argsort(dense, axis=1,
                                                   kind="stable")[:, :k])
-        assert np.array_equal(want[2], dense[:nq, nq:])
         return computed
 
     def inputs(self, rng, d):
@@ -945,9 +947,9 @@ class TestCertifiedDistancePass:
                 for k in (3, 7, len(g)):     # k1 = 2, 6, gallery size - 1
                     computed = self.check(q, g, k, exact_rows)
                     if not blocks:
-                        # the gallery block is certified
-                        assert computed == len(q), (kind, d, k)
-                    fell_back += computed > len(q)
+                        # the one block is certified
+                        assert computed == 0, (kind, d, k)
+                    fell_back += computed > 0
                     certified += computed < len(q) + len(g)
         assert certified and bool(fell_back) == bool(blocks)
 
@@ -966,8 +968,8 @@ class TestCertifiedDistancePass:
                     gemm_error["signs"] = lambda s: ERROR_PATTERNS[pattern](
                         np.arange(s.shape[1]) == np.argsort(
                             s, axis=1, kind="stable")[:, k - 1, None], rng)
-                    # the gallery block is certified
-                    assert self.check(q, g, k, exact_rows) == len(q), (
+                    # every block is certified
+                    assert self.check(q, g, k, exact_rows) == 0, (
                         kind, d, k)
 
     def test_norms_at_the_limit_take_the_exact_path(self, exact_rows):
@@ -997,9 +999,10 @@ class TestCandidateBudget:
             entries, rows = 4 * 64, (0, 4)
         else:
             allf = rng.normal(size=(64, 8))
-            run = functools.partial(evaluation._distance_pass, allf, 32, 7)
-            # the query rows are exact; one gallery block of 32 x 64
-            entries, rows = 32 * 64, (32, 64)
+            run = functools.partial(evaluation._distance_pass, allf, 7)
+            # one block of 64 x 64 entries; its exact rows when certified
+            # and when not
+            entries, rows = 64 * 64, (0, 64)
         counts, exact = [], []
         candidates = evaluation._candidates
         pairwise = evaluation.pairwise_distances

@@ -143,6 +143,14 @@ class TestTripletBatchHard:
         scaled = triplet_batch_hard(Tensor(3.0 * x), ids, 0.0).item()
         assert scaled == pytest.approx(3.0 * base, rel=1e-9)
 
+    @pytest.mark.parametrize("margin", [-0.1, np.nan, np.inf])
+    def test_negative_or_non_finite_margin_rejected(self, margin):
+        x = Tensor(np.random.default_rng(9).normal(size=(4, 2)))
+        with pytest.raises(GraphError, match="margin"):
+            triplet_batch_hard(x, [0, 0, 1, 1], margin)
+        with pytest.raises(ValueError, match="triplet_margin"):
+            LossWeights(triplet_margin=margin)
+
     def test_degenerate_batches_rejected(self):
         with pytest.raises(GraphError):
             triplet_batch_hard(Tensor(np.ones((3, 2))), [0, 0, 0], 0.3)

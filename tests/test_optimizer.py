@@ -19,6 +19,11 @@ class TestLrSchedule:
     def test_before_first_milestone(self):
         assert lr_at_epoch(LrSchedule(), 19) == 3e-4
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_rate_rejected(self, bad):
+        with pytest.raises(ValueError, match="base_lr"):
+            LrSchedule(base_lr=bad)
+
     def test_non_increasing(self):
         sched = LrSchedule()
         rates = [lr_at_epoch(sched, e) for e in range(60)]
