@@ -48,7 +48,7 @@ def parse_bool(text):
 
 class Opt(NamedTuple):
     """One setting of a command: its config-file key, the parser for its
-    text (int, float, str or parse_bool), its default and its help text."""
+    text (int, float, parse_bool or a checker), its default and help text."""
     key: str
     type: object
     default: object
@@ -84,7 +84,7 @@ def read_config_file(path, table):
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 values[key] = types[key](text.strip())
-            except ValueError as e:
+            except (ValueError, argparse.ArgumentTypeError) as e:
                 raise ValueError(f"{path}:{lineno}: bad {key}: {e}") from None
     return values
 
@@ -153,8 +153,27 @@ def cmd_gen(args):
 
 # ---- train ----
 
+def _parse_widths(text):
+    return [int(h) for h in text.split(",") if h.strip()]
+
+
+def loss_letters(text):
+    """A --losses value, checked and kept as given for config.echo."""
+    try:
+        _parse_losses(text)
+    except ValueError as e:     # argparse then prints the reason for a flag
+        raise argparse.ArgumentTypeError(e) from None
+    return text
+
+
+def layer_widths(text):
+    """A --hidden-dims value, checked and kept as given for config.echo."""
+    _parse_widths(text)
+    return text
+
+
 TRAIN_OPTIONS = (
-    Opt("losses", str, "V", "comma list from V,D,O,C,T (V required)"),
+    Opt("losses", loss_letters, "V", "comma list from V,D,O,C,T (V required)"),
     Opt("epochs", int, TrainConfig.epochs, "training epochs"),
     Opt("iterations", int, None, "per epoch; unset: one pass over the data"),
     Opt("seed", int, TrainConfig.seed, "initialisation and sampling seed"),
@@ -164,7 +183,7 @@ TRAIN_OPTIONS = (
     Opt("grl_lambda", float, LossWeights.grl_lambda, "reversal strength"),
     Opt("disjoint_weight", float, LossWeights.disjoint_weight, "O/C/T weight"),
     Opt("base_lr", float, LrSchedule.base_lr, "lr; x0.1 at epochs 20 and 40"),
-    Opt("hidden_dims", str, "32", "comma list of hidden layer widths"),
+    Opt("hidden_dims", layer_widths, "32", "comma list of hidden layer widths"),
     Opt("embed_dim", int, 16, "embedding width"),
     Opt("orientation_bins", int, None, "angle bins; unset: the manifest's"),
 )
@@ -181,7 +200,7 @@ def _parse_losses(text):
 
 
 def build_train_config(vals, manifest):
-    hidden = [int(h) for h in vals["hidden_dims"].split(",") if h.strip()]
+    hidden = _parse_widths(vals["hidden_dims"])
     num_ids = max(manifest["real_id_range"][1], manifest["synth_id_range"][1])
     bins = vals["orientation_bins"]
     if bins is None:
@@ -261,14 +280,15 @@ def _final_report(params, real_data):
     and each query's own row is excluded."""
     emb = embed_samples(params, real_data)
     ids = np.array([s.id for s in real_data])
-    exclude = (np.arange(len(ids)), np.arange(len(ids)))
-    rep = evaluate_retrieval(emb, emb, ids, ids, EvalConfig(), exclude)
+    rep = evaluate_retrieval(emb, emb, ids, ids, EvalConfig(),
+                             exclude_self=True)
     out = {"mAP": rep.map_at_k, "cmc": {str(r): v for r, v in rep.cmc.items()},
            "config": rep.config, "mAP_reranked": None}
     rr = RerankParams()
     if rr.k1 < len(real_data):
         out["mAP_reranked"] = evaluate_retrieval(
-            emb, emb, ids, ids, EvalConfig(rerank=rr), exclude).map_at_k
+            emb, emb, ids, ids, EvalConfig(rerank=rr),
+            exclude_self=True).map_at_k
     return out
 
 

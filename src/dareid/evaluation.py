@@ -45,9 +45,9 @@ class EvalReport:
     config: dict
     reranked: bool
     # (pos, ptr): per query, the ascending positions of its relevant items
-    # in the ranking mAP and CMC were computed from (exclusions removed),
-    # concatenated, and their row pointer, so query i's are
-    # pos[ptr[i]:ptr[i + 1]]; not serialised
+    # in the ranking mAP and CMC were computed from (its own column left
+    # out under exclude_self), concatenated, and their row pointer, so
+    # query i's are pos[ptr[i]:ptr[i + 1]]; not serialised
     ranked: tuple = field(repr=False, compare=False)
 
     def to_json(self):
@@ -142,12 +142,10 @@ def _sum_squares(q, gt, dest, work):
 CMC_RANKS = (1, 5, 10)
 
 
-def _checked_ids(nq, ng, query_ids, gallery_ids, exclude):
-    """The ids of an nq x ng evaluation as arrays, and its excluded entries
-    as a CSR pair: a row pointer and the sorted flat indices row * ng + col.
-    exclude is None or the (rows, cols) index arrays of the excluded
-    entries, the form np.nonzero(mask) returns. Errors if there is no query
-    or if the lengths or indices do not fit."""
+def _checked_ids(nq, ng, query_ids, gallery_ids, exclude_self):
+    """The ids of an nq x ng evaluation as arrays. Errors if there is no
+    query or if the lengths do not fit, also if exclude_self (gallery column
+    i left out of query i's ranking) is set and nq != ng."""
     query_ids = np.asarray(query_ids).reshape(-1)
     gallery_ids = np.asarray(gallery_ids).reshape(-1)
     if nq == 0:
@@ -157,39 +155,16 @@ def _checked_ids(nq, ng, query_ids, gallery_ids, exclude):
     if len(gallery_ids) != ng:
         raise ValueError(
             f"{len(gallery_ids)} gallery ids for {ng} gallery columns")
-    flat = np.empty(0, dtype=np.intp)
-    if exclude is not None:
-        if len(exclude) != 2:
-            raise ValueError("exclude must be the (rows, cols) index arrays "
-                             "of the excluded entries")
-        index = [np.asarray(a) for a in exclude]
-        if index[0].ndim != 1 or index[0].shape != index[1].shape:
-            raise ValueError(f"exclude has {index[0].shape} rows and "
-                             f"{index[1].shape} columns, expected two 1-D "
-                             f"index arrays of one length")
-        for name, idx, n in zip(("row", "column"), index, (nq, ng)):
-            if idx.size and idx.dtype.kind not in "iu":
-                raise ValueError(f"exclude {name} indices are {idx.dtype}, "
-                                 f"not integers")
-            if idx.size and not 0 <= idx.min() <= idx.max() < n:
-                raise ValueError(f"exclude {name} indices must lie in "
-                                 f"[0, {n})")
-        flat = np.unique(index[0].astype(np.intp) * ng
-                         + index[1].astype(np.intp))
-    return query_ids, gallery_ids, (_row_ptr(flat // ng, nq), flat)
+    if exclude_self and nq != ng:
+        raise ValueError(f"exclude_self needs one gallery column per query, "
+                         f"not {nq} queries and {ng} gallery columns")
+    return query_ids, gallery_ids
 
 
-def _member(sorted_keys, keys):
-    """keys[i] is in sorted_keys, for each i."""
-    if not len(sorted_keys):
-        return np.zeros(len(keys), dtype=bool)
-    at = np.searchsorted(sorted_keys, keys)
-    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
-
-
-def _relevant(query_ids, gallery_ids, excluded):
-    """Relevant entries, in _checked_ids' CSR form: per query, the gallery
-    columns that share its id and are not excluded. Errors if a query has
+def _relevant(query_ids, gallery_ids, exclude_self):
+    """Relevant entries as a CSR pair, a row pointer and the sorted flat
+    indices row * ng + col: per query, the gallery columns that share its
+    id, its own column left out under exclude_self. Errors if a query has
     none."""
     nq, ng = len(query_ids), len(gallery_ids)
     code = np.unique(np.concatenate([gallery_ids, query_ids]),
@@ -200,7 +175,8 @@ def _relevant(query_ids, gallery_ids, excluded):
     count = np.searchsorted(by_id, (code[ng:] + 1) * ng) - first
     flat = (np.repeat(np.arange(nq) * ng, count)
             + by_id[_ranges(first, count)] % ng)
-    flat = flat[~_member(excluded[1], flat)]
+    if exclude_self:
+        flat = flat[flat // ng != flat % ng]
     ptr = _row_ptr(flat // ng, nq)
     empty = np.flatnonzero(np.diff(ptr) == 0).tolist()
     if empty:
@@ -235,47 +211,43 @@ def _positions(row, s, cols):
     return pos
 
 
-def _rank_rows(dist, start, relevant, excluded):
+def _rank_rows(dist, start, relevant, exclude_self):
     """Per row of a block of distances (query rows start, start + 1, ...):
     the ascending positions of its relevant columns in its stable ranking,
-    the excluded columns removed; the rows' positions concatenated."""
+    under exclude_self without the row's own column; the rows' positions
+    concatenated."""
     s = np.sort(dist, axis=1)
-    stop = start + len(dist)
-    rel = _block(relevant, start, stop, dist.shape[1])
-    ex = _block(excluded, start, stop, dist.shape[1])
-    rel_ptr = _row_ptr(rel[0], len(dist))
-    ex_ptr = _row_ptr(ex[0], len(dist))
+    rows, cols = _block(relevant, start, start + len(dist), dist.shape[1])
+    ptr = _row_ptr(rows, len(dist))
     positions = []
     for i, row in enumerate(dist):
-        pos = _positions(row, s[i], rel[1][rel_ptr[i]:rel_ptr[i + 1]])
-        ex_cols = ex[1][ex_ptr[i]:ex_ptr[i + 1]]
-        if len(ex_cols):
-            ahead = np.sort(_positions(row, s[i], ex_cols))
-            pos -= np.searchsorted(ahead, pos)
+        pos = _positions(row, s[i], cols[ptr[i]:ptr[i + 1]])
+        if exclude_self:
+            pos -= pos > _positions(row, s[i], np.array([start + i]))
         positions.append(np.sort(pos))
     return np.concatenate(positions)
 
 
-def _ranked(dist, query_ids, gallery_ids, excluded):
+def _ranked(dist, query_ids, gallery_ids, exclude_self):
     """Per query: the ascending positions of its relevant gallery items in
-    the ranking of its row of the distance matrix dist, exclusions removed,
-    each block of rows sorted once. Returns the queries' positions
-    concatenated and their row pointer. Takes _checked_ids' output; errors
-    if a query has no relevant item."""
-    relevant = _relevant(query_ids, gallery_ids, excluded)
+    the ranking of its row of the distance matrix dist, under exclude_self
+    without its own column, each block of rows sorted once. Returns the
+    queries' positions concatenated and their row pointer. Takes
+    _checked_ids' output; errors if a query has no relevant item."""
+    relevant = _relevant(query_ids, gallery_ids, exclude_self)
     step = _block_rows(len(gallery_ids))
     return np.concatenate([
-        _rank_rows(dist[start:start + step], start, relevant, excluded)
+        _rank_rows(dist[start:start + step], start, relevant, exclude_self)
         for start in range(0, len(query_ids), step)]), relevant[0]
 
 
-def _ranked_matrix(dist, query_ids, gallery_ids, exclude):
+def _ranked_matrix(dist, query_ids, gallery_ids, exclude_self):
     """_ranked over the rows of a distance matrix."""
     dist = np.asarray(dist)
     if dist.ndim != 2:
         raise ValueError(f"distances have shape {dist.shape}, not 2-D")
     return _ranked(dist, *_checked_ids(*dist.shape, query_ids, gallery_ids,
-                                       exclude))
+                                       exclude_self), exclude_self)
 
 
 # ---- certified GEMM ranking ----
@@ -288,7 +260,7 @@ _ETA = 2.0 ** -1074
 _NORM_LIMIT = np.finfo(np.float64).max / 8
 
 
-def _certified_ranked(q, g, query_ids, gallery_ids, excluded):
+def _certified_ranked(q, g, query_ids, gallery_ids, exclude_self):
     """_ranked for the distances between q and g, without computing them.
 
     A BLAS product picks the entries and the exact kernel ranks them. Per
@@ -307,7 +279,7 @@ def _certified_ranked(q, g, query_ids, gallery_ids, excluded):
     the exact path (pairwise_distances and a sort of each row) if its norms
     are not finite or too large for the bound, or if more than _budget's
     share of its entries are candidates."""
-    relevant = _relevant(query_ids, gallery_ids, excluded)
+    relevant = _relevant(query_ids, gallery_ids, exclude_self)
     qn, gn = _norms(q), _norms(g)
     gmax = gn.max()
     step = _block_rows(len(g))
@@ -317,10 +289,10 @@ def _certified_ranked(q, g, query_ids, gallery_ids, excluded):
         block = _gemm_rows(q[rows], qn[rows], g, gn, gmax)
         if block is not None:
             block = _certified_rows(q[rows], g, qn[rows], *block, start,
-                                    relevant, excluded)
+                                    relevant, exclude_self)
         if block is None:
             block = _rank_rows(pairwise_distances(q[rows], g), start,
-                               relevant, excluded)
+                               relevant, exclude_self)
         positions.append(block)
     return np.concatenate(positions), relevant[0]
 
@@ -369,13 +341,12 @@ def _candidates(x, y, *masks):
     return rows, cols, _pair_sums(x, y, rows, cols)
 
 
-def _certified_rows(q, g, qn, a, bound, start, relevant, excluded):
+def _certified_rows(q, g, qn, a, bound, start, relevant, exclude_self):
     """The positions _rank_rows gives for the distances between the block of
     query rows q (rows start, start + 1, ...) and g, certified by the GEMM
     values a and the bound (see _certified_ranked); None past _budget."""
     ng = len(g)
     rel_rows, rel_cols = _block(relevant, start, start + len(q), ng)
-    ex_rows, ex_cols = _block(excluded, start, start + len(q), ng)
     v = _pair_sums(q, g, rel_rows, rel_cols)
     hi = (v + bound[rel_rows]) - qn[rel_rows]
     # candidates: entries not certainly behind their row's relevant items
@@ -384,10 +355,10 @@ def _certified_rows(q, g, qn, a, bound, start, relevant, excluded):
     if cand is None:
         return None
     rows, cols, w = cand
-    flat = rows * ng + cols
-    ahead = _resolve(rows, cols, np.sqrt(w, out=w),
-                     ~_member(ex_rows * ng + ex_cols, flat),
-                     np.searchsorted(flat, rel_rows * ng + rel_cols))
+    kept = (cols != rows + start) | (not exclude_self)
+    ahead = _resolve(rows, cols, np.sqrt(w, out=w), kept,
+                     np.searchsorted(rows * ng + cols,
+                                     rel_rows * ng + rel_cols))
     return np.sort(rel_rows * ng + ahead) - rel_rows * ng
 
 
@@ -432,16 +403,17 @@ def _cmc_of_ranked(pos, ptr, ranks):
     return {r: float((first_hit < r).mean()) for r in ranks}
 
 
-def mean_average_precision(dist, query_ids, gallery_ids, k, exclude=None):
+def mean_average_precision(dist, query_ids, gallery_ids, k, *,
+                           exclude_self=False):
     """mAP@k plus per-query APs; errors if any query lacks relevant items."""
     return _map_of_ranked(
-        *_ranked_matrix(dist, query_ids, gallery_ids, exclude), k)
+        *_ranked_matrix(dist, query_ids, gallery_ids, exclude_self), k)
 
 
-def cmc(dist, query_ids, gallery_ids, ranks=CMC_RANKS, exclude=None):
+def cmc(dist, query_ids, gallery_ids, ranks=CMC_RANKS, *, exclude_self=False):
     """Fraction of queries whose first relevant item appears within each rank."""
     return _cmc_of_ranked(
-        *_ranked_matrix(dist, query_ids, gallery_ids, exclude), ranks)
+        *_ranked_matrix(dist, query_ids, gallery_ids, exclude_self), ranks)
 
 
 def precision_recall_points(positions):
@@ -461,6 +433,12 @@ def _first_k(rows, cols, vals, k):
     order = np.lexsort((cols, vals, rows))
     rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
     return cols[order[rank < k]].reshape(-1, k)
+
+
+def _member(sorted_keys, keys):
+    """keys[i] is in sorted_keys (not empty), for each i."""
+    at = np.searchsorted(sorted_keys, keys)
+    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
 
 
 def _reciprocal(near):
@@ -693,21 +671,23 @@ def k_reciprocal_rerank(queries, gallery, rerank=None):
 
 
 def evaluate_retrieval(query_feats, gallery_feats, query_ids, gallery_ids,
-                       config=None, exclude=None):
-    """Full evaluation pass producing an EvalReport. exclude is None or the
-    (rows, cols) index arrays of the query/gallery entries to leave out, as
-    np.nonzero(mask) returns them. Without re-ranking the distances are
-    never computed as a matrix: a BLAS product picks, per block of query
-    rows, the entries that exact distances rank (_certified_ranked)."""
+                       config=None, *, exclude_self=False):
+    """Full evaluation pass producing an EvalReport. exclude_self leaves
+    gallery item i out of query i's ranking, for a query set that is the
+    gallery; it is an error unless there are as many queries as gallery
+    items. Without re-ranking the distances are never computed as a matrix:
+    a BLAS product picks, per block of query rows, the entries that exact
+    distances rank (_certified_ranked)."""
     if config is None:
         config = EvalConfig()
     q = np.asarray(query_feats, dtype=np.float64)
     g = np.asarray(gallery_feats, dtype=np.float64)
-    ids = _checked_ids(len(q), len(g), query_ids, gallery_ids, exclude)
+    ids = _checked_ids(len(q), len(g), query_ids, gallery_ids, exclude_self)
     if config.rerank is not None:
-        pos, ptr = _ranked(k_reciprocal_rerank(q, g, config.rerank), *ids)
+        pos, ptr = _ranked(k_reciprocal_rerank(q, g, config.rerank), *ids,
+                           exclude_self)
     else:
-        pos, ptr = _certified_ranked(q, g, *ids)
+        pos, ptr = _certified_ranked(q, g, *ids, exclude_self)
     map_k, aps = _map_of_ranked(pos, ptr, config.top_k)
     return EvalReport(map_k, aps, _cmc_of_ranked(pos, ptr, CMC_RANKS),
                       asdict(config), config.rerank is not None, (pos, ptr))

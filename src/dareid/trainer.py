@@ -103,13 +103,15 @@ def train(config, real_data, synth_data=None, resume_from=None):
         lr = lr_at_epoch(config.schedule, epoch)
         for _ in range(iters):
             global_it += 1
+            # no warning: the finiteness checks report overflow and NaN
             try:
-                batch = sample_batch(train_set, config.batch, rng)
-                row, loss = _iteration_step(config, params, batch,
-                                            domains == 2)
-                params.zero_grad()
-                loss.backward()
-                amsgrad_step(optim, params.named(), lr)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    batch = sample_batch(train_set, config.batch, rng)
+                    row, loss = _iteration_step(config, params, batch,
+                                                domains == 2)
+                    params.zero_grad()
+                    loss.backward()
+                    amsgrad_step(optim, params.named(), lr)
             except (NonFiniteError, FloatingPointError):
                 raise DivergenceError(global_it, run_log)
             run_log.append({"iteration": global_it, "epoch": epoch, "lr": lr,
@@ -141,15 +143,12 @@ def evaluate(params, query_samples, gallery_samples, eval_config=None,
     same_set = gallery_samples is query_samples or (
         np.array_equal(qids, gids) and np.array_equal(
             _features(query_samples), _features(gallery_samples)))
-    exclude = None
-    if exclude_self:
-        if not same_set:
-            raise ValueError("self-exclusion requires query set == gallery set")
-        exclude = (np.arange(len(qids)), np.arange(len(qids)))
+    if exclude_self and not same_set:
+        raise ValueError("self-exclusion requires query set == gallery set")
     q = embed_samples(params, query_samples)
     g = q if same_set else embed_samples(params, gallery_samples)
     return evaluate_retrieval(q, g, qids, gids, eval_config or EvalConfig(),
-                              exclude)
+                              exclude_self=exclude_self)
 
 
 def id_accuracy(params, samples):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,12 +9,16 @@ import pytest
 from dareid import cli
 from dareid.cli import (EVAL_OPTIONS, EXIT_DIVERGED, EXIT_OK, EXIT_RUNTIME,
                         EXIT_USAGE, GEN_OPTIONS, TRAIN_OPTIONS, build_parser,
-                        main, parse_bool, resolve_options)
+                        layer_widths, loss_letters, main, parse_bool,
+                        resolve_options)
 from dareid.datagen import read_dataset
 from dareid.evaluation import (RerankParams, k_reciprocal_rerank,
                                pairwise_distances)
 from dareid.network import load_checkpoint
 from dareid.trainer import embed_samples
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def run_gen(tmp_path, name="data", extra=()):
@@ -142,10 +148,11 @@ class TestTrain:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    def test_missing_id_loss_rejected(self, tmp_path):
+    def test_missing_id_loss_rejected(self, tmp_path, capsys):
         _, data = run_gen(tmp_path)
         code = run_train(data, tmp_path / "z", ("--losses", "D,O"))
         assert code == EXIT_USAGE
+        assert "V is always required" in capsys.readouterr().err
 
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nope.jsonl"),
@@ -257,7 +264,6 @@ class TestTrain:
         assert named in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_exit_code_and_report(self, tmp_path):
         _, data = run_gen(tmp_path)
         out = tmp_path / "boom"
@@ -266,6 +272,26 @@ class TestTrain:
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "diverged" and report["iteration"] >= 1
         assert not (out / "checkpoint.bin").exists()
+
+    def test_divergence_under_warnings_as_errors(self, tmp_path):
+        # the overflow that stops the run is the guard's to report, not a
+        # NumPy warning, so a process that turns warnings into errors
+        # still exits 3
+        _, data = run_gen(tmp_path)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "dareid.cli",
+             "train", "--data", str(data / "real.jsonl"),
+             "--synth", str(data / "synth.jsonl"),
+             "--out-dir", str(tmp_path / "boom"), "--epochs", "2",
+             "--iterations", "4", "--n", "2", "--m", "2",
+             "--hidden-dims", "8", "--embed-dim", "4", "--base-lr", "1e200"],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == EXIT_DIVERGED, done.stderr
+        assert "Traceback" not in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        assert "training diverged at iteration" in done.stderr
 
 
 @pytest.fixture(scope="module")
@@ -612,12 +638,15 @@ class TestBadInput:
         assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("command,line", [
-        ("gen", "per_id=abc"), ("eval", "rerank=yes")])
+        ("gen", "per_id=abc"), ("eval", "rerank=yes"),
+        ("train", "losses=V,X"), ("train", "hidden_dims=x")])
     def test_bad_config_value_names_file_and_line(self, tmp_path, capsys,
                                                   command, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"# settings\n{line}\n")
         argv = {"gen": ["gen", "--out-dir", str(tmp_path / "o")],
+                "train": ["train", "--data", "d", "--out-dir",
+                          str(tmp_path / "o")],
                 "eval": ["eval", "--checkpoint", "c", "--query", "q",
                          "--gallery", "g"]}
         code = main(argv[command] + ["--config", str(cfg)])
@@ -631,7 +660,8 @@ REQUIRED_ARGS = {"gen": ["--out-dir", "o"],
                  "train": ["--data", "d", "--out-dir", "o"],
                  "eval": ["--checkpoint", "c", "--query", "q",
                           "--gallery", "g"]}
-SAMPLE_TEXT = {int: "7", float: "0.25", str: "V,D", parse_bool: "true"}
+SAMPLE_TEXT = {int: "7", float: "0.25", loss_letters: "V,D",
+               layer_widths: "16,8", parse_bool: "true"}
 
 
 @pytest.mark.parametrize("command,opt", [

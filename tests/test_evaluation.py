@@ -32,10 +32,10 @@ def split_rows(ranked):
     return np.split(pos, ptr[1:-1])
 
 
-def ranked_rows(dist, query_ids, gallery_ids, exclude):
+def ranked_rows(dist, query_ids, gallery_ids, exclude_self=False):
     """Per query, its positions in the ranking of its row of dist."""
     return split_rows(evaluation._ranked_matrix(dist, query_ids, gallery_ids,
-                                                exclude))
+                                                exclude_self))
 
 
 # Directions of an adversarial GEMM error, per entry, from a mask of chosen
@@ -195,12 +195,21 @@ class TestMeanAveragePrecision:
             assert np.allclose(aps, expected, atol=1e-12)
             assert map_k == pytest.approx(np.mean(expected), abs=1e-12)
 
-    def test_exclusion_mask(self):
-        dist = np.array([[0.1, 0.2, 0.3]])
-        exclude = np.array([[True, False, False]])
-        map_k, _ = mean_average_precision(dist, [1], [1, 0, 1], k=10,
-                                          exclude=np.nonzero(exclude))
+    def test_own_column_excluded(self):
+        # each query's own column, at rank one, leaves its ranking: query 0
+        # then ranks columns 1, 2, 3 and finds its other item second
+        dist = np.array([[0.0, 0.1, 0.2, 0.3],
+                         [0.1, 0.0, 0.3, 0.2],
+                         [0.2, 0.3, 0.0, 0.1],
+                         [0.3, 0.2, 0.1, 0.0]])
+        ids = [1, 0, 1, 0]
+        map_k, aps = mean_average_precision(dist, ids, ids, k=10,
+                                            exclude_self=True)
         assert map_k == pytest.approx(0.5, abs=1e-12)
+        eye = np.eye(4, dtype=bool)
+        assert aps == pytest.approx(
+            [ap_brute_force(dist[i], ids[i], ids, 10, eye[i])
+             for i in range(4)], abs=1e-12)
 
     def test_map_in_unit_interval(self):
         rng = np.random.default_rng(4)
@@ -296,28 +305,25 @@ class TestRanking:
         dist[4] = 0.0
         gids = np.arange(40) % 5
         qids = np.array([0, 1, 2, 3, 4, 0])
-        positions = ranked_rows(dist, qids, gids, None)
+        positions = ranked_rows(dist, qids, gids)
         for qid, row, got in zip(qids, dist, positions):
             assert np.array_equal(got, np.flatnonzero(
                 gids[np.argsort(row, kind="stable")] == qid))
 
     def test_positions_are_flat_with_a_row_pointer(self):
         # one array of every query's positions, each row ascending, and a
-        # pointer to the rows: its steps count the relevant items kept
+        # pointer to the rows: its steps count the relevant items kept,
+        # four of each id, less the own one under self-exclusion
         rng = np.random.default_rng(6)
-        dist = rng.normal(size=(5, 12))
-        gids = np.arange(12) % 3
-        qids = np.array([0, 1, 2, 0, 1])
-        mask = rng.uniform(size=(5, 12)) < 0.3
-        mask[:, :3] = False
-        pos, ptr = evaluation._ranked_matrix(dist, qids, gids,
-                                             np.nonzero(mask))
-        assert pos.ndim == 1 and len(ptr) == 6
-        assert ptr[0] == 0 and ptr[-1] == len(pos)
-        assert np.diff(ptr).tolist() == [
-            int(((gids == qid) & ~m).sum()) for qid, m in zip(qids, mask)]
-        for row in np.split(pos, ptr[1:-1]):
-            assert np.array_equal(row, np.sort(row))
+        dist = rng.normal(size=(12, 12))
+        ids = np.arange(12) % 3
+        for exclude_self, kept in ((False, 4), (True, 3)):
+            pos, ptr = evaluation._ranked_matrix(dist, ids, ids, exclude_self)
+            assert pos.ndim == 1 and len(ptr) == 13
+            assert ptr[0] == 0 and ptr[-1] == len(pos)
+            assert np.diff(ptr).tolist() == [kept] * 12
+            for row in np.split(pos, ptr[1:-1]):
+                assert np.array_equal(row, np.sort(row))
 
 
 class TestBlockBoundaries:
@@ -357,23 +363,29 @@ class TestBlockBoundaries:
 
     def test_distance_rows(self):
         rng = np.random.default_rng(28)
-        kinds = [rng.normal(size=self.NG),                      # untied
-                 rng.integers(0, 4, size=self.NG).astype(float),  # tied
-                 np.where(rng.uniform(size=self.NG) < 0.3, np.nan,
-                          rng.integers(0, 3, size=self.NG)),      # NaN
-                 np.full(self.NG, 0.5),                           # all equal
-                 np.full(self.NG, np.nan)]                        # all NaN
-        dist = np.array([kinds[i % 5] for i in range(4 * self.ROWS + 2)])
-        gids = np.arange(self.NG) % 4
-        qids = np.arange(len(dist)) % 4
-        exclude = rng.uniform(size=dist.shape) < 0.3
-        exclude[:, :4] = False          # each query keeps a relevant item
-        for mask in (None, exclude):
-            index = None if mask is None else np.nonzero(mask)
-            aps = mean_average_precision(dist, qids, gids, 7, index)[1]
-            self.check(dist, qids, gids, 7, mask,
-                       ranked_rows(dist, qids, gids, index),
-                       aps, cmc(dist, qids, gids, exclude=index))
+        n = self.NG
+        kinds = [rng.normal(size=n),                            # untied
+                 rng.integers(0, 4, size=n).astype(float),      # tied
+                 np.where(rng.uniform(size=n) < 0.3, np.nan,
+                          rng.integers(0, 3, size=n)),          # NaN
+                 np.full(n, 0.5),                               # all equal
+                 np.full(n, np.nan)]                            # all NaN
+        dist = np.array([kinds[i % 5] for i in range(n)])
+        ids = np.arange(n) % 4
+        # the own column ties with the relevant items 4 columns before and
+        # after it (lower and higher columns, across the wrap), and is NaN
+        # beside NaN relevant items
+        for i in range(1, n, 5):
+            dist[i, [i - 4, (i + 4) % n]] = dist[i, i]
+        for i in range(2, n, 5):
+            dist[i, [i - 4, i, (i + 4) % n]] = np.nan
+        eye = np.eye(n, dtype=bool)
+        for exclude_self in (False, True):
+            aps = mean_average_precision(dist, ids, ids, 7,
+                                         exclude_self=exclude_self)[1]
+            self.check(dist, ids, ids, 7, eye if exclude_self else None,
+                       ranked_rows(dist, ids, ids, exclude_self), aps,
+                       cmc(dist, ids, ids, exclude_self=exclude_self))
 
     @pytest.mark.parametrize("rerank", [None, RerankParams(k1=5, k2=3)])
     def test_evaluate_retrieval(self, rerank):
@@ -382,18 +394,17 @@ class TestBlockBoundaries:
         gids = np.arange(self.NG) % 4
         q = np.concatenate([rng.normal(size=(5, 2)), g[:9]])
         qids = np.concatenate([rng.integers(4, size=5), gids[:9]])
-        exclude = rng.uniform(size=(len(q), self.NG)) < 0.3
-        exclude[:, :4] = False
         # and the query set as gallery, each query's own row excluded
-        for q, qids, mask in ((q, qids, exclude),
-                              (g, gids, np.eye(self.NG, dtype=bool))):
+        for q, qids, exclude_self in ((q, qids, False), (g, gids, True)):
             report = evaluate_retrieval(q, g, qids, gids,
                                         EvalConfig(top_k=7, rerank=rerank),
-                                        np.nonzero(mask))
+                                        exclude_self=exclude_self)
             dist = (pairwise_distances(q, g) if rerank is None
                     else k_reciprocal_rerank(q, g, rerank))
-            self.check(dist, qids, gids, 7, mask, split_rows(report.ranked),
-                       report.per_query_ap, report.cmc)
+            self.check(dist, qids, gids, 7,
+                       np.eye(self.NG, dtype=bool) if exclude_self else None,
+                       split_rows(report.ranked), report.per_query_ap,
+                       report.cmc)
 
 
 class TestCertifiedRanking:
@@ -404,20 +415,21 @@ class TestCertifiedRanking:
     NG = 40
 
     @staticmethod
-    def assert_exact(q, g, qids, gids, exclude, k=7):
+    def assert_exact(q, g, qids, gids, exclude_self, k=7):
         report = evaluate_retrieval(q, g, qids, gids, EvalConfig(top_k=k),
-                                    exclude)
+                                    exclude_self=exclude_self)
         dist = pairwise_distances(q, g)
-        want = ranked_rows(dist, qids, gids, exclude)
+        want = ranked_rows(dist, qids, gids, exclude_self)
         got_rows = split_rows(report.ranked)
         assert len(got_rows) == len(want)
         for got, expected in zip(got_rows, want):
             assert np.array_equal(got, expected)
             assert (precision_recall_points(got)
                     == precision_recall_points(expected))
-        map_k, aps = mean_average_precision(dist, qids, gids, k, exclude)
+        map_k, aps = mean_average_precision(dist, qids, gids, k,
+                                            exclude_self=exclude_self)
         assert report.per_query_ap == aps and report.map_at_k == map_k
-        assert report.cmc == cmc(dist, qids, gids, exclude=exclude)
+        assert report.cmc == cmc(dist, qids, gids, exclude_self=exclude_self)
 
     @pytest.fixture(params=[None, 3], ids=["one-block", "3-row-blocks"])
     def blocks(self, request, monkeypatch):
@@ -435,8 +447,8 @@ class TestCertifiedRanking:
     @pytest.fixture
     def resolved(self, monkeypatch):
         """Per call of the exact-resolve step: the entries it ranked that
-        are neither a relevant item nor excluded. A block may hold any
-        number of candidates."""
+        are neither a relevant item nor a query's own column. A block may
+        hold any number of candidates."""
         others = []
         resolve = evaluation._resolve
 
@@ -460,14 +472,11 @@ class TestCertifiedRanking:
         return rows
 
     def cases(self, g, q, rng, ids=5):
-        """A separate query set with and without random exclusions, and the
-        gallery as its own query set with each query's row excluded."""
+        """A separate query set, and the gallery as its own query set with
+        each query's row excluded."""
         gids = np.arange(len(g)) % ids
         qids = rng.integers(ids, size=len(q))
-        mask = rng.uniform(size=(len(q), len(g))) < 0.3
-        mask[:, :ids] = False           # each query keeps a relevant item
-        return [(q, qids, gids, None), (q, qids, gids, np.nonzero(mask)),
-                (g, gids, gids, (np.arange(len(g)), np.arange(len(g))))]
+        return [(q, qids, gids, False), (g, gids, gids, True)]
 
     def clustered(self, rng, d, spread=0.05):
         """Two gallery rows per id around its centre, and queries near the
@@ -483,15 +492,11 @@ class TestCertifiedRanking:
         rng = np.random.default_rng(35)
         for d in (1, 3, 8, 33):
             g, q, gids, qids = self.clustered(rng, d)
-            mask = rng.uniform(size=(14, self.NG)) < 0.3
-            mask[np.arange(14), qids] = False   # keeps a relevant item
-            for q, qids, gids, exclude in (
-                    (q, qids, gids, None), (q, qids, gids, np.nonzero(mask)),
-                    (g, gids, gids, (np.arange(self.NG),
-                                     np.arange(self.NG)))):
-                self.assert_exact(q, g, qids, gids, exclude)
+            for q, qids, gids, exclude_self in ((q, qids, gids, False),
+                                                (g, gids, gids, True)):
+                self.assert_exact(q, g, qids, gids, exclude_self)
             # a Fortran-order gallery is ranked the same
-            self.assert_exact(q, np.asfortranarray(g), qids, gids, None)
+            self.assert_exact(q, np.asfortranarray(g), qids, gids, False)
         assert not fallback_rows
 
     def test_random_embeddings(self, blocks, fallback_rows):
@@ -499,8 +504,8 @@ class TestCertifiedRanking:
         for d in (1, 3, 8, 33):
             g = rng.normal(size=(self.NG, d))
             q = rng.normal(size=(14, d))
-            for q, qids, gids, exclude in self.cases(g, q, rng):
-                self.assert_exact(q, g, qids, gids, exclude)
+            for q, qids, gids, exclude_self in self.cases(g, q, rng):
+                self.assert_exact(q, g, qids, gids, exclude_self)
         # relevant items lie anywhere in the ranking, so with little work
         # space most blocks have too many candidates for the GEMM path
         assert bool(fallback_rows) == bool(blocks)
@@ -522,8 +527,8 @@ class TestCertifiedRanking:
             # a large common offset: the GEMM cancels almost every digit
             g = 1e6 + 1e-4 * rng.normal(size=(self.NG, d))
             q = 1e6 + 1e-4 * rng.normal(size=(14, d))
-        for q, qids, gids, exclude in self.cases(g, q, rng):
-            self.assert_exact(q, g, qids, gids, exclude)
+        for q, qids, gids, exclude_self in self.cases(g, q, rng):
+            self.assert_exact(q, g, qids, gids, exclude_self)
         assert sum(resolved) > 0 and not fallback_rows
 
     def test_distances_closer_than_the_bound(self, resolved, fallback_rows):
@@ -540,7 +545,7 @@ class TestCertifiedRanking:
             gids[relevant] = 1
             report = evaluate_retrieval(q, g, [1], gids, EvalConfig())
             assert report.ranked[0].tolist() == [position]
-            self.assert_exact(q, g, [1], gids, None)
+            self.assert_exact(q, g, [1], gids, False)
         assert min(resolved) > 0 and not fallback_rows
 
     def test_non_finite_rows_take_the_exact_path(self, blocks, resolved,
@@ -548,7 +553,7 @@ class TestCertifiedRanking:
         rng = np.random.default_rng(38)
         g, q, gids, qids = self.clustered(rng, 4)
         q[4, 1], q[5] = np.nan, np.inf      # NaN ranks last, inf ties
-        self.assert_exact(q, g, qids, gids, None)
+        self.assert_exact(q, g, qids, gids, False)
         # only the block holding rows 4 and 5 falls back
         assert fallback_rows == ([3] if blocks else [14])
         assert bool(resolved) == bool(blocks)
@@ -556,29 +561,29 @@ class TestCertifiedRanking:
             # a gallery row that is not finite: every block falls back
             fallback_rows.clear()
             g[7, 2] = bad
-            self.assert_exact(q[6:], g, qids[6:], gids,
-                              (np.arange(8), np.arange(8) * 3))
+            self.assert_exact(q[6:], g, qids[6:], gids, False)
             assert sum(fallback_rows) == 8
 
     def test_flat_positions_equal_the_exact_ranking(self, blocks,
                                                     fallback_rows):
         # the positions and row pointer themselves, as mAP and CMC take them
-        def check(q, g, qids, gids, exclude):
-            ids = evaluation._checked_ids(len(q), len(g), qids, gids, exclude)
-            got = evaluation._certified_ranked(q, g, *ids)
+        def check(q, g, qids, gids, exclude_self):
+            ids = evaluation._checked_ids(len(q), len(g), qids, gids,
+                                          exclude_self)
+            got = evaluation._certified_ranked(q, g, *ids, exclude_self)
             want = evaluation._ranked_matrix(pairwise_distances(q, g), qids,
-                                             gids, exclude)
+                                             gids, exclude_self)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
         rng = np.random.default_rng(40)
         g, q, gids, qids = self.clustered(rng, 5)
-        check(q, g, qids, gids, None)
-        check(g, g, gids, gids, (np.arange(self.NG), np.arange(self.NG)))
+        check(q, g, qids, gids, False)
+        check(g, g, gids, gids, True)
         assert not fallback_rows
         g = rng.normal(size=(self.NG, 5))
-        for q, qids, gids, exclude in self.cases(g, q, rng):
-            check(q, g, qids, gids, exclude)
+        for q, qids, gids, exclude_self in self.cases(g, q, rng):
+            check(q, g, qids, gids, exclude_self)
 
     @pytest.mark.parametrize("pattern", ERROR_PATTERNS)
     def test_any_gemm_error_within_its_share_of_the_bound(
@@ -599,10 +604,10 @@ class TestCertifiedRanking:
                          (rng.integers(-1, 2, size=g.shape) * 1.0,
                           rng.integers(-1, 2, size=q.shape) * 1.0),
                          (1e6 + 1e-4 * g, 1e6 + 1e-4 * q)):
-                for q, qids, gids, exclude in self.cases(g, q, rng):
+                for q, qids, gids, exclude_self in self.cases(g, q, rng):
                     gemm_error["signs"] = lambda s: ERROR_PATTERNS[pattern](
                         qids[:, None] == gids, rng)
-                    self.assert_exact(q, g, qids, gids, exclude)
+                    self.assert_exact(q, g, qids, gids, exclude_self)
         assert not fallback_rows
 
     @pytest.mark.parametrize("spread", [0.3, None],
@@ -618,8 +623,7 @@ class TestCertifiedRanking:
             g = rng.normal(size=(512, 16))[ids] + spread * g
         tracemalloc.start()
         try:
-            evaluate_retrieval(g, g, ids, ids, EvalConfig(),
-                               (np.arange(n), np.arange(n)))
+            evaluate_retrieval(g, g, ids, ids, EvalConfig(), exclude_self=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -992,8 +996,9 @@ class TestCandidateBudget:
         if path == "ranking":
             q, g = rng.normal(size=(4, 8)), rng.normal(size=(64, 8))
             ids = evaluation._checked_ids(4, 64, np.arange(4),
-                                          np.arange(64) % 16, None)
-            run = functools.partial(evaluation._certified_ranked, q, g, *ids)
+                                          np.arange(64) % 16, False)
+            run = functools.partial(evaluation._certified_ranked, q, g, *ids,
+                                    False)
             # one block of 4 x 64 entries; its exact rows when certified
             # and when not
             entries, rows = 4 * 64, (0, 4)
@@ -1140,27 +1145,24 @@ class TestEvaluateRetrieval:
 
     def test_tied_distances_with_exclusions_match_the_metric_functions(self):
         rng = np.random.default_rng(14)
-        # integer points repeat, so many distances tie exactly
+        # integer points repeat, so many distances tie exactly, and some
+        # own columns tie at 0 with a duplicate point
         g = rng.integers(0, 3, size=(12, 2)).astype(float)
-        q = rng.integers(0, 3, size=(6, 2)).astype(float)
-        gids = np.tile(np.arange(3), 4)
-        qids = np.arange(6) % 3
-        exclude = rng.uniform(size=(6, 12)) < 0.3
-        exclude[:, :3] = False          # each query keeps a relevant item
-        dist = pairwise_distances(q, g)
+        ids = np.tile(np.arange(3), 4)
+        dist = pairwise_distances(g, g)
         assert len(np.unique(dist)) < dist.size
+        assert ((dist == 0).sum(axis=1) > 1).any()
         config = EvalConfig(top_k=4)
-        report = evaluate_retrieval(q, g, qids, gids, config,
-                                    np.nonzero(exclude))
-        map_k, aps = mean_average_precision(dist, qids, gids, 4,
-                                            np.nonzero(exclude))
+        report = evaluate_retrieval(g, g, ids, ids, config, exclude_self=True)
+        map_k, aps = mean_average_precision(dist, ids, ids, 4,
+                                            exclude_self=True)
         assert report.per_query_ap == aps
         assert report.map_at_k == map_k
-        assert report.cmc == cmc(dist, qids, gids,
-                                 exclude=np.nonzero(exclude))
+        assert report.cmc == cmc(dist, ids, ids, exclude_self=True)
+        eye = np.eye(12, dtype=bool)
         assert aps == pytest.approx(
-            [ap_brute_force(dist[i], qids[i], gids, 4, exclude[i])
-             for i in range(6)], abs=1e-12)
+            [ap_brute_force(dist[i], ids[i], ids, 4, eye[i])
+             for i in range(12)], abs=1e-12)
 
     def test_each_distance_matrix_is_sorted_once(self, monkeypatch):
         # the matrix path: nothing is argsorted, and the distance values
@@ -1182,7 +1184,7 @@ class TestEvaluateRetrieval:
         g = rng.normal(size=(8, 3))
         dist = pairwise_distances(g, g)
         mean_average_precision(dist, np.arange(8) % 4, np.arange(8) % 4, 100,
-                               (np.arange(8), np.arange(8)))
+                               exclude_self=True)
         assert not argsorts
         assert all(v.ndim == 2 for v in sorted_values)
         assert np.array_equal(np.concatenate(sorted_values), dist)
@@ -1190,7 +1192,7 @@ class TestEvaluateRetrieval:
     def test_certified_path_sorts_no_distance_row(self, monkeypatch):
         # without re-ranking: no distance matrix, nothing argsorted, no
         # float array sorted, and the exact values ranked are those of the
-        # relevant and excluded entries and of entries no farther than
+        # relevant entries, the own columns and entries no farther than
         # their row's farthest relevant item
         argsorts, float_sorts, resolved = [], [], []
         sort, argsort = np.sort, np.argsort
@@ -1220,11 +1222,10 @@ class TestEvaluateRetrieval:
         rng = np.random.default_rng(15)
         g = rng.normal(size=(64, 3))
         ids = np.arange(64) % 16
-        evaluate_retrieval(g, g, ids, ids, EvalConfig(),
-                           (np.arange(64), np.arange(64)))
+        evaluate_retrieval(g, g, ids, ids, EvalConfig(), exclude_self=True)
         assert not argsorts and not float_sorts
-        # one block; the excluded entries are the diagonal, so the kept
-        # entries of another id are neither relevant nor excluded
+        # one block; the own columns are the diagonal, so the kept entries
+        # of another id are neither relevant nor a query's own column
         (rows, cols, kept), = resolved
         dist = pairwise_distances(g, g)
         farthest = np.where(ids[:, None] == ids, dist, 0.0).max(axis=1)
@@ -1254,8 +1255,8 @@ class TestEvaluateRetrieval:
 
 
 class TestShapeChecks:
-    """Ids and masks that do not fit the distances fail instead of being
-    broadcast."""
+    """Ids that do not fit the distances, and a self-exclusion that does
+    not, fail instead of being broadcast."""
 
     dist = np.random.default_rng(31).uniform(size=(3, 6))
     gids = np.array([1, 2, 1, 2, 1, 2])
@@ -1275,42 +1276,33 @@ class TestShapeChecks:
         with pytest.raises(ValueError, match="1 query ids for 3 query rows"):
             evaluate_retrieval(q, g, [1], self.gids)
 
-    def test_exclude_of_one_row(self):
-        # a row index past the last query row is an error, not a wrap
+    @pytest.fixture(params=[mean_average_precision, cmc, evaluate_retrieval],
+                    ids=lambda f: f.__name__)
+    def public(self, request):
+        """A public evaluation function and its positional arguments: 3
+        queries, 6 gallery columns."""
+        q, g = np.zeros((3, 2)), np.ones((6, 2))
+        return request.param, {
+            mean_average_precision: (self.dist, [1, 2, 1], self.gids, 5),
+            cmc: (self.dist, [1, 2, 1], self.gids, CMC_RANKS),
+            evaluate_retrieval: (q, g, [1, 2, 1], self.gids, None),
+        }[request.param]
+
+    def test_exclude_self_needs_one_gallery_item_per_query(self, public):
+        f, args = public
         with pytest.raises(ValueError,
-                           match=r"row indices must lie in \[0, 3\)"):
-            mean_average_precision(self.dist, [1, 2, 1], self.gids, k=5,
-                                   exclude=([3], [0]))
+                           match="not 3 queries and 6 gallery columns"):
+            f(*args, exclude_self=True)
 
-    @pytest.mark.parametrize("exclude, message", [
-        (([0, 1], [2]), "expected two 1-D index arrays of one length"),
-        (([[0]], [[2]]), "expected two 1-D index arrays of one length"),
-        (([0.0], [2.0]), "row indices are float64, not integers"),
-        (([0], [2.5]), "column indices are float64, not integers"),
-        (([-1], [2]), r"row indices must lie in \[0, 3\)"),
-        (([0], [6]), r"column indices must lie in \[0, 6\)"),
-        (([0], [-6]), r"column indices must lie in \[0, 6\)"),
-        (np.zeros((3, 6), dtype=bool), r"the \(rows, cols\) index arrays"),
-        (np.zeros((2, 6), dtype=bool), "row indices are bool"),
-    ])
-    def test_exclude_indices_that_do_not_fit(self, exclude, message):
-        with pytest.raises(ValueError, match=message):
-            cmc(self.dist, [1, 2, 1], self.gids, exclude=exclude)
-        rng = np.random.default_rng(33)
-        with pytest.raises(ValueError, match=message):
-            evaluate_retrieval(rng.normal(size=(3, 2)),
-                               rng.normal(size=(6, 2)), [1, 2, 1], self.gids,
-                               exclude=exclude)
-
-    def test_exclude_index_arrays_equal_the_mask(self):
-        # duplicates and any order mean the same entries as the mask
-        mask = np.zeros((3, 6), dtype=bool)
-        mask[[0, 2, 2], [1, 0, 4]] = True
-        want = ranked_rows(self.dist, [1, 2, 1], self.gids, np.nonzero(mask))
-        got = ranked_rows(self.dist, [1, 2, 1], self.gids,
-                          ([2, 0, 2, 2], [4, 1, 0, 4]))
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        assert [len(p) for p in got] == [3, 3, 1]
+    def test_exclusion_is_one_keyword_flag(self, public):
+        # index arrays are taken neither by name nor in the flag's place
+        f, args = public
+        param = inspect.signature(f).parameters["exclude_self"]
+        assert param.kind == param.KEYWORD_ONLY and param.default is False
+        with pytest.raises(TypeError):
+            f(*args, exclude=([0], [0]))
+        with pytest.raises(TypeError):
+            f(*args, ([0], [0]))
 
     def test_zero_queries(self):
         with pytest.raises(ValueError, match="no queries"):
@@ -1340,7 +1332,7 @@ class TestIndexHelpers:
         rng = np.random.default_rng(43)
         keys = rng.integers(0, 30, size=50)
         for sorted_keys in (np.unique(rng.integers(0, 30, size=12)),
-                            np.array([29]), np.empty(0, dtype=int)):
+                            np.array([29])):
             assert np.array_equal(evaluation._member(sorted_keys, keys),
                                   np.isin(keys, sorted_keys))
 

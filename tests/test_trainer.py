@@ -135,7 +135,6 @@ class TestTrain:
             assert np.array_equal(pa.data, pb.data)
         assert resumed.run_log == full.run_log[2 * 6:]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_guard_reports_iteration(self):
         real, synth, _ = toy_data()
         # AMSGrad bounds each step by roughly lr, so an absurd rate inflates
@@ -148,7 +147,6 @@ class TestTrain:
         assert err.value.iteration >= 1
         assert isinstance(err.value.run_log, list)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_hidden_by_relu_stops_training(self):
         # the second hidden layer's pre-activation overflows to -inf, which
         # its relu would turn into a finite 0 and a finite loss
@@ -198,7 +196,7 @@ class TestEvaluateHelpers:
         ids = np.array([s.id for s in real])
         both = evaluate_retrieval(embed_samples(result.params, real),
                                   embed_samples(result.params, real), ids, ids,
-                                  EvalConfig(), np.nonzero(np.eye(len(real), dtype=bool)))
+                                  EvalConfig(), exclude_self=True)
         calls = []
 
         def counting(params, samples):
