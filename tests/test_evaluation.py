@@ -211,6 +211,24 @@ class TestMeanAveragePrecision:
             [ap_brute_force(dist[i], ids[i], ids, 10, eye[i])
              for i in range(4)], abs=1e-12)
 
+    def test_own_column_excluded_on_random_instances(self):
+        # distances of four values tie the own column with relevant and
+        # irrelevant columns alike; every id occurs at least twice
+        rng = np.random.default_rng(46)
+        for _ in range(50):
+            n = int(rng.integers(6, 14))
+            ids = rng.permutation(np.concatenate(
+                [np.arange(3), np.arange(3), rng.integers(3, size=n - 6)]))
+            dist = rng.integers(4, size=(n, n)).astype(float)
+            k = int(rng.integers(1, n + 2))
+            map_k, aps = mean_average_precision(dist, ids, ids, k,
+                                                exclude_self=True)
+            eye = np.eye(n, dtype=bool)
+            expected = [ap_brute_force(dist[i], ids[i], ids, k, eye[i])
+                        for i in range(n)]
+            assert np.allclose(aps, expected, atol=1e-12)
+            assert map_k == pytest.approx(np.mean(expected), abs=1e-12)
+
     def test_map_in_unit_interval(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -285,6 +303,22 @@ class TestCmc:
             got = cmc(dist, qids, gids, ranks=(1, 3, 5))
             expected = cmc_brute_force(dist, qids, gids, (1, 3, 5))
             assert got == pytest.approx(expected)
+
+    def test_own_column_excluded_on_random_instances(self):
+        # the brute force ranks each row with its own column taken out
+        rng = np.random.default_rng(47)
+        ranks = (1, 2, 3, 5)
+        for _ in range(30):
+            n = int(rng.integers(6, 14))
+            ids = rng.permutation(np.concatenate(
+                [np.arange(3), np.arange(3), rng.integers(3, size=n - 6)]))
+            dist = rng.integers(4, size=(n, n)).astype(float)
+            others = ~np.eye(n, dtype=bool)
+            rows = [cmc_brute_force(dist[i:i + 1, others[i]], ids[i:i + 1],
+                                    ids[others[i]], ranks) for i in range(n)]
+            got = cmc(dist, ids, ids, ranks, exclude_self=True)
+            assert got == pytest.approx(
+                {r: np.mean([row[r] for row in rows]) for r in ranks})
 
     def test_cmc1_equals_map_with_single_relevant(self):
         rng = np.random.default_rng(7)
@@ -1303,6 +1337,23 @@ class TestShapeChecks:
             f(*args, exclude=([0], [0]))
         with pytest.raises(TypeError):
             f(*args, ([0], [0]))
+
+    @pytest.mark.parametrize("f", [mean_average_precision, cmc,
+                                   evaluate_retrieval],
+                             ids=lambda f: f.__name__)
+    def test_query_matching_only_itself_listed_in_error(self, f):
+        # ids 0 and 2 occur once: with its own column, each query finds
+        # itself; without it, queries 0 and 3 have nothing to find
+        ids = [0, 1, 1, 2]
+        x = np.arange(8.0).reshape(4, 2)
+        dist = naive_distances(x, x)
+        args = {mean_average_precision: (dist, ids, ids, 5),
+                cmc: (dist, ids, ids),
+                evaluate_retrieval: (x, x, ids, ids)}[f]
+        f(*args)
+        with pytest.raises(ValueError,
+                           match=r"no relevant gallery items: \[0, 3\]"):
+            f(*args, exclude_self=True)
 
     def test_zero_queries(self):
         with pytest.raises(ValueError, match="no queries"):
