@@ -146,11 +146,10 @@ class Tensor:
 
     def relu(self):
         a = self
-        active = a.data > 0.0  # subgradient at 0 is 0
-        out = Tensor(np.where(active, a.data, 0.0), parents=(a,), op="relu")
+        out = Tensor(relu_array(a.data), parents=(a,), op="relu")
 
         def _bw(g):
-            a._accumulate(g * active)
+            a._accumulate(g * (a.data > 0.0))  # subgradient at 0 is 0
         out._backward_fn = _bw
         return out
 
@@ -176,6 +175,14 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op or 'leaf'})"
+
+
+def relu_array(z, out=None):
+    """max(z, 0) of a finite array, every zero +0.0 as np.where(z > 0, z, 0.0)
+    gives it, without the branch on each entry's sign."""
+    out = np.maximum(z, 0.0, out=out)
+    out += 0.0  # -0.0 to +0.0
+    return out
 
 
 def _wrap(x):

@@ -278,7 +278,8 @@ def _certified_ranked(q, g, query_ids, gallery_ids, exclude_self):
     ranked by its exact distance, ties to the lower column. A block takes
     the exact path (pairwise_distances and a sort of each row) if its norms
     are not finite or too large for the bound, or if more than _budget's
-    share of its entries are candidates."""
+    share of its entries are candidates; there, a distance between finite
+    rows that overflows is an error."""
     relevant = _relevant(query_ids, gallery_ids, exclude_self)
     qn, gn = _norms(q), _norms(g)
     gmax = gn.max()
@@ -291,10 +292,22 @@ def _certified_ranked(q, g, query_ids, gallery_ids, exclude_self):
             block = _certified_rows(q[rows], g, qn[rows], *block, start,
                                     relevant, exclude_self)
         if block is None:
-            block = _rank_rows(pairwise_distances(q[rows], g), start,
+            block = _rank_rows(_finite_distances(q[rows], g), start,
                                relevant, exclude_self)
         positions.append(block)
     return np.concatenate(positions), relevant[0]
+
+
+def _finite_distances(q, g):
+    """pairwise_distances(q, g); errors if one between finite rows overflows
+    (rows that are not finite give NaN or inf, which rank last)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = pairwise_distances(q, g)
+    if (~np.isfinite(dist) & np.isfinite(q).all(axis=1)[:, None]
+            & np.isfinite(g).all(axis=1)).any():
+        raise ValueError("retrieval needs finite distances, but the "
+                         "squared distances overflow")
+    return dist
 
 
 def _norms(x):
@@ -513,8 +526,9 @@ def _distance_pass(allf, k):
 def _exact_rows(x, allf, k):
     """The maxima and first k neighbours of the rows x of the normalised
     all-vs-all matrix; errors if a maximum overflows or is 0."""
-    block = pairwise_distances(x, allf)
-    np.square(block, out=block)     # the original distances, in place
+    with np.errstate(over="ignore"):
+        block = pairwise_distances(x, allf)
+        np.square(block, out=block)     # the original distances, in place
     peak = block.max(axis=1)
     if not np.isfinite(peak).all():
         raise ValueError("k-reciprocal re-ranking needs finite distances, "
@@ -677,7 +691,8 @@ def evaluate_retrieval(query_feats, gallery_feats, query_ids, gallery_ids,
     gallery; it is an error unless there are as many queries as gallery
     items. Without re-ranking the distances are never computed as a matrix:
     a BLAS product picks, per block of query rows, the entries that exact
-    distances rank (_certified_ranked)."""
+    distances rank (_certified_ranked). Either way, squared distances that
+    overflow between finite embeddings are an error."""
     if config is None:
         config = EvalConfig()
     q = np.asarray(query_feats, dtype=np.float64)

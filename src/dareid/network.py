@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import GraphError, Tensor, _as_matrix
+from .autodiff import (GraphError, NonFiniteError, Tensor, _as_matrix,
+                       relu_array)
 
 HEAD_NAMES = ("id", "domain", "color", "type", "orientation")
 
@@ -87,18 +88,48 @@ def init_params(config, seed):
 
 
 def embed(params, features):
-    """Map N x input_dim features to an N x embed_dim embedding; features
-    given as a plain array get no gradient."""
-    x = features if isinstance(features, Tensor) else _as_matrix(features)
-    if x.shape[1] != params.config.input_dim:
+    """Map N x input_dim features to an N x embed_dim embedding, as one graph
+    node: h = relu(h @ W + b) per hidden layer, then h @ W + b. Features
+    given as a plain array get no gradient.
+
+    Value and gradients equal, bit for bit, those of per-layer matmul, add
+    and relu nodes. Each pre-activation is checked for NaN/inf, since relu
+    would map -inf to 0; an overflow raises NonFiniteError, not a warning."""
+    x = features if isinstance(features, Tensor) else None
+    h = _as_matrix(features if x is None else x.data)
+    if h.shape[1] != params.config.input_dim:
         raise GraphError(
-            f"expected {params.config.input_dim} input columns, got {x.shape[1]}")
-    n_layers = len(params.embed_layers)
-    for i, (w, b) in enumerate(params.embed_layers):
-        x = x @ w + b
-        if i < n_layers - 1:
-            x = x.relu()
-    return x
+            f"expected {params.config.input_dim} input columns, got {h.shape[1]}")
+    layers = params.embed_layers
+    last = len(layers) - 1
+    inputs = []     # each layer's input, for the backward pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (w, b) in enumerate(layers):
+            inputs.append(h)
+            h = h @ w.data
+            h += b.data
+            if i < last:
+                if not np.isfinite(h).all():
+                    raise NonFiniteError(
+                        f"non-finite values in tensor (op=embed, layer {i})")
+                relu_array(h, out=h)
+
+    def _bw(g):
+        # the per-layer nodes' rules, last layer first
+        for i in range(last, -1, -1):
+            w, b = layers[i]
+            b._accumulate(g if g.shape == b.shape
+                          else g.sum(axis=0, keepdims=True))
+            w._accumulate(inputs[i].T @ g)
+            if i:       # back through the relu of layer i - 1
+                g = g @ w.data.T
+                g *= inputs[i] > 0.0    # subgradient at 0 is 0
+                g += 0.0    # -0.0 to +0.0, as the add node's stored copy
+            elif x is not None:
+                x._accumulate(g @ w.data.T)
+    flat = [p for layer in layers for p in layer]
+    return Tensor(h, parents=flat if x is None else [x, *flat],
+                  backward_fn=_bw, op="embed")
 
 
 def head_logits(params, embeddings, head):

@@ -120,18 +120,23 @@ def train(config, real_data, synth_data=None, resume_from=None):
 
 
 def _features(samples):
-    return np.stack([s.features for s in samples])
+    return np.array([s.features for s in samples], dtype=np.float64)
 
 
 def embed_samples(params, samples):
-    return embed(params, _features(samples)).data
+    """The embedding of a sample list, or of the feature rows _features
+    gathered from one."""
+    rows = samples if isinstance(samples, np.ndarray) else _features(samples)
+    return embed(params, rows).data
 
 
 def evaluate(params, query_samples, gallery_samples, eval_config=None,
              exclude_self=False):
-    """Embed both sets and delegate to the retrieval evaluator. A gallery
-    that is the query set (same ids and features, in order) is embedded
-    once; only then may each query's own row be excluded."""
+    """Embed both sets and delegate to the retrieval evaluator. Each set's
+    features are gathered once. A gallery that is the query set (same ids
+    and features, in order) is embedded once; only then may each query's
+    own row be excluded. An embedding that is not finite is a ValueError
+    that names its set."""
     for name, samples in (("query", query_samples),
                           ("gallery", gallery_samples)):
         if not samples:
@@ -140,15 +145,24 @@ def evaluate(params, query_samples, gallery_samples, eval_config=None,
             raise ValueError(f"checkpoint input_dim does not match {name} set")
     qids = np.array([s.id for s in query_samples])
     gids = np.array([s.id for s in gallery_samples])
-    same_set = gallery_samples is query_samples or (
-        np.array_equal(qids, gids) and np.array_equal(
-            _features(query_samples), _features(gallery_samples)))
+    qf = _features(query_samples)
+    gf = qf if gallery_samples is query_samples else _features(gallery_samples)
+    same_set = gf is qf or (np.array_equal(qids, gids)
+                            and np.array_equal(qf, gf))
     if exclude_self and not same_set:
         raise ValueError("self-exclusion requires query set == gallery set")
-    q = embed_samples(params, query_samples)
-    g = q if same_set else embed_samples(params, gallery_samples)
+    q = _embedded(params, qf, "query")
+    g = q if same_set else _embedded(params, gf, "gallery")
     return evaluate_retrieval(q, g, qids, gids, eval_config or EvalConfig(),
                               exclude_self=exclude_self)
+
+
+def _embedded(params, features, name):
+    try:
+        return embed_samples(params, features)
+    except NonFiniteError as e:
+        raise ValueError(f"the {name} set's embedding is not finite ({e})"
+                         ) from None
 
 
 def id_accuracy(params, samples):

@@ -11,6 +11,18 @@ def test_relu_forward():
     assert np.array_equal(out.data, [[0.0, 2.0]])
 
 
+@pytest.mark.parametrize("tie", ["numpy", "first-operand"])
+def test_relu_has_no_negative_zero(monkeypatch, tie):
+    # which zero np.maximum(-0.0, 0.0) returns is left to the NumPy build;
+    # np.fmax returns its first operand on a tie, as a scalar a >= b ? a : b
+    # loop does
+    if tie == "first-operand":
+        monkeypatch.setattr(np, "maximum", np.fmax)
+    out = Tensor([[-0.0, 0.0, -1.0, 2.0]]).relu()
+    assert out.data.tolist() == [[0.0, 0.0, 0.0, 2.0]]
+    assert not np.signbit(out.data).any()
+
+
 def test_identity_matmul():
     x = Tensor([[3.0, 4.0]])
     out = x @ Tensor(np.eye(2))

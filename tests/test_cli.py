@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from dareid import cli
+from dareid import cli, trainer
 from dareid.cli import (EVAL_OPTIONS, EXIT_DIVERGED, EXIT_OK, EXIT_RUNTIME,
                         EXIT_USAGE, GEN_OPTIONS, TRAIN_OPTIONS, build_parser,
                         layer_widths, loss_letters, main, parse_bool,
@@ -14,7 +14,7 @@ from dareid.cli import (EVAL_OPTIONS, EXIT_DIVERGED, EXIT_OK, EXIT_RUNTIME,
 from dareid.datagen import read_dataset
 from dareid.evaluation import (RerankParams, k_reciprocal_rerank,
                                pairwise_distances)
-from dareid.network import load_checkpoint
+from dareid.network import load_checkpoint, save_checkpoint
 from dareid.trainer import embed_samples
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -474,25 +474,98 @@ class TestEval:
     def test_self_set_eval_reads_and_stacks_once(self, trained, monkeypatch):
         # demo 04's eval: one file is the query and the gallery set
         data, ckpt, tmp_path = trained
-        reads, stacks = [], []
-        read, stack = cli.read_dataset, np.stack
+        reads, gathers = [], []
+        read, gather = cli.read_dataset, trainer._features
 
         def reading(path):
             reads.append(path)
             return read(path)
 
-        def stacking(arrays, *args, **kwargs):
-            stacks.append(len(arrays))
-            return stack(arrays, *args, **kwargs)
+        def gathering(samples):
+            gathers.append(len(samples))
+            return gather(samples)
         monkeypatch.setattr(cli, "read_dataset", reading)
-        monkeypatch.setattr(np, "stack", stacking)
+        monkeypatch.setattr(trainer, "_features", gathering)
         real = str(data / "real.jsonl")
         assert main(["eval", "--checkpoint", str(ckpt), "--query", real,
                      "--gallery", real, "--exclude-self", "--rerank",
                      "--k1", "6", "--k2", "2",
                      "--out", str(tmp_path / "self.json")]) == EXIT_OK
         assert reads == [real]
-        assert stacks == [16]           # embed_samples' own stack
+        assert gathers == [16]          # evaluate's one gather
+
+    @pytest.mark.parametrize("features_equal", [True, False],
+                             ids=["copy", "one-feature-differs"])
+    def test_two_files_with_equal_ids_gather_each_set_once(
+            self, trained, tmp_path, monkeypatch, features_equal):
+        # a copy of the query file is the query set, embedded once; with one
+        # feature changed it is a gallery of its own, embedded apart
+        data, ckpt, _ = trained
+        lines = (data / "real.jsonl").read_text().splitlines()
+        if not features_equal:
+            rec = json.loads(lines[3])
+            rec["features"][0] += 1.0
+            lines[3] = json.dumps(rec)
+        copy = tmp_path / "copy.jsonl"
+        copy.write_text("\n".join(lines) + "\n")
+        (tmp_path / "copy.manifest.json").write_text(
+            (data / "real.manifest.json").read_text())
+        gathers, embeds = [], []
+        gather, embed = trainer._features, trainer.embed_samples
+
+        def gathering(samples):
+            gathers.append(len(samples))
+            return gather(samples)
+
+        def embedding(params, samples):
+            embeds.append(len(samples))
+            return embed(params, samples)
+        monkeypatch.setattr(trainer, "_features", gathering)
+        monkeypatch.setattr(trainer, "embed_samples", embedding)
+        reports = []
+        for gallery in (data / "real.jsonl", copy):
+            out = tmp_path / f"{gallery.stem}.json"
+            assert main(["eval", "--checkpoint", str(ckpt),
+                         "--query", str(data / "real.jsonl"),
+                         "--gallery", str(gallery), "--rerank",
+                         "--k1", "6", "--k2", "2", "--out", str(out)]) \
+                == EXIT_OK
+            reports.append(out.read_bytes())
+        assert gathers == [16, 16, 16]  # the shared file, then each file
+        assert embeds == [16, 16] if features_equal else [16, 16, 16]
+        if features_equal:
+            assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("rerank", [(), ("--rerank", "--k1", "6")],
+                             ids=["plain", "rerank"])
+    @pytest.mark.parametrize("scale, reason", [
+        (1e308, "the query set's embedding is not finite"),
+        (1e306, "finite distances, but the squared distances overflow"),
+    ], ids=["embedding", "distances"])
+    def test_overflow_is_usage_error_without_a_warning(
+            self, trained, tmp_path, scale, reason, rerank):
+        # the first layer's weights scaled until the embedding overflows, or
+        # only the squared distances between embeddings do
+        data, ckpt, _ = trained
+        params, _ = load_checkpoint(str(ckpt))
+        w = params.embed_layers[0][0]
+        w.data = w.data * scale
+        bad = tmp_path / "big.ckpt"
+        save_checkpoint(str(bad), params)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "dareid.cli",
+             "eval", "--checkpoint", str(bad),
+             "--query", str(data / "real.jsonl"),
+             "--gallery", str(data / "real.jsonl"), *rerank,
+             "--out", str(tmp_path / "big.json")],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == EXIT_USAGE, done.stderr
+        assert done.stderr.startswith("error: ") and reason in done.stderr
+        assert "Traceback" not in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        assert not (tmp_path / "big.json").exists()
 
     def test_missing_checkpoint_is_runtime_error(self, trained):
         data, _, tmp_path = trained

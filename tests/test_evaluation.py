@@ -1144,6 +1144,28 @@ class TestEvaluateRetrieval:
         assert not report.reranked
         assert report.config["top_k"] == 100
 
+    @pytest.mark.parametrize("rerank", [None, RerankParams(k1=3, k2=2)],
+                             ids=["plain", "rerank"])
+    def test_overflowing_distances_rejected_without_a_warning(self, rerank):
+        # finite embeddings whose squared distances overflow; the suite
+        # turns a NumPy RuntimeWarning into an error
+        g = np.random.default_rng(20).normal(size=(8, 3))
+        g[5, 1] = 1e200
+        ids = np.arange(8) % 2
+        with pytest.raises(ValueError, match="finite distances, but the "
+                                             "squared distances overflow"):
+            evaluate_retrieval(g[:2], g[2:], ids[:2], ids[2:],
+                               EvalConfig(rerank=rerank))
+
+    def test_infinite_embeddings_rank_without_a_warning(self):
+        # inf - inf is NaN, which ranks last; the suite turns a NumPy
+        # RuntimeWarning into an error
+        q = np.array([[np.inf, 0.0], [1.0, 2.0]])
+        g = np.array([[np.inf, 1.0], [0.0, 0.0], [1.0, 1.0]])
+        report = evaluate_retrieval(q, g, [0, 1], [0, 1, 1])
+        assert report.ranked[0].tolist() == [2, 0, 1]
+        assert report.map_at_k == pytest.approx(2 / 3, abs=1e-15)
+
     def test_ranked_is_flat_positions_and_row_pointer(self):
         # query 0 ranks the gallery 0,1,2,3 and query 1 ranks it 3,2,1,0;
         # their relevant items sit at positions 0,3 and 1,2

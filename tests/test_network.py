@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dareid.autodiff import GraphError, Tensor, softmax_cross_entropy
+from dareid.autodiff import (GraphError, NonFiniteError, Tensor,
+                             softmax_cross_entropy)
 from dareid.network import (HEAD_NAMES, ModelConfig, checkpoint_dict, embed,
                             head_logits, init_params, load_checkpoint,
                             params_from_checkpoint, save_checkpoint)
@@ -106,6 +107,80 @@ def test_head_logits_hand_computed():
     emb = np.array([[1.0, 0.0, 2.0, -1.0]])
     assert np.allclose(head_logits(params, Tensor(emb), "domain").data,
                        emb @ w + [1.0, -1.0], atol=1e-15)
+
+
+def per_node_embed(params, features):
+    """The embedder as per-layer matmul, add and relu nodes."""
+    x = features
+    for i, (w, b) in enumerate(params.embed_layers):
+        x = x @ w + b
+        if i < len(params.embed_layers) - 1:
+            x = x.relu()
+    return x
+
+
+class TestEmbedNode:
+    """The one-node embedder against per_node_embed, compared as bytes, so a
+    zero's sign counts."""
+
+    @staticmethod
+    def model_and_inputs(hidden, rows, seed):
+        rng = np.random.default_rng(seed)
+        params = init_params(small_config(hidden_dims=hidden), seed=seed)
+        for w, b in params.embed_layers:
+            # zero biases of both signs; a zero input row then makes each
+            # first-layer pre-activation its bias, exact zeros among them
+            b.data = rng.choice([0.0, -0.0, 0.5, -0.5], size=b.shape)
+        x = rng.normal(size=(rows, 5))
+        x[0] = -0.0
+        x[rows // 2, ::2] = 0.0
+        weights = rng.normal(size=(rows, 4))
+        weights[:, 1] = -0.0
+        return params, x, weights
+
+    @staticmethod
+    def twin(params):
+        return params_from_checkpoint(checkpoint_dict(params))
+
+    @pytest.mark.parametrize("hidden", [[], [7], [5, 6]])
+    @pytest.mark.parametrize("rows", [1, 6])
+    @pytest.mark.parametrize("tensor_input", [False, True])
+    @pytest.mark.parametrize("start", ["unset", "minus-zero"])
+    def test_value_and_gradients_equal_the_per_node_graph(
+            self, hidden, rows, tensor_input, start):
+        params, x, weights = self.model_and_inputs(hidden, rows,
+                                                   len(hidden) + rows)
+        results = []
+        for fn, p in ((embed, params), (per_node_embed, self.twin(params))):
+            xt = Tensor(x) if tensor_input else x
+            if start == "minus-zero":     # gradients already held
+                for _, t in p.named():
+                    t.grad = np.full_like(t.data, -0.0)
+            values = []
+            for _ in range(2):          # a second pass without zero_grad
+                out = fn(p, xt)
+                (out * Tensor(weights)).sum().backward()
+                values.append(out.data.tobytes())
+            grads = [t.grad.tobytes() for _, t in p.named()]
+            if tensor_input:
+                grads.append(xt.grad.tobytes())
+            results.append((values, grads))
+        assert results[0] == results[1]
+
+    def test_embed_is_one_node(self):
+        params, x, _ = self.model_and_inputs([5, 6], 4, 0)
+        out = embed(params, Tensor(x))
+        assert out._op == "embed"
+        assert all(p._parents == () for p in out._parents)
+
+    def test_overflow_to_minus_inf_in_a_hidden_layer_is_rejected(self):
+        # relu would map the second layer's -inf to 0 and a finite output
+        params = init_params(small_config(hidden_dims=[4, 4]), seed=0)
+        (_, b0), (w1, _), _ = params.embed_layers
+        b0.data = np.ones_like(b0.data)       # first relu outputs >= 1
+        w1.data = np.full_like(w1.data, -1e308)
+        with pytest.raises(NonFiniteError, match="layer 1"):
+            embed(params, np.zeros((2, 5)))
 
 
 def test_unknown_head_rejected():
