@@ -166,6 +166,8 @@ class Tensor:
             seen.add(id(node))
             for p in node._parents:
                 visit(p)
+            if node._backward_fn is not None:
+                node._grad = None   # a node of an earlier call starts afresh
             topo.append(node)
         visit(self)
         self._grad = np.ones_like(self.data)

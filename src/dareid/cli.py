@@ -68,9 +68,10 @@ def add_options(parser, table):
 
 def read_config_file(path, table):
     """Flat key=value file; blank lines and #-comments ignored. Each value is
-    parsed with its option's type; errors name the file and line."""
+    parsed with its option's type; errors name the file and line. Returns
+    the values and, per key, its "<file>:<line>"."""
     types = {opt.key: opt.type for opt in table}
-    values = {}
+    values, lines = {}, {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -86,18 +87,53 @@ def read_config_file(path, table):
                 values[key] = types[key](text.strip())
             except (ValueError, argparse.ArgumentTypeError) as e:
                 raise ValueError(f"{path}:{lineno}: bad {key}: {e}") from None
-    return values
+            lines[key] = f"{path}:{lineno}"
+    return values, lines
+
+
+class Settings(dict):
+    """Effective settings; lines maps each key whose value the --config file
+    set to its "<file>:<line>"."""
+
+    def __init__(self, values, lines):
+        super().__init__(values)
+        self.lines = lines
 
 
 def resolve_options(table, args):
     """Effective settings: defaults, then the --config file, then flags."""
     values = {opt.key: opt.default for opt in table}
+    lines = {}
     if args.config:
-        values.update(read_config_file(args.config, table))
-    flags = vars(args)
-    values.update({opt.key: flags[opt.key] for opt in table
-                   if flags[opt.key] is not None})
-    return values
+        read, lines = read_config_file(args.config, table)
+        values.update(read)
+    given = vars(args)
+    flags = {opt.key: given[opt.key] for opt in table
+             if given[opt.key] is not None}
+    values.update(flags)
+    return Settings(values, {k: v for k, v in lines.items() if k not in flags})
+
+
+def build_settings(build, table, values):
+    """build(values). A ValueError that one --config line's value brings
+    about alone, the file's other keys at their defaults, names that line
+    as <file>:<line>: like a value that does not parse."""
+    try:
+        return build(values)
+    except ValueError as error:
+        defaults = {opt.key: opt.default for opt in table}
+        base = {**values, **{key: defaults[key] for key in values.lines}}
+        suspects = values.lines.items()
+        try:
+            build(base)
+        except ValueError:
+            suspects = ()   # defaults and flags fail alone: no line is at fault
+        for key, where in suspects:
+            try:
+                build({**base, key: values[key]})
+            except ValueError as e:
+                raise ValueError(f"{where}: {e}") from None
+        raise error
 
 
 def write_config_echo(out_dir, values):
@@ -127,11 +163,10 @@ GEN_OPTIONS = (
 )
 
 
-def cmd_gen(args):
-    vals = resolve_options(GEN_OPTIONS, args)
+def build_toy_spec(vals):
     dim, offset = vals["dim"], vals["shift_offset"]
     shift = (np.eye(dim), np.full(dim, offset)) if offset != 0.0 else None
-    spec = ToySpec(
+    return ToySpec(
         num_ids_real=vals["ids_real"], num_ids_synth=vals["ids_synth"],
         samples_per_id=vals["per_id"], input_dim=dim,
         num_colors=vals["colors"], num_types=vals["types"],
@@ -139,6 +174,10 @@ def cmd_gen(args):
         cluster_sep=vals["cluster_sep"], domain_shift=shift,
         noise_sigma=vals["noise_sigma"], seed=vals["seed"])
 
+
+def cmd_gen(args):
+    vals = resolve_options(GEN_OPTIONS, args)
+    spec = build_settings(build_toy_spec, GEN_OPTIONS, vals)
     samples, manifest = generate_toy_dataset(spec)
     os.makedirs(args.out_dir, exist_ok=True)
     real = [s for s in samples if s.domain == REAL]
@@ -236,10 +275,14 @@ def cmd_train(args):
         manifest = {**manifest, **{k: synth_manifest[k] for k in
                     ("synth_id_range", "num_colors", "num_types",
                      "num_orientation_bins")}}
-    config = build_train_config(vals, manifest)
-    # checked before the out-dir exists, not at the first batch
-    build_train_set(real_data, synth_data, config.batch,
-                    config.model.head_class_counts)
+
+    def build(values):
+        config = build_train_config(values, manifest)
+        # checked before the out-dir exists, not at the first batch
+        build_train_set(real_data, synth_data, config.batch,
+                        config.model.head_class_counts)
+        return config
+    config = build_settings(build, TRAIN_OPTIONS, vals)
 
     os.makedirs(args.out_dir, exist_ok=True)
     write_config_echo(args.out_dir, vals)
@@ -304,6 +347,14 @@ EVAL_OPTIONS = (
 )
 
 
+def build_eval_config(vals):
+    rerank = None
+    if vals["rerank"]:
+        rerank = RerankParams(k1=vals["k1"], k2=vals["k2"],
+                              lambda_orig=vals["lambda"])
+    return EvalConfig(top_k=vals["topk"], rerank=rerank)
+
+
 def cmd_eval(args):
     vals = resolve_options(EVAL_OPTIONS, args)
     params, _ = load_checkpoint(args.checkpoint)
@@ -312,11 +363,7 @@ def cmd_eval(args):
     gallery = (query if os.path.samefile(args.gallery, args.query)
                else read_dataset(args.gallery)[0])
 
-    rerank = None
-    if vals["rerank"]:
-        rerank = RerankParams(k1=vals["k1"], k2=vals["k2"],
-                              lambda_orig=vals["lambda"])
-    config = EvalConfig(top_k=vals["topk"], rerank=rerank)
+    config = build_settings(build_eval_config, EVAL_OPTIONS, vals)
     report = evaluate(params, query, gallery, config,
                       exclude_self=vals["exclude_self"])
 

@@ -455,11 +455,15 @@ def _member(sorted_keys, keys):
 
 
 def _reciprocal(near):
-    """mask[i, a]: row i is itself among the neighbours of near[i, a]."""
+    """mask[i, a]: row i is itself among the neighbours of near[i, a]. Keys
+    looked up in ascending order take searchsorted a fraction of the time."""
     n, k = near.shape
     rows = np.repeat(np.arange(n), k)
-    cols = near.ravel()
-    return _member(np.sort(rows * n + cols), cols * n + rows).reshape(n, k)
+    keys = near.ravel() * n + rows
+    order = np.argsort(keys)
+    mask = np.empty(n * k, dtype=bool)
+    mask[order] = _member(np.sort(rows * n + near.ravel()), keys[order])
+    return mask.reshape(n, k)
 
 
 def _ranges(starts, lengths):
@@ -575,58 +579,115 @@ def _pair_sums(a, b, rows, cols):
     return out
 
 
+def _blocks(ptr, budget=BLOCK_BYTES // 128):
+    """(start, stop) blocks of rows, in order, each spanning at most budget
+    entries of the row pointer ptr (one row at least); by default a few
+    arrays of a block's terms fit in BLOCK_BYTES."""
+    cuts = [0]
+    while cuts[-1] < len(ptr) - 1:
+        cuts.append(max(cuts[-1] + 1, int(np.searchsorted(
+            ptr, ptr[cuts[-1]] + budget, "right")) - 1))
+    return zip(cuts, cuts[1:])
+
+
 def _encode_weights(allf, near, row_max, k1):
     """V as CSR arrays: per row, Gaussian weights over its expanded
     k-reciprocal set in ascending column order, normalised to sum to one.
-    Each weight's squared distance comes from _pair_sums, so it is the entry
-    of the normalised all-vs-all matrix bit for bit."""
-    half = int(round(k1 / 2.0))
-    recip_half = [r[m].tolist() for r, m in
-                  zip(near[:, :half + 1], _reciprocal(near[:, :half + 1]))]
-    indices = []
-    for r, m in zip(near, _reciprocal(near)):
-        forward = r[m].tolist()
-        own = set(forward)
-        expanded = set(forward)
-        for cand in forward:
-            if len(own.intersection(recip_half[cand])) > (
-                    2.0 / 3.0) * len(recip_half[cand]):
-                expanded.update(recip_half[cand])
-        indices.append(np.array(sorted(expanded), dtype=np.intp))
-    cols = np.concatenate(indices)
-    rows = np.repeat(np.arange(len(indices)), [len(c) for c in indices])
-    indptr = _row_ptr(rows, len(indices))
-    dist = _pair_sums(allf, allf, rows, cols)
-    weight = np.exp(-(_original_distances(dist) / row_max[rows]))
+    Row r's set, flagged in n columns per row of a block, joins R(r) (the
+    near[r] _reciprocal keeps) with the half-size set H(c) of each c in R(r)
+    more than two thirds in R(r). Each weight's squared distance comes from
+    _pair_sums, so it is the normalised all-vs-all entry bit for bit."""
+    n, k = near.shape
+    half = near[:, :int(round(k1 / 2.0)) + 1]
+    in_half = _reciprocal(half)
+    h_len = np.count_nonzero(in_half, axis=1)
+    h_cols, h_start = half[in_half], np.cumsum(h_len) - h_len
+    fwd = _reciprocal(near)
+    cand = near[fwd]                    # R(r), row after row
+    f_keys = np.flatnonzero(fwd) // k * n + cand
+    lens = h_len[cand]
+    f_ptr = _row_ptr(f_keys // n, n)
+    keys = []
+    # a block's terms, and n / 8 words a row for its flags
+    for start, stop in _blocks(np.concatenate([[0], np.cumsum(lens)])[f_ptr]
+                               + np.arange(n + 1) * (n // 8)):
+        at = slice(f_ptr[start], f_ptr[stop])
+        c, c_len, own = cand[at], lens[at], f_keys[at] - start * n
+        flags = np.zeros((stop - start) * n, dtype=bool)
+        flags[own] = True
+        # H(c) of each pair (r, c), as block-local r * n + col keys
+        grow = np.repeat(own - c, c_len) + h_cols[_ranges(h_start[c], c_len)]
+        hits = np.bincount(np.repeat(np.arange(len(c)), c_len), flags[grow],
+                           len(c))
+        flags[grow[np.repeat(hits > (2.0 / 3.0) * c_len, c_len)]] = True
+        keys.append(start * n + np.flatnonzero(flags))
+    rows, cols = np.divmod(np.concatenate(keys), n)
+    indptr = _row_ptr(rows, n)
+    weight = np.exp(-(_original_distances(_pair_sums(allf, allf, rows, cols))
+                      / row_max[rows]))
     weight /= np.repeat(_row_sums(weight, indptr), np.diff(indptr))
     return indptr, cols, weight
 
 
 def _mean_rows(indptr, indices, data, nearest):
-    """CSR arrays whose row i is the mean of the rows nearest[i]. A block of
-    rows is summed densely by bincount, which adds in input order: the
-    rows in the order of nearest[i], as the dense mean over rows does (an
-    absent entry there adds 0.0, which changes no value)."""
+    """CSR arrays whose row i is the mean of the rows nearest[i]. Per block,
+    a stable argsort of the terms' row * n + col keys groups each entry's
+    terms in the order of nearest[i], and bincount adds each group in that
+    order, as the dense mean over rows does (an absent entry adds 0.0, which
+    changes no value; no sum of positive weights is 0)."""
     n, k = nearest.shape
-    rows = _block_rows(4 * n)
-    flat, out = [], []
-    for start in range(0, n, rows):
-        src = nearest[start:start + rows].ravel()
-        lens = indptr[src + 1] - indptr[src]
-        take = _ranges(indptr[src], lens)
-        block_n = len(src) // k
-        owner = np.repeat(np.arange(block_n), k).repeat(lens)
-        total = np.bincount(owner * n + indices[take], weights=data[take],
-                            minlength=block_n * n)
-        nonzero = np.flatnonzero(total)
-        flat.append(nonzero + start * n)
-        out.append(total[nonzero] / k)
-    # each list is freed once joined, so the output is held twice one array
-    # at a time
-    del total
-    flat = np.concatenate(flat)
-    out = np.concatenate(out)
-    return _row_ptr(flat // n, n), flat % n, out
+    lens = indptr[nearest + 1] - indptr[nearest]
+    per_row = lens.sum(axis=1)
+    counts, cols, sums = [], [], []
+    for start, stop in _blocks(np.concatenate([[0], np.cumsum(per_row)])):
+        take = _ranges(indptr[nearest[start:stop]].ravel(),
+                       lens[start:stop].ravel())
+        keys = (np.repeat(np.arange(stop - start) * n, per_row[start:stop])
+                + indices[take])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.diff(keys, prepend=-1) != 0
+        sums.append(np.bincount(np.cumsum(first) - 1, data[take[order]]) / k)
+        rows, col = np.divmod(keys[first], n)
+        counts.append(np.bincount(rows, minlength=stop - start))
+        cols.append(col)
+    cols = np.concatenate(cols)     # each list is freed once joined
+    return (np.concatenate([[0], np.cumsum(np.concatenate(counts))]), cols,
+            np.concatenate(sums))
+
+
+def _blend_jaccard(final, indptr, indices, data, lam):
+    """final = lam * final + (1 - lam) * the Jaccard distance of V's rows
+    0..Nq-1 to its rows Nq.., in place. The overlaps, sums of min(V[i, c],
+    V[j, c]) over a column index of the gallery rows, take one bincount per
+    block of query rows, keyed block row * Ng + gallery row: it adds in input
+    order, so each overlap takes its terms in ascending column order."""
+    nq, ng = final.shape
+    gallery = slice(indptr[nq], None)
+    by_col = np.argsort(indices[gallery], kind="stable")
+    col_ptr = _row_ptr(indices[gallery][by_col], len(indptr) - 1)
+    col_rows = np.repeat(np.arange(ng), np.diff(indptr[nq:]))[by_col]
+    col_data = data[gallery][by_col]
+    del by_col
+    col_len = np.diff(col_ptr)
+    t_ptr = np.concatenate([[0], np.cumsum(col_len[indices[:indptr[nq]]])])[
+        indptr[:nq + 1]]
+    # a block's terms and its overlaps share the budget
+    for start, stop in _blocks(t_ptr + np.arange(nq + 1) * ng):
+        at = slice(indptr[start], indptr[stop])
+        c = col_len[indices[at]]
+        take = _ranges(col_ptr[indices[at]], c)
+        keys = col_rows[take]       # in place from here: three arrays held
+        keys += np.repeat(np.arange(stop - start) * ng,
+                          np.diff(t_ptr[start:stop + 1]))
+        weights = col_data[take]
+        del take
+        overlap = np.bincount(keys, np.minimum(
+            weights, np.repeat(data[at], c), out=weights), (stop - start) * ng)
+        del keys, weights
+        overlap = overlap.reshape(-1, ng)
+        final[start:stop] = lam * final[start:stop] + (1.0 - lam) * (
+            1.0 - overlap / (2.0 - overlap))
 
 
 def k_reciprocal_rerank(queries, gallery, rerank=None):
@@ -636,10 +697,11 @@ def k_reciprocal_rerank(queries, gallery, rerank=None):
     Bitwise equal to the dense algorithm over the all-vs-all matrix, in
     O(Nq x N + N x k1) memory: only the query rows and each row's maximum
     and top k1+1 neighbours are kept of the distances, and the neighbour
-    weights are sparse rows. GEMM values certify every row's maximum and
-    neighbours (_distance_pass), so the output does not depend on the BLAS
-    kernel, and one exact call gives the blend's Nq x Ng distances. If every
-    block falls back, the exact rows are 2 Nq + Ng instead of Nq + Ng.
+    weights are sparse rows, built and blended a block of rows at a time.
+    GEMM values certify every row's maximum and neighbours (_distance_pass),
+    so the output does not depend on the BLAS kernel, and one exact call
+    gives the blend's Nq x Ng distances. If every block falls back, the
+    exact rows are 2 Nq + Ng instead of Nq + Ng.
     """
     if rerank is None:
         rerank = RerankParams()
@@ -647,40 +709,25 @@ def k_reciprocal_rerank(queries, gallery, rerank=None):
     g = np.asarray(gallery, dtype=np.float64)
     if rerank.k1 >= g.shape[0]:
         raise ValueError(f"k1={rerank.k1} must be below gallery size {g.shape[0]}")
-    nq = q.shape[0]
-    allf = np.concatenate([q, g])
-    if not np.isfinite(allf).all():
+    if not (np.isfinite(q).all() and np.isfinite(g).all()):
         raise ValueError("k-reciprocal re-ranking needs finite embeddings, "
                          "but the embeddings are not finite")
-    n = allf.shape[0]
+    # the output first, while nothing else is held; a distance that
+    # overflows fails the distance pass below
+    with np.errstate(over="ignore", invalid="ignore"):
+        final = pairwise_distances(q, g)
+    allf = np.concatenate([q, g])
     row_max, near = _distance_pass(allf, rerank.k1 + 1)
-    final = pairwise_distances(q, g)
     np.square(final, out=final)     # the original distances, in place
-    final /= row_max[:nq, None]
-    indptr, indices, data = _encode_weights(allf, near, row_max, rerank.k1)
+    final /= row_max[:len(q), None]
+    v = _encode_weights(allf, near, row_max, rerank.k1)
+    del allf
     # local query expansion; with k2 == 1 a row stays as it is, though its
     # nearest row may be a lower-index duplicate
     if rerank.k2 != 1:
-        indptr, indices, data = _mean_rows(indptr, indices, data,
-                                           near[:, :rerank.k2])
-
-    # Jaccard distance of each query row to every row, the overlap summed in
-    # ascending column order through a column index of V
-    by_col = np.argsort(indices, kind="stable")
-    col_ptr = _row_ptr(indices[by_col], n)
-    col_rows = np.repeat(np.arange(n), np.diff(indptr))[by_col]
-    col_data = data[by_col]
-    lam = rerank.lambda_orig
-    for i in range(nq):
-        cols = indices[indptr[i]:indptr[i + 1]]
-        counts = col_ptr[cols + 1] - col_ptr[cols]
-        take = _ranges(col_ptr[cols], counts)
-        overlap = np.bincount(
-            col_rows[take], minlength=n,
-            weights=np.minimum(np.repeat(data[indptr[i]:indptr[i + 1]],
-                                         counts), col_data[take]))[nq:]
-        final[i] = lam * final[i] + (1.0 - lam) * (
-            1.0 - overlap / (2.0 - overlap))
+        v = _mean_rows(*v, near[:, :rerank.k2])
+    del near
+    _blend_jaccard(final, *v, rerank.lambda_orig)
     return final
 
 

@@ -51,6 +51,17 @@ def test_backward_of_half_squared_norm():
     assert np.allclose(x.grad, [[3.0, -2.0]], atol=1e-15)
 
 
+def test_second_backward_adds_the_gradient_once_more():
+    # interior nodes keep no gradient from the first call: the leaves get
+    # twice the gradient, not the first call's re-added intermediates
+    x, w = Tensor([[3.0]]), Tensor([[2.0]])
+    loss = ((x @ w) * 1.0).sum()
+    loss.backward()
+    assert w.grad.tolist() == [[3.0]] and x.grad.tolist() == [[2.0]]
+    loss.backward()
+    assert w.grad.tolist() == [[6.0]] and x.grad.tolist() == [[4.0]]
+
+
 def test_mlp_cross_entropy_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     w1 = Tensor(rng.normal(size=(5, 8)))

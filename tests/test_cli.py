@@ -728,6 +728,36 @@ class TestBadInput:
             in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("line,message", [
+        ("hidden_dims=0", "hidden dims must be >= 1"),
+        ("epochs=0", "epochs must be >= 1"),
+        ("margin=-1", "triplet_margin must be finite and non-negative")])
+    def test_config_value_out_of_range_names_file_and_line(
+            self, tmp_path, capsys, line, message):
+        _, data = run_gen(tmp_path)
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(f"# settings\nseed=3\n{line}\n")
+        out = tmp_path / "o"
+        code = main(["train", "--data", str(data / "real.jsonl"),
+                     "--out-dir", str(out), "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert f"error: {cfg}:3: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_range_error_of_a_flag_names_no_config_line(self, tmp_path,
+                                                        capsys):
+        # the file's line is fine alone; the flag's value is at fault
+        _, data = run_gen(tmp_path)
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("epochs=2\n")
+        code = main(["train", "--data", str(data / "real.jsonl"),
+                     "--out-dir", str(tmp_path / "o"), "--config", str(cfg),
+                     "--margin", "-1"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: triplet_margin must be" in err and str(cfg) not in err
+
+
 TABLES = {"gen": GEN_OPTIONS, "train": TRAIN_OPTIONS, "eval": EVAL_OPTIONS}
 REQUIRED_ARGS = {"gen": ["--out-dir", "o"],
                  "train": ["--data", "d", "--out-dir", "o"],
