@@ -170,6 +170,9 @@ class Tensor:
                 node._grad = None   # a node of an earlier call starts afresh
             topo.append(node)
         visit(self)
+        # visit refers to itself; that cycle would keep topo, and so the
+        # whole graph, alive until the next garbage collection
+        del visit
         self._grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward_fn is not None:
@@ -203,15 +206,16 @@ def grad_reversal(x, lam):
     return out
 
 
-def softmax_cross_entropy(logits, labels, mask=None):
-    """Fused softmax + cross-entropy, averaged over the batch.
+def cross_entropy(z, labels, mask=None):
+    """Value and gradient of the fused softmax + cross-entropy of a logits
+    array z, averaged over the batch.
 
     Nonzero mask rows are selected; without a mask every row is. Over a
     batch of N rows, L = -(1/N) * sum over selected rows i of
-    log softmax(logits_i)[labels_i]. The gradient of a selected row i is
+    log softmax(z_i)[labels_i]. The gradient of a selected row i is
     (softmax_i - onehot_i) / N, and exactly zero for the other rows.
     """
-    n, c = logits.shape
+    n, c = z.shape
     if n == 0:
         raise GraphError("cross-entropy on an empty batch")
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -224,24 +228,26 @@ def softmax_cross_entropy(logits, labels, mask=None):
     if np.any((labels[active] < 0) | (labels[active] >= c)):
         raise GraphError(f"label out of range [0, {c})")
 
-    z = logits.data
     zmax = z.max(axis=1, keepdims=True)
     shifted = z - zmax
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + zmax
+    rows = np.arange(n)
     safe_labels = np.where(active, labels, 0)
-    logp = z[np.arange(n), safe_labels] - lse[:, 0]
+    logp = z[rows, safe_labels] - lse[:, 0]
     value = -np.where(active, logp, 0.0).sum() / n
 
-    out = Tensor([[value]], parents=(logits,), op="softmax_xent")
-    probs = np.exp(z - lse)
+    d = np.exp(z - lse)
+    d[rows, safe_labels] -= 1.0
+    d *= 1.0 / n
+    d[~active] = 0.0
+    return value, d
 
-    def _bw(g):
-        d = probs.copy()
-        d[np.arange(n), safe_labels] -= 1.0
-        d *= 1.0 / n
-        d[~active] = 0.0
-        logits._accumulate(g[0, 0] * d)
-    out._backward_fn = _bw
+
+def softmax_cross_entropy(logits, labels, mask=None):
+    """cross_entropy of a logits Tensor, as a 1x1 graph node."""
+    value, d = cross_entropy(logits.data, labels, mask)
+    out = Tensor([[value]], parents=(logits,), op="softmax_xent")
+    out._backward_fn = lambda g: logits._accumulate(g[0, 0] * d)
     return out
 
 

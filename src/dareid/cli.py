@@ -29,7 +29,7 @@ from .losses import LossWeights
 from .network import (CheckpointFormatError, ModelConfig, load_checkpoint,
                       save_checkpoint)
 from .optimizer import LrSchedule
-from .sampling import REAL, SYNTHETIC, BatchSpec, build_train_set
+from .sampling import REAL, SYNTHETIC, BatchSpec, check_train_data
 from .trainer import (DivergenceError, TrainConfig, embed_samples, evaluate,
                       train)
 
@@ -46,9 +46,19 @@ def parse_bool(text):
     return value == "true"
 
 
+def int64(text):
+    """An integer setting; one beyond int64 would overflow in NumPy."""
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise argparse.ArgumentTypeError(
+            f"{text.strip()} is outside the 64-bit integer range")
+    return value
+
+
 class Opt(NamedTuple):
     """One setting of a command: its config-file key, the parser for its
-    text (int, float, parse_bool or a checker), its default and help text."""
+    text (int64, float, parse_bool or a checker), its default and help
+    text."""
     key: str
     type: object
     default: object
@@ -149,17 +159,17 @@ def write_config_echo(out_dir, values):
 # ---- gen ----
 
 GEN_OPTIONS = (
-    Opt("ids_real", int, ToySpec.num_ids_real, "real-domain identities"),
-    Opt("ids_synth", int, ToySpec.num_ids_synth, "synthetic identities"),
-    Opt("per_id", int, ToySpec.samples_per_id, "samples per identity"),
-    Opt("dim", int, ToySpec.input_dim, "feature dimension"),
-    Opt("seed", int, ToySpec.seed, "generator seed"),
+    Opt("ids_real", int64, ToySpec.num_ids_real, "real-domain identities"),
+    Opt("ids_synth", int64, ToySpec.num_ids_synth, "synthetic identities"),
+    Opt("per_id", int64, ToySpec.samples_per_id, "samples per identity"),
+    Opt("dim", int64, ToySpec.input_dim, "feature dimension"),
+    Opt("seed", int64, ToySpec.seed, "generator seed"),
     Opt("cluster_sep", float, ToySpec.cluster_sep, "min centre distance"),
     Opt("noise_sigma", float, ToySpec.noise_sigma, "per-sample noise std"),
     Opt("shift_offset", float, 0.0, "synthetic feature offset, 0 = no shift"),
-    Opt("colors", int, ToySpec.num_colors, "color classes"),
-    Opt("types", int, ToySpec.num_types, "vehicle type classes"),
-    Opt("orientation_bins", int, ToySpec.num_orientation_bins, "angle bins"),
+    Opt("colors", int64, ToySpec.num_colors, "color classes"),
+    Opt("types", int64, ToySpec.num_types, "vehicle type classes"),
+    Opt("orientation_bins", int64, ToySpec.num_orientation_bins, "angle bins"),
 )
 
 
@@ -193,7 +203,7 @@ def cmd_gen(args):
 # ---- train ----
 
 def _parse_widths(text):
-    return [int(h) for h in text.split(",") if h.strip()]
+    return [int64(h) for h in text.split(",") if h.strip()]
 
 
 def loss_letters(text):
@@ -213,18 +223,18 @@ def layer_widths(text):
 
 TRAIN_OPTIONS = (
     Opt("losses", loss_letters, "V", "comma list from V,D,O,C,T (V required)"),
-    Opt("epochs", int, TrainConfig.epochs, "training epochs"),
-    Opt("iterations", int, None, "per epoch; unset: one pass over the data"),
-    Opt("seed", int, TrainConfig.seed, "initialisation and sampling seed"),
-    Opt("n", int, 2, "identities per domain per batch"),
-    Opt("m", int, 4, "samples per identity per batch"),
+    Opt("epochs", int64, TrainConfig.epochs, "training epochs"),
+    Opt("iterations", int64, None, "per epoch; unset: one pass over the data"),
+    Opt("seed", int64, TrainConfig.seed, "initialisation and sampling seed"),
+    Opt("n", int64, 2, "identities per domain per batch"),
+    Opt("m", int64, 4, "samples per identity per batch"),
     Opt("margin", float, LossWeights.triplet_margin, "triplet margin"),
     Opt("grl_lambda", float, LossWeights.grl_lambda, "reversal strength"),
     Opt("disjoint_weight", float, LossWeights.disjoint_weight, "O/C/T weight"),
     Opt("base_lr", float, LrSchedule.base_lr, "lr; x0.1 at epochs 20 and 40"),
     Opt("hidden_dims", layer_widths, "32", "comma list of hidden layer widths"),
-    Opt("embed_dim", int, 16, "embedding width"),
-    Opt("orientation_bins", int, None, "angle bins; unset: the manifest's"),
+    Opt("embed_dim", int64, 16, "embedding width"),
+    Opt("orientation_bins", int64, None, "angle bins; unset: the manifest's"),
 )
 
 
@@ -279,8 +289,8 @@ def cmd_train(args):
     def build(values):
         config = build_train_config(values, manifest)
         # checked before the out-dir exists, not at the first batch
-        build_train_set(real_data, synth_data, config.batch,
-                        config.model.head_class_counts)
+        check_train_data(real_data, synth_data, config.batch,
+                         config.model.head_class_counts)
         return config
     config = build_settings(build, TRAIN_OPTIONS, vals)
 
@@ -338,10 +348,10 @@ def _final_report(params, real_data):
 # ---- eval ----
 
 EVAL_OPTIONS = (
-    Opt("topk", int, EvalConfig.top_k, "K of mAP@K"),
+    Opt("topk", int64, EvalConfig.top_k, "K of mAP@K"),
     Opt("rerank", parse_bool, False, "k-reciprocal re-ranking"),
-    Opt("k1", int, RerankParams.k1, "re-ranking neighbourhood size"),
-    Opt("k2", int, RerankParams.k2, "re-ranking query-expansion size"),
+    Opt("k1", int64, RerankParams.k1, "re-ranking neighbourhood size"),
+    Opt("k2", int64, RerankParams.k2, "re-ranking query-expansion size"),
     Opt("lambda", float, RerankParams.lambda_orig, "original-distance weight"),
     Opt("exclude_self", parse_bool, False, "skip each query's own row"),
 )

@@ -164,10 +164,11 @@ def _record_to_sample(rec, lineno):
         fail(f"unknown domain {domain!r}")
     if "id" not in rec or "features" not in rec:
         fail("missing id or features")
-    for key in ("id", "color", "type"):
-        if rec.get(key) is not None and not (
-                _is_int(rec[key]) and -2**63 <= rec[key] < 2**63):
-            fail(f"{key} must be a 64-bit integer, got {rec[key]!r}")
+    for key in ("id", "color", "type"):     # color and type may be null
+        value = rec.get(key)
+        if (key == "id" or value is not None) and not (
+                _is_int(value) and -2**63 <= value < 2**63):
+            fail(f"{key} must be a 64-bit integer, got {value!r}")
     angle = rec.get("orientation_deg")
     if angle is not None and not _is_finite_number(angle):
         fail(f"orientation_deg must be a finite number, got {angle!r}")

@@ -47,6 +47,8 @@ class OptimState:
     t: int = 0
     slots: dict = field(default_factory=dict)  # name -> {m1, v, vhat}
     _names = None  # parameter order of the flat vectors
+    _param = None  # the last step's parameter vector
+    _views = ()    # the p.data views of _param that the last step set
 
     def _layout(self, pairs):
         """Flat m1, v, vhat and scratch vectors in the order of pairs;
@@ -87,7 +89,9 @@ class OptimState:
 def amsgrad_step(state, named_params, lr):
     """One AMSGrad step over (name, Tensor) pairs, on flat vectors in the
     docstring's operation order, so bitwise equal to the per-tensor rule.
-    Each p.data becomes a view of one fresh vector; no input is written."""
+    Each p.data becomes a view of one fresh vector; no input is written.
+    The parameters are read from the last step's vector while every p.data
+    is still the view that step set."""
     pairs = list(named_params)
     g = np.concatenate([p.grad.reshape(-1) for _, p in pairs])
     if not np.isfinite(g).all():
@@ -98,7 +102,12 @@ def amsgrad_step(state, named_params, lr):
         state._layout(pairs)
     state.t += 1
     m1, v, vhat, tmp = state._flat
-    param = np.concatenate([p.data.reshape(-1) for _, p in pairs])
+    if (len(state._views) == len(pairs)
+            and all(p.data is view
+                    for (_, p), view in zip(pairs, state._views))):
+        param = state._param
+    else:
+        param = np.concatenate([p.data.reshape(-1) for _, p in pairs])
     np.add(g, np.multiply(state.weight_decay, param, out=tmp), out=g)
     np.add(np.multiply(BETA1, m1, out=m1),
            np.multiply(1.0 - BETA1, g, out=tmp), out=m1)
@@ -108,7 +117,8 @@ def amsgrad_step(state, named_params, lr):
     np.sqrt(np.divide(vhat, 1.0 - BETA2 ** state.t, out=tmp), out=tmp)
     np.add(tmp, EPS, out=tmp)
     np.multiply(lr, np.divide(m1, 1.0 - BETA1 ** state.t, out=g), out=g)
-    np.subtract(param, np.divide(g, tmp, out=g), out=param)
+    param = state._param = np.subtract(param, np.divide(g, tmp, out=g))
     for (_, p), span in zip(pairs, state._spans):
         p.data = param[span].reshape(p.data.shape)
+    state._views = [p.data for _, p in pairs]
     return state

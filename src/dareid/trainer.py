@@ -66,12 +66,8 @@ def _iteration_step(config, params, batch, two_domain):
     attribute labels, so it computes only the ID and triplet losses."""
     enabled = config.losses if two_domain else ()
     emb = embed(params, batch.features)
-    id_logits = head_logits(params, emb, "id")
-    disjoint_logits = {name: head_logits(params, emb, name)
-                       for name in enabled if name != "domain"}
-    domain_head = params.heads["domain"] if "domain" in enabled else None
-    return total_loss(emb, id_logits, disjoint_logits, domain_head, batch,
-                      config.weights)
+    heads = {name: params.heads[name] for name in ("id", *enabled)}
+    return total_loss(emb, heads, batch, config.weights)
 
 
 def train(config, real_data, synth_data=None, resume_from=None):

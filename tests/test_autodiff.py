@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,22 @@ def test_second_backward_adds_the_gradient_once_more():
     assert w.grad.tolist() == [[3.0]] and x.grad.tolist() == [[2.0]]
     loss.backward()
     assert w.grad.tolist() == [[6.0]] and x.grad.tolist() == [[4.0]]
+
+
+def test_graph_is_freed_when_backward_returns():
+    # without the cyclic garbage collector: a reference cycle would keep
+    # every node of each training iteration alive until a collection
+    x = Tensor([[3.0]])
+    gc.disable()
+    try:
+        hidden = x * 2.0
+        node = weakref.ref(hidden)
+        loss = hidden.sum()
+        loss.backward()
+        del hidden, loss
+        assert node() is None
+    finally:
+        gc.enable()
 
 
 def test_mlp_cross_entropy_gradient_matches_finite_differences():

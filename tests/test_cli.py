@@ -6,10 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from dareid import cli, trainer
+from dareid import cli, sampling, trainer
 from dareid.cli import (EVAL_OPTIONS, EXIT_DIVERGED, EXIT_OK, EXIT_RUNTIME,
                         EXIT_USAGE, GEN_OPTIONS, TRAIN_OPTIONS, build_parser,
-                        layer_widths, loss_letters, main, parse_bool,
+                        int64, layer_widths, loss_letters, main, parse_bool,
                         resolve_options)
 from dareid.datagen import read_dataset
 from dareid.evaluation import (RerankParams, k_reciprocal_rerank,
@@ -91,6 +91,18 @@ class TestTrain:
         log_lines = (out / "run.log.jsonl").read_text().splitlines()
         assert len(log_lines) == 2 * 4
         assert json.loads(log_lines[0])["iteration"] == 1
+
+    def test_training_set_is_built_once(self, tmp_path, monkeypatch):
+        # the early check gathers no rows; train() builds the set
+        _, data = run_gen(tmp_path)
+        train_set, built = sampling.TrainSet, []
+
+        def counting(*args):
+            built.append(args)
+            return train_set(*args)
+        monkeypatch.setattr(sampling, "TrainSet", counting)
+        assert run_train(data, tmp_path / "run") == EXIT_OK
+        assert len(built) == 1
 
     def test_repeat_run_is_byte_identical(self, tmp_path):
         _, data = run_gen(tmp_path)
@@ -646,6 +658,25 @@ class TestBadInput:
         assert main(argv) == EXIT_RUNTIME
         assert "line 3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_null_id_names_its_line(self, trained, tmp_path, capsys,
+                                    command):
+        data, ckpt, _ = trained
+        lines = (data / "real.jsonl").read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "id": None})
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--data", str(bad), "--out-dir", str(out)]
+        else:
+            argv = ["eval", "--checkpoint", str(ckpt), "--query", str(bad),
+                    "--gallery", str(data / "real.jsonl"), "--out", str(out)]
+        assert main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "line 3: id must be a 64-bit integer, got None" in err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("name, edit", BAD_FIELDS.items(),
                              ids=BAD_FIELDS.keys())
     def test_bad_field_names_its_line(self, tmp_path, capsys, name, edit):
@@ -763,7 +794,7 @@ REQUIRED_ARGS = {"gen": ["--out-dir", "o"],
                  "train": ["--data", "d", "--out-dir", "o"],
                  "eval": ["--checkpoint", "c", "--query", "q",
                           "--gallery", "g"]}
-SAMPLE_TEXT = {int: "7", float: "0.25", loss_letters: "V,D",
+SAMPLE_TEXT = {int64: "7", float: "0.25", loss_letters: "V,D",
                layer_widths: "16,8", parse_bool: "true"}
 
 
@@ -783,3 +814,28 @@ def test_flag_and_config_file_set_the_same_value(tmp_path, command, opt):
                               parser.parse_args(base + ["--config", str(cfg)]))
     assert by_flag[opt.key] != opt.default
     assert by_flag == by_file
+
+
+@pytest.mark.parametrize("command,opt", [
+    pytest.param(command, opt, id=f"{command}-{opt.key}")
+    for command, table in TABLES.items() for opt in table
+    if opt.type is int64])
+@pytest.mark.parametrize("text", [str(10**20), str(-2**63 - 1)])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_int_beyond_int64_is_usage_error_naming_the_option(
+        tmp_path, capsys, command, opt, text, where):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"{opt.key}={text}\n")
+    name = "--" + opt.key.replace("_", "-")
+    given = [name, text] if where == "flag" else ["--config", str(cfg)]
+    assert main([command, *REQUIRED_ARGS[command], *given]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    named = (f"argument {name}:" if where == "flag"
+             else f"{cfg}:1: bad {opt.key}:")
+    assert f"{named} {text} is outside the 64-bit integer range" in err
+    assert "Traceback" not in err
+
+
+def test_int64_bounds_are_inclusive():
+    assert int64(" 9223372036854775807 ") == 2**63 - 1
+    assert int64("-9223372036854775808") == -2**63

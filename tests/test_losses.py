@@ -4,9 +4,10 @@ import pytest
 from oracles import triplet_brute_force
 
 from dareid.autodiff import GraphError, Tensor, softmax_cross_entropy
-from dareid.losses import (LossWeights, domain_loss, total_loss,
-                           triplet_batch_hard)
-from dareid.network import init_params
+from dareid.losses import (DISJOINT_NAMES, LossWeights, domain_loss,
+                           total_loss, triplet_batch_hard)
+from dareid.network import (checkpoint_dict, embed, head_logits, init_params,
+                            params_from_checkpoint)
 from dareid.sampling import Batch
 
 from test_network import small_config
@@ -280,16 +281,13 @@ class TestTotalLoss:
         self.params = init_params(small_config(input_dim=6), seed=1)
 
     def parts(self, batch):
-        from dareid.network import embed, head_logits
         emb = embed(self.params, Tensor(batch.features))
-        return emb, head_logits(self.params, emb, "id"), {
-            name: head_logits(self.params, emb, name)
-            for name in ("color", "type", "orientation")}
+        return emb, dict(self.params.heads)
 
     def test_zero_disjoint_weight(self):
         batch = make_batch(self.rng)
-        emb, idl, dis = self.parts(batch)
-        bd, _ = total_loss(emb, idl, dis, self.params.heads["domain"], batch,
+        emb, heads = self.parts(batch)
+        bd, _ = total_loss(emb, heads, batch,
                            LossWeights(disjoint_weight=0.0))
         assert bd["total"] == pytest.approx(
             bd["id_loss"] + bd["domain_loss"] + bd["triplet_loss"],
@@ -297,18 +295,18 @@ class TestTotalLoss:
 
     def test_all_real_batch_zeroes_disjoint_terms(self):
         batch = make_batch(self.rng, all_real=True)
-        emb, idl, dis = self.parts(batch)
-        bd, _ = total_loss(emb, idl, dis, self.params.heads["domain"], batch,
+        emb, heads = self.parts(batch)
+        bd, _ = total_loss(emb, heads, batch,
                            LossWeights(disjoint_weight=2.5))
         assert (bd["color_loss"] == bd["type_loss"]
                 == bd["orientation_loss"] == 0.0)
 
     def test_total_is_weighted_sum_of_components(self):
         batch = make_batch(self.rng)
-        emb, idl, dis = self.parts(batch)
+        emb, heads = self.parts(batch)
         w = 0.7
-        bd, node = total_loss(emb, idl, dis, self.params.heads["domain"],
-                              batch, LossWeights(disjoint_weight=w))
+        bd, node = total_loss(emb, heads, batch,
+                              LossWeights(disjoint_weight=w))
         expected = (bd["id_loss"] + bd["domain_loss"] + bd["triplet_loss"]
                     + w * (bd["color_loss"] + bd["type_loss"]
                            + bd["orientation_loss"]))
@@ -317,11 +315,10 @@ class TestTotalLoss:
 
     def test_missing_disjoint_logits_contribute_zero(self):
         batch = make_batch(self.rng)
-        emb, idl, dis = self.parts(batch)
-        head = self.params.heads["domain"]
-        full, _ = total_loss(emb, idl, dis, head, batch, LossWeights())
-        bd, _ = total_loss(emb, idl, {"type": dis["type"]}, head, batch,
-                           LossWeights())
+        emb, heads = self.parts(batch)
+        full, _ = total_loss(emb, heads, batch, LossWeights())
+        del heads["color"], heads["orientation"]
+        bd, _ = total_loss(emb, heads, batch, LossWeights())
         assert bd["color_loss"] == bd["orientation_loss"] == 0.0
         assert bd["type_loss"] == full["type_loss"]
         assert bd["total"] == pytest.approx(
@@ -330,6 +327,181 @@ class TestTotalLoss:
 
     def test_disabled_domain_contributes_zero(self):
         batch = make_batch(self.rng)
-        emb, idl, dis = self.parts(batch)
-        bd, _ = total_loss(emb, idl, dis, None, batch, LossWeights())
+        emb, heads = self.parts(batch)
+        del heads["domain"]
+        bd, _ = total_loss(emb, heads, batch, LossWeights())
         assert bd["domain_loss"] == 0.0
+
+
+def per_node_total_loss(params, embeddings, enabled, batch, weights):
+    """The training loss as the per-node graph: head_logits nodes, the loss
+    nodes, and the add and scale nodes of the weighted sum."""
+    disjoint = {name: head_logits(params, embeddings, name)
+                for name in enabled if name != "domain"}
+    total = softmax_cross_entropy(head_logits(params, embeddings, "id"),
+                                  batch.id_labels)
+    row = {"id_loss": total.item(), "domain_loss": 0.0}
+    if "domain" in enabled:
+        l_dom = domain_loss(embeddings, batch.domain_labels,
+                            weights.grl_lambda, params.heads["domain"])
+        row["domain_loss"] = l_dom.item()
+        total = total + l_dom
+    l_tri = triplet_batch_hard(embeddings, batch.id_labels,
+                               weights.triplet_margin)
+    row["triplet_loss"] = l_tri.item()
+    total = total + l_tri
+    labels = {"color": batch.color_labels, "type": batch.type_labels,
+              "orientation": batch.orientation_labels}
+    for name in DISJOINT_NAMES:
+        row[f"{name}_loss"] = 0.0
+        if name in disjoint:
+            l = softmax_cross_entropy(disjoint[name], labels[name],
+                                      mask=batch.domain_labels)
+            row[f"{name}_loss"] = l.item()
+            total = total + weights.disjoint_weight * l
+    row["total"] = total.item()
+    return row, total
+
+
+def node_total_loss(params, embeddings, enabled, batch, weights):
+    heads = {name: params.heads[name] for name in ("id", *enabled)}
+    return total_loss(embeddings, heads, batch, weights)
+
+
+ALL_LOSSES = ("domain", *DISJOINT_NAMES)
+
+# each case: enabled losses, batch domains, weights, embedding rows, and the
+# scale of the loss before backward
+NODE_CASES = {
+    "all five losses": {},
+    "no optional losses": dict(enabled=()),
+    "domain only": dict(enabled=("domain",)),
+    "attribute losses only": dict(enabled=("orientation", "color", "type")),
+    "one-domain batch": dict(domains="synthetic"),
+    "all-real batch": dict(domains="real"),
+    "real-only run": dict(domains="real", enabled=()),
+    "zero disjoint weight": dict(weights=LossWeights(disjoint_weight=0)),
+    "zero reversal strength": dict(weights=LossWeights(grl_lambda=0)),
+    "duplicate rows": dict(rows="duplicate"),
+    "integer rows": dict(rows="integer"),
+    "embed node": dict(rows="embed"),
+    "scaled loss": dict(scale=-2.5),
+    "scaled loss, all-real batch": dict(scale=-2.5, domains="real"),
+}
+
+
+class TestTotalLossNode:
+    """The one-node loss against per_node_total_loss, compared as bytes, so
+    a zero's sign counts."""
+
+    @staticmethod
+    def case_inputs(case):
+        kw = NODE_CASES[case]
+        rng = np.random.default_rng(list(NODE_CASES).index(case))
+        params = init_params(small_config(input_dim=6), seed=3)
+        for name, t in params.named():
+            if name.startswith("head."):    # zero biases of both signs
+                t.data = (rng.choice([0.0, -0.0, 0.5, -0.5], size=t.shape)
+                          if name.endswith(".b") else
+                          rng.normal(size=t.shape))
+        batch = make_batch(rng)
+        batch.domain_labels[:] = {"real": 0, "synthetic": 1}.get(
+            kw.get("domains"), batch.domain_labels)
+        rows = kw.get("rows")
+        if rows == "integer":      # hardest rows tie
+            x = rng.integers(-1, 2, size=(8, 4)).astype(np.float64)
+        else:
+            x = rng.normal(size=(8, 4))
+        if rows == "duplicate":    # zero triplet distances
+            x[[1, 2, 5]] = x[0]
+        return (params, batch, x, kw.get("enabled", ALL_LOSSES),
+                kw.get("weights", LossWeights()), kw.get("scale"),
+                rows == "embed")
+
+    @staticmethod
+    def row_bytes(row):
+        return [(k, np.float64(v).tobytes()) for k, v in row.items()]
+
+    @pytest.mark.parametrize("case", NODE_CASES)
+    @pytest.mark.parametrize("start", ["unset", "minus-zero"])
+    def test_value_row_and_gradients_equal_the_per_node_graph(self, case,
+                                                              start):
+        params, batch, x, enabled, weights, scale, embedded = \
+            self.case_inputs(case)
+        results = []
+        for fn in (node_total_loss, per_node_total_loss):
+            p = params_from_checkpoint(checkpoint_dict(params))
+            leaf = Tensor(x)
+            if start == "minus-zero":     # gradients already held
+                for t in (leaf, *(t for _, t in p.named())):
+                    t.grad = np.full_like(t.data, -0.0)
+            passes = []
+            for _ in range(2):          # a second pass without zero_grad
+                emb = embed(p, batch.features) if embedded else leaf
+                row, loss = fn(p, emb, enabled, batch, weights)
+                (loss if scale is None else loss * scale).backward()
+                passes.append((loss.data.tobytes(), self.row_bytes(row),
+                               emb.grad.tobytes()))
+            grads = [t.grad.tobytes() for _, t in p.named()]
+            results.append((passes, grads, leaf.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_loss_is_one_node_over_the_enabled_heads(self):
+        params, batch, x, _, weights, _, _ = self.case_inputs("domain only")
+        emb = Tensor(x)
+        _, loss = node_total_loss(params, emb, ("domain",), batch, weights)
+        assert loss._op == "total_loss"
+        assert loss._parents == (emb, *params.heads["id"],
+                                 *params.heads["domain"])
+
+    @staticmethod
+    def corrupt(case, params, batch, weights, x):
+        if case == "id label out of range":
+            batch.id_labels[0] = 6
+        elif case == "color label out of range":
+            batch.color_labels[-1] = 3
+        elif case == "negative margin":
+            weights.triplet_margin = -1.0
+        elif case == "negative reversal strength":
+            weights.grl_lambda = -1.0
+        elif case == "head shape":
+            w, _ = params.heads["type"]
+            w.data = np.ones((5, 4))
+        elif case.startswith("overflowing logits"):
+            w, _ = params.heads["orientation"]
+            w.data = np.full_like(w.data, 1e308)
+            x[:, 0] = np.abs(x[:, 0]) + 2.0
+        elif case.startswith("overflowing"):     # logits +-1e308, label 1
+            head = case.split()[1]
+            w, _ = params.heads[head]
+            w.data = np.zeros_like(w.data)
+            w.data[0] = [1e308, -1e308] * (w.shape[1] // 2)
+            x[:, 0] = 1.0
+            if head == "id":
+                batch.id_labels[:] = [1, 1, 3, 3, 5, 5, 1, 1]
+        # alone, or as a second fault that the per-node graph meets later
+        if case.endswith("bad domain label"):
+            batch.domain_labels[0] = 2
+        if case.endswith("one identity"):
+            batch.id_labels[:] = 0
+
+    @pytest.mark.parametrize("case", [
+        "bad domain label", "id label out of range", "color label out of range",
+        "one identity", "negative margin", "negative reversal strength",
+        "head shape", "overflowing logits",
+        "overflowing logits, bad domain label", "overflowing id loss",
+        "overflowing id loss, bad domain label",
+        "overflowing domain loss, one identity"])
+    def test_raises_what_the_per_node_graph_raises(self, case):
+        errors = []
+        for fn in (node_total_loss, per_node_total_loss):
+            params, batch, x, enabled, _, _, _ = \
+                self.case_inputs("all five losses")
+            weights = LossWeights()
+            self.corrupt(case, params, batch, weights, x)
+            # as the trainer calls it: the checks report overflow
+            with pytest.raises(GraphError) as err, \
+                    np.errstate(over="ignore", invalid="ignore"):
+                fn(params, Tensor(x), enabled, batch, weights)
+            errors.append(type(err.value))
+        assert errors[0] is errors[1]

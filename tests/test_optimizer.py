@@ -198,6 +198,67 @@ class TestFlatState:
         assert np.array_equal(values, before)
         assert not np.array_equal(p.data, before)
 
+    def test_last_steps_arrays_are_not_written(self):
+        # a step reads the vector the last one set, and writes a new one
+        rng = np.random.default_rng(9)
+        pairs = random_params(rng)
+        state = OptimState()
+        kept = []
+        for _ in range(4):
+            for _, p in pairs:
+                p.grad = rng.normal(size=p.shape)
+            amsgrad_step(state, pairs, lr=0.1)
+            kept.append([(p.data, p.data.copy()) for _, p in pairs])
+        for arrays in kept:
+            for held, values in arrays:
+                assert held.tobytes() == values.tobytes()
+        assert not np.shares_memory(pairs[0][1].data, kept[-2][0][0])
+
+    def test_parameters_are_gathered_only_when_replaced(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        pairs = random_params(rng)
+        state = OptimState()
+        concatenate, calls = np.concatenate, [0]
+
+        def counting(*args, **kwargs):
+            calls[-1] += 1
+            return concatenate(*args, **kwargs)
+        monkeypatch.setattr(np, "concatenate", counting)
+        for step in range(6):
+            if step == 2:
+                pairs[1][1].data = pairs[1][1].data + 1.0
+            if step == 4:       # written in place, p.data stays the view
+                pairs[1][1].data[...] = 2.0
+            for _, p in pairs:
+                p.grad = rng.normal(size=p.shape)
+            amsgrad_step(state, pairs, lr=0.1)
+            calls.append(0)
+        # the gradients every step; the parameters at the first step and
+        # after one was assigned
+        assert calls[:-1] == [2, 1, 2, 1, 1, 1]
+
+    def test_replaced_parameters_match_per_tensor_reference(self):
+        rng = np.random.default_rng(11)
+        pairs = random_params(rng)
+        ref = [p.data.copy() for _, p in pairs]
+        slots = {name: {k: np.zeros(shape) for k in ("m1", "v", "vhat")}
+                 for name, shape in SHAPES.items()}
+        state = OptimState()
+        for t in range(1, 9):
+            if t == 3:
+                pairs[0][1].data = pairs[0][1].data * 0.5
+                ref[0] = ref[0] * 0.5
+            if t == 6:
+                pairs[2][1].data[0] = 1.0
+                ref[2][0] = 1.0
+            for _, p in pairs:
+                p.grad = rng.normal(size=p.shape)
+            grads = [p.grad.copy() for _, p in pairs]
+            amsgrad_step(state, pairs, lr=1e-2)
+            ref = reference_step(slots, t, grads, ref, lr=1e-2)
+            for (name, p), want in zip(pairs, ref):
+                assert p.data.tobytes() == want.tobytes(), (t, name)
+
     @pytest.mark.parametrize("reorder", [False, True])
     def test_resume_from_dict_continues_bitwise(self, reorder):
         # reorder: the saved slots come back in another order than the

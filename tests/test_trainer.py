@@ -62,14 +62,20 @@ class TestTrain:
                     "type_loss", "orientation_loss"):
             assert first[key] != 0.0, key
 
+    @staticmethod
+    def record_heads(monkeypatch):
+        """The heads each iteration's loss computes, in order."""
+        total_loss, heads = trainer.total_loss, []
+
+        def recording(embeddings, enabled_heads, batch, weights):
+            heads.extend(enabled_heads)
+            return total_loss(embeddings, enabled_heads, batch, weights)
+        monkeypatch.setattr(trainer, "total_loss", recording)
+        return heads
+
     def test_single_domain_config_disables_extra_losses(self, monkeypatch):
         real, _, _ = toy_data()
-        head_logits, heads = trainer.head_logits, []
-
-        def counting(params, embeddings, head):
-            heads.append(head)
-            return head_logits(params, embeddings, head)
-        monkeypatch.setattr(trainer, "head_logits", counting)
+        heads = self.record_heads(monkeypatch)
         result = train(small_train_config(epochs=1), real)
         assert heads == ["id"] * 6
         for row in result.run_log:
@@ -103,14 +109,23 @@ class TestTrain:
     @pytest.mark.parametrize("disjoint", [("color",), ()])
     def test_disabled_heads_are_not_computed(self, monkeypatch, disjoint):
         real, synth, _ = toy_data()
-        head_logits, heads = trainer.head_logits, []
-
-        def counting(params, embeddings, head):
-            heads.append(head)
-            return head_logits(params, embeddings, head)
-        monkeypatch.setattr(trainer, "head_logits", counting)
+        heads = self.record_heads(monkeypatch)
         train(small_train_config(epochs=1, losses=disjoint), real, synth)
         assert heads == ["id", *disjoint] * 6
+
+    def test_an_iteration_builds_two_tensors(self, monkeypatch):
+        # the embedding node and the loss node; the heads, the losses and
+        # their sum are inside the loss node
+        real, synth, _ = toy_data()
+        init, built = trainer.Tensor.__init__, []
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("op", ""))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(trainer.Tensor, "__init__", counting)
+        train(small_train_config(epochs=1), real, synth)
+        # after the 14 parameter leaves of the initialisation
+        assert built == [""] * 14 + ["embed", "total_loss"] * 6
 
     def test_repeat_run_is_bitwise_identical(self):
         real, synth, _ = toy_data()
