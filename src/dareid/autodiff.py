@@ -158,21 +158,22 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise GraphError("backward requires a scalar loss node")
-        topo, seen = [], set()
-
-        def visit(node):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for p in node._parents:
-                visit(p)
-            if node._backward_fn is not None:
-                node._grad = None   # a node of an earlier call starts afresh
-            topo.append(node)
-        visit(self)
-        # visit refers to itself; that cycle would keep topo, and so the
-        # whole graph, alive until the next garbage collection
-        del visit
+        # a depth-first post-order (parents first, in order), kept on an
+        # explicit stack so that no chain is too deep for it
+        topo, seen = [], {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                if node._backward_fn is not None:
+                    node._grad = None   # starts afresh after an earlier call
+                topo.append(node)
         self._grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward_fn is not None:

@@ -30,8 +30,7 @@ from .network import (CheckpointFormatError, ModelConfig, load_checkpoint,
                       save_checkpoint)
 from .optimizer import LrSchedule
 from .sampling import REAL, SYNTHETIC, BatchSpec, check_train_data
-from .trainer import (DivergenceError, TrainConfig, embed_samples, evaluate,
-                      train)
+from .trainer import DivergenceError, TrainConfig, _embedded, evaluate, train
 
 EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_DIVERGED = 0, 1, 2, 3
 
@@ -331,7 +330,7 @@ def _final_report(params, real_data):
     """Self-retrieval snapshot on the real training split, with and without
     re-ranking when the gallery is large enough. The split is embedded once
     and each query's own row is excluded."""
-    emb = embed_samples(params, real_data)
+    emb = _embedded(params, real_data, "real")
     ids = np.array([s.id for s in real_data])
     rep = evaluate_retrieval(emb, emb, ids, ids, EvalConfig(),
                              exclude_self=True)

@@ -56,6 +56,8 @@ class ToySpec:
                self.input_dim, self.num_colors, self.num_types,
                self.num_orientation_bins) < 1:
             raise ValueError("counts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _draw_centers(rng, count, dim, sep, max_tries=1000):

@@ -3,6 +3,8 @@ k-reciprocal re-ranking.
 
 Ranking orders distances ascending with ties broken by gallery index and
 NaN last (the order of a stable sort), so results are deterministic.
+Embeddings must be finite: evaluate_retrieval and k_reciprocal_rerank
+reject a NaN or inf entry before any distance is computed.
 """
 
 import json
@@ -250,6 +252,24 @@ def _ranked_matrix(dist, query_ids, gallery_ids, exclude_self):
                                        exclude_self), exclude_self)
 
 
+def _check_finite(q, g):
+    """Errors unless every entry of the embeddings q and g is finite: ranking
+    and re-ranking are defined on finite distances only."""
+    if not (np.isfinite(q).all() and np.isfinite(g).all()):
+        raise ValueError("retrieval needs finite embeddings, but the "
+                         "embeddings are not finite")
+
+
+def _finite_distances(q, g):
+    """pairwise_distances of the finite rows q, g; errors if one overflows."""
+    with np.errstate(over="ignore"):
+        dist = pairwise_distances(q, g)
+    if not np.isfinite(dist).all():
+        raise ValueError("retrieval needs finite distances, but the "
+                         "squared distances overflow")
+    return dist
+
+
 # ---- certified GEMM ranking ----
 
 # Unit roundoff and smallest subnormal of float64. The bound below holds
@@ -276,10 +296,9 @@ def _certified_ranked(q, g, query_ids, gallery_ids, exclude_self):
     an entry whose a lies above v + E - |q|^2 for every relevant item of
     its row ranks behind them all; every other entry, a candidate, is
     ranked by its exact distance, ties to the lower column. A block takes
-    the exact path (pairwise_distances and a sort of each row) if its norms
-    are not finite or too large for the bound, or if more than _budget's
-    share of its entries are candidates; there, a distance between finite
-    rows that overflows is an error."""
+    the exact path (_finite_distances and a sort of each row) if its norms
+    overflow or are too large for the bound, or if more than _budget's
+    share of its entries are candidates."""
     relevant = _relevant(query_ids, gallery_ids, exclude_self)
     qn, gn = _norms(q), _norms(g)
     gmax = gn.max()
@@ -298,18 +317,6 @@ def _certified_ranked(q, g, query_ids, gallery_ids, exclude_self):
     return np.concatenate(positions), relevant[0]
 
 
-def _finite_distances(q, g):
-    """pairwise_distances(q, g); errors if one between finite rows overflows
-    (rows that are not finite give NaN or inf, which rank last)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        dist = pairwise_distances(q, g)
-    if (~np.isfinite(dist) & np.isfinite(q).all(axis=1)[:, None]
-            & np.isfinite(g).all(axis=1)).any():
-        raise ValueError("retrieval needs finite distances, but the "
-                         "squared distances overflow")
-    return dist
-
-
 def _norms(x):
     """Squared norms of the rows of x, inf where they overflow."""
     with np.errstate(over="ignore"):
@@ -319,7 +326,7 @@ def _norms(x):
 def _gemm_rows(q, qn, g, gn, gmax):
     """GEMM values a = |g|^2 - 2 q.g and the bound E of _certified_ranked per
     row of q (qn, gn squared norms, gmax = max(gn)); None if a norm is not
-    finite or not below _NORM_LIMIT."""
+    below _NORM_LIMIT (inf where it overflows)."""
     if not (gmax < _NORM_LIMIT and (qn < _NORM_LIMIT).all()):
         return None
     a = np.matmul(-2.0 * q, g.T)
@@ -391,7 +398,7 @@ def _row_sums(values, ptr):
     along its last axis, NumPy's pairwise sum of t contiguous terms."""
     counts = np.diff(ptr)
     sums = np.zeros(len(counts))
-    for t in np.unique(counts[counts > 0]):
+    for t in np.flatnonzero(np.bincount(counts)[1:]) + 1:
         rows = np.flatnonzero(counts == t)
         sums[rows] = values[ptr[rows, None] + np.arange(t)].sum(axis=1)
     return sums
@@ -509,10 +516,9 @@ def _distance_pass(allf, k):
     square move S by at most 3.01uS + eta/2, dividing by p <= 2.01M rounds
     by u of the quotient plus eta/2, so S more than 16.1uM + (2.01M + 1) eta
     apart stay strictly ordered, and the first k by (value, column) have a
-    <= t. A block takes the exact path (_exact_rows) if a norm is not finite
-    or not below _NORM_LIMIT, if over _budget's share of its entries are
-    candidates, or if a maximum is not finite and positive, which the exact
-    path raises."""
+    <= t. A block takes the exact path (_exact_rows) if a norm is not below
+    _NORM_LIMIT, if over _budget's share of its entries are candidates, or
+    if a maximum is 0, which the exact path raises."""
     norms = _norms(allf)
     top = norms.max()
     step = _block_rows(4 * len(allf))
@@ -529,14 +535,11 @@ def _distance_pass(allf, k):
 
 def _exact_rows(x, allf, k):
     """The maxima and first k neighbours of the rows x of the normalised
-    all-vs-all matrix; errors if a maximum overflows or is 0."""
-    with np.errstate(over="ignore"):
-        block = pairwise_distances(x, allf)
-        np.square(block, out=block)     # the original distances, in place
+    all-vs-all matrix; errors if a distance overflows or a maximum is 0.
+    A finite distance's square is at most sqrt(max float)**2, finite."""
+    block = _finite_distances(x, allf)
+    np.square(block, out=block)     # the original distances, in place
     peak = block.max(axis=1)
-    if not np.isfinite(peak).all():
-        raise ValueError("k-reciprocal re-ranking needs finite distances, "
-                         "but the squared distances overflow")
     if not (peak > 0).all():
         raise ValueError("k-reciprocal re-ranking needs distinct "
                          "embeddings, but all query and gallery "
@@ -559,7 +562,7 @@ def _certified_neighbours(x, allf, a, bound, k):
     top = np.count_nonzero(tops)
     peak = np.maximum.reduceat(_original_distances(dist)[:top],
                                _row_ptr(rows[:top], len(x))[:-1])
-    if not (np.isfinite(peak) & (peak > 0)).all():
+    if not (peak > 0).all():    # norms below _NORM_LIMIT: peak is finite
         return None
     rows, cols = rows[top:], cols[top:]
     return peak, _first_k(rows, cols, dist[top:] / peak[rows], k)
@@ -709,13 +712,8 @@ def k_reciprocal_rerank(queries, gallery, rerank=None):
     g = np.asarray(gallery, dtype=np.float64)
     if rerank.k1 >= g.shape[0]:
         raise ValueError(f"k1={rerank.k1} must be below gallery size {g.shape[0]}")
-    if not (np.isfinite(q).all() and np.isfinite(g).all()):
-        raise ValueError("k-reciprocal re-ranking needs finite embeddings, "
-                         "but the embeddings are not finite")
-    # the output first, while nothing else is held; a distance that
-    # overflows fails the distance pass below
-    with np.errstate(over="ignore", invalid="ignore"):
-        final = pairwise_distances(q, g)
+    _check_finite(q, g)
+    final = _finite_distances(q, g)     # first, while nothing else is held
     allf = np.concatenate([q, g])
     row_max, near = _distance_pass(allf, rerank.k1 + 1)
     np.square(final, out=final)     # the original distances, in place
@@ -738,13 +736,14 @@ def evaluate_retrieval(query_feats, gallery_feats, query_ids, gallery_ids,
     gallery; it is an error unless there are as many queries as gallery
     items. Without re-ranking the distances are never computed as a matrix:
     a BLAS product picks, per block of query rows, the entries that exact
-    distances rank (_certified_ranked). Either way, squared distances that
-    overflow between finite embeddings are an error."""
+    distances rank (_certified_ranked). Either way, embeddings that are not
+    finite, and squared distances that overflow, are errors."""
     if config is None:
         config = EvalConfig()
     q = np.asarray(query_feats, dtype=np.float64)
     g = np.asarray(gallery_feats, dtype=np.float64)
     ids = _checked_ids(len(q), len(g), query_ids, gallery_ids, exclude_self)
+    _check_finite(q, g)
     if config.rerank is not None:
         pos, ptr = _ranked(k_reciprocal_rerank(q, g, config.rerank), *ids,
                            exclude_self)

@@ -51,6 +51,30 @@ class TrainConfig:
         unknown = set(self.losses) - {"domain", *DISJOINT_NAMES}
         if unknown:
             raise ValueError(f"unknown losses: {sorted(unknown)}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        _check_sizes(self.model, self.batch)
+
+
+def _check_sizes(model, batch):
+    """Errors if the settings size an array of more float64 values than
+    NumPy can address: a layer's or a head's weights, a batch (2nm rows at
+    most, for two domains) or the triplet's N x N x D distances. Sizes it
+    can address are not checked: they are for the memory to refuse."""
+    dims = model.layer_dims()
+    rows, d = 2 * batch.n * batch.m, model.embed_dim
+    sizes = [(f"layer {i}'s {a} x {b} weights (hidden_dims, embed_dim)", a * b)
+             for i, (a, b) in enumerate(zip(dims, dims[1:]))]
+    sizes += [(f"the {head} head's {d} x {count} weights (embed_dim"
+               f"{', orientation_bins' if head == 'orientation' else ''})",
+               d * count) for head, count in model.head_class_counts.items()]
+    sizes += [(f"a batch's {rows} x {dims[0]} features (n, m)",
+               rows * dims[0]),
+              (f"the triplet's {rows} x {rows} x {d} distances "
+               f"(n, m, embed_dim)", rows * rows * d)]
+    for what, count in sizes:
+        if count * 8 > np.iinfo(np.intp).max:
+            raise ValueError(f"{what} are too many values for one array")
 
 
 @dataclass
@@ -153,9 +177,11 @@ def evaluate(params, query_samples, gallery_samples, eval_config=None,
                               exclude_self=exclude_self)
 
 
-def _embedded(params, features, name):
+def _embedded(params, samples, name):
+    """embed_samples(params, samples); an embedding that is not finite is a
+    ValueError that names the set."""
     try:
-        return embed_samples(params, features)
+        return embed_samples(params, samples)
     except NonFiniteError as e:
         raise ValueError(f"the {name} set's embedding is not finite ({e})"
                          ) from None

@@ -1,3 +1,4 @@
+import functools
 import gc
 import weakref
 
@@ -79,6 +80,42 @@ def test_graph_is_freed_when_backward_returns():
         assert node() is None
     finally:
         gc.enable()
+
+
+def test_backward_through_a_chain_deeper_than_the_recursion_limit():
+    x = Tensor([[3.0]])
+    y = x
+    for _ in range(5000):
+        y = y * 1.0
+    y.sum().backward()
+    assert x.grad.tolist() == [[1.0]]
+
+
+def test_backward_runs_nodes_in_depth_first_post_order_reversed():
+    # the order of the gradient sums, and so their bits: each node after
+    # every node that uses it, as the recursive depth-first order gives
+    rng = np.random.default_rng(5)
+    leaves = [Tensor(rng.normal(size=(2, 2))) for _ in range(3)]
+    nodes = list(leaves)
+    for _ in range(30):
+        a, b = (nodes[i] for i in rng.integers(len(nodes), size=2))
+        nodes.append(a + b if rng.random() < 0.5 else a * b)
+    loss = nodes[-1].sum()
+    order, seen = [], set()
+
+    def visit(node):
+        if id(node) not in seen:
+            seen.add(id(node))
+            for p in node._parents:
+                visit(p)
+            order.append(node)
+    visit(loss)
+    ran = []
+    for node in nodes[3:] + [loss]:
+        node._backward_fn = functools.partial(
+            lambda f, n, g: (ran.append(n), f(g)), node._backward_fn, node)
+    loss.backward()
+    assert ran == [n for n in reversed(order) if n._backward_fn is not None]
 
 
 def test_mlp_cross_entropy_gradient_matches_finite_differences():

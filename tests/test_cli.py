@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -185,7 +186,7 @@ class TestTrain:
         def counting(params, samples):
             calls.append(len(samples))
             return embed_samples(params, samples)
-        monkeypatch.setattr(cli, "embed_samples", counting)
+        monkeypatch.setattr(trainer, "embed_samples", counting)
         report = cli._final_report(params, real)
         assert calls == [24]
         assert report["mAP_reranked"] is not None
@@ -839,3 +840,118 @@ def test_int_beyond_int64_is_usage_error_naming_the_option(
 def test_int64_bounds_are_inclusive():
     assert int64(" 9223372036854775807 ") == 2**63 - 1
     assert int64("-9223372036854775808") == -2**63
+
+
+def test_exit_codes_are_the_documented_numbers(tmp_path):
+    # the README documents the numbers, so they are compared as numbers
+    assert (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_DIVERGED) == (0, 1, 2, 3)
+    code, data = run_gen(tmp_path)
+    assert code == 0
+    assert main(["train", "--data", str(tmp_path / "nope.jsonl"),
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    assert main(["gen", "--out-dir", str(tmp_path / "g"), "--bogus"]) == 2
+    assert run_train(data, tmp_path / "boom", ("--base-lr", "1e200")) == 3
+
+
+BIG = "9223372036854775807"
+
+
+def train_once(data, out, settings, where):
+    """One training iteration with the (key, value) settings given as flags
+    or as the lines of a config file; the other settings are defaults."""
+    cfg = out.parent / f"{out.name}.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in settings))
+    given = (["--config", str(cfg)] if where == "config" else
+             [a for k, v in settings for a in ("--" + k.replace("_", "-"), v)])
+    return main(["train", "--data", str(data / "real.jsonl"),
+                 "--synth", str(data / "synth.jsonl"), "--out-dir", str(out),
+                 "--epochs", "1", "--iterations", "1", *given]), cfg
+
+
+@pytest.mark.parametrize("settings, named", [
+    ((("m", BIG),), "a batch's 36893488147419103228 x 6 features (n, m)"),
+    ((("n", "3"), ("m", "4611686018427387904")), "features (n, m)"),
+    ((("embed_dim", BIG),),
+     f"layer 1's 32 x {BIG} weights (hidden_dims, embed_dim)"),
+    ((("hidden_dims", BIG),), f"layer 0's 6 x {BIG} weights (hidden_dims"),
+    ((("orientation_bins", BIG),),
+     f"the orientation head's 16 x {BIG} weights (embed_dim, "
+     "orientation_bins)"),
+    ((("seed", "-1"),), "seed must be >= 0"),
+], ids=["m", "n-and-m", "embed_dim", "hidden_dims", "orientation_bins",
+        "seed"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_setting_no_run_can_use_leaves_no_out_dir(tmp_path, capsys, settings,
+                                                 named, where):
+    # a batch or weights beyond what NumPy can address, or a seed NumPy
+    # rejects, used to fail at the first use, after the out-dir was made
+    _, data = run_gen(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code, cfg = train_once(data, out, settings, where)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    # the last line is at fault: with two, the first is fine alone
+    line = f"{cfg}:{len(settings)}: " if where == "config" else ""
+    assert err.startswith(f"error: {line}") and named in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_gen_seed_below_zero_names_the_seed(tmp_path, capsys, where):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed=-1\n")
+    out = tmp_path / "data"
+    given = ["--seed", "-1"] if where == "flag" else ["--config", str(cfg)]
+    assert main(["gen", "--out-dir", str(out), *given]) == EXIT_USAGE
+    named = f"{cfg}:1: " if where == "config" else ""
+    assert f"error: {named}seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_embedding_that_overflows_names_the_real_set(tmp_path,
+                                                            capsys):
+    # one step at lr 1e308 leaves weights whose real-set embedding
+    # overflows; the run's files stay, and no report is written
+    _, data = run_gen(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code, _ = train_once(data, out, [("base_lr", "1e308")], "flag")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: the real set's embedding is not finite")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "checkpoint.bin", "config.echo", "run.log.jsonl"]
+
+
+EDGE_OPTIONS = ("n", "m", "embed_dim", "orientation_bins", "hidden_dims",
+                "seed", "margin", "grl_lambda", "disjoint_weight", "base_lr")
+EDGE_VALUES = (BIG, "-1", "0", "nan", "inf", "1e308")
+
+
+def edge_cases(seed=27, pairs=24):
+    """Each option at each edge value, then seeded pairs of two options at
+    once; each as flags and as config lines."""
+    cases = [((opt, value),) for opt in EDGE_OPTIONS for value in EDGE_VALUES]
+    rng = random.Random(seed)
+    cases += [tuple(zip(rng.sample(EDGE_OPTIONS, 2),
+                        rng.choices(EDGE_VALUES, k=2))) for _ in range(pairs)]
+    return [(case, where) for case in cases for where in ("flag", "config")]
+
+
+def test_edge_values_of_numeric_settings(tmp_path, capsys):
+    # epochs and iterations are left out: their largest values are runs
+    # that never end
+    _, data = run_gen(tmp_path)
+    for i, (settings, where) in enumerate(edge_cases()):
+        out = tmp_path / f"run{i}"
+        capsys.readouterr()
+        code, _ = train_once(data, out, settings, where)
+        err = capsys.readouterr().err
+        case = (settings, where, code, err)
+        assert code in (0, 1, 2, 3), case
+        assert sum("error:" in line for line in err.splitlines()) <= 1, case
+        if code in (1, 2) and out.exists():
+            # failed after training, whose run log is written first
+            assert (out / "run.log.jsonl").exists(), case

@@ -586,17 +586,28 @@ class TestCertifiedRanking:
                                                  fallback_rows):
         rng = np.random.default_rng(38)
         g, q, gids, qids = self.clustered(rng, 4)
-        q[4, 1], q[5] = np.nan, np.inf      # NaN ranks last, inf ties
+        # squared norms of 3e307, above the bound's limit, though every
+        # squared distance stays finite; the two rows tie on every entry
+        q[4] *= np.sqrt(3e307) / np.linalg.norm(q[4])
+        q[5] = q[4]
         self.assert_exact(q, g, qids, gids, False)
         # only the block holding rows 4 and 5 falls back
         assert fallback_rows == ([3] if blocks else [14])
         assert bool(resolved) == bool(blocks)
+        # a gallery row of that norm: every block falls back
+        fallback_rows.clear()
+        g[7] *= np.sqrt(3e307) / np.linalg.norm(g[7])
+        self.assert_exact(q[6:], g, qids[6:], gids, False)
+        assert sum(fallback_rows) == 8
         for bad in (np.nan, np.inf, -np.inf):
-            # a gallery row that is not finite: every block falls back
-            fallback_rows.clear()
-            g[7, 2] = bad
-            self.assert_exact(q[6:], g, qids[6:], gids, False)
-            assert sum(fallback_rows) == 8
+            # a query or gallery row that is not finite is rejected
+            for x in (q, g):
+                row = x[2].copy()
+                x[2, 1] = bad
+                with pytest.raises(ValueError, match="embeddings are not "
+                                                     "finite"):
+                    evaluate_retrieval(q, g, qids, gids, EvalConfig())
+                x[2] = row
 
     def test_flat_positions_equal_the_exact_ranking(self, blocks,
                                                     fallback_rows):
@@ -1157,14 +1168,78 @@ class TestEvaluateRetrieval:
             evaluate_retrieval(g[:2], g[2:], ids[:2], ids[2:],
                                EvalConfig(rerank=rerank))
 
+    def test_one_error_for_embeddings_that_are_not_finite(self):
+        # with and without re-ranking, and from the re-ranker itself: one
+        # message, raised before any distance is computed
+        rng = np.random.default_rng(21)
+        ids = np.arange(8) % 2
+        for bad in (np.nan, np.inf, -np.inf):
+            for row in (0, 5):      # a query row, a gallery row
+                g = rng.normal(size=(8, 3))
+                g[row, 1] = bad
+                errors = []
+                for call in (
+                        lambda: evaluate_retrieval(g[:2], g[2:], ids[:2],
+                                                   ids[2:]),
+                        lambda: evaluate_retrieval(
+                            g[:2], g[2:], ids[:2], ids[2:],
+                            EvalConfig(rerank=RerankParams(k1=3, k2=2))),
+                        lambda: k_reciprocal_rerank(
+                            g[:2], g[2:], RerankParams(k1=3, k2=2))):
+                    with pytest.raises(ValueError) as error:
+                        call()
+                    errors.append(str(error.value))
+                assert errors == ["retrieval needs finite embeddings, but "
+                                  "the embeddings are not finite"] * 3
+
+    def test_one_error_for_distances_that_overflow(self, monkeypatch):
+        # plain, re-ranked and the re-ranker's exact path: the one message
+        g = np.random.default_rng(20).normal(size=(8, 3))
+        g[5, 1] = 1e200
+        ids = np.arange(8) % 2
+        rerank = EvalConfig(rerank=RerankParams(k1=3, k2=2))
+        errors = []
+        for call in (
+                lambda: evaluate_retrieval(g[:2], g[2:], ids[:2], ids[2:]),
+                lambda: evaluate_retrieval(g[:2], g[2:], ids[:2], ids[2:],
+                                           rerank),
+                # the query rows' distances are finite: the distance pass
+                # over the gallery rows raises
+                lambda: evaluate_retrieval(g[:4], g, ids[:4], ids, rerank),
+                lambda: evaluation._exact_rows(g, g, 3)):
+            with pytest.raises(ValueError) as error:
+                call()
+            errors.append(str(error.value))
+        assert errors == ["retrieval needs finite distances, but the "
+                          "squared distances overflow"] * 4
+
+    def test_first_evaluations_import_no_masked_arrays(self):
+        # numpy.ma is imported by np.unique on an int array, and its
+        # modules would show in the first re-ranked call's allocations
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from dareid.evaluation import (EvalConfig, RerankParams,\n"
+            "                               evaluate_retrieval)\n"
+            "g = np.random.default_rng(0).normal(size=(40, 4))\n"
+            "ids = np.arange(40) % 8\n"
+            "evaluate_retrieval(g, g, ids, ids, exclude_self=True)\n"
+            "evaluate_retrieval(g, g, ids, ids, EvalConfig(\n"
+            "    rerank=RerankParams(k1=6, k2=3)), exclude_self=True)\n"
+            "print('numpy.ma' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
+
     def test_infinite_embeddings_rank_without_a_warning(self):
-        # inf - inf is NaN, which ranks last; the suite turns a NumPy
-        # RuntimeWarning into an error
+        # infinite embeddings are rejected before inf - inf can make a NaN;
+        # the suite turns a NumPy RuntimeWarning into an error
         q = np.array([[np.inf, 0.0], [1.0, 2.0]])
         g = np.array([[np.inf, 1.0], [0.0, 0.0], [1.0, 1.0]])
-        report = evaluate_retrieval(q, g, [0, 1], [0, 1, 1])
-        assert report.ranked[0].tolist() == [2, 0, 1]
-        assert report.map_at_k == pytest.approx(2 / 3, abs=1e-15)
+        with pytest.raises(ValueError, match="embeddings are not finite"):
+            evaluate_retrieval(q, g, [0, 1], [0, 1, 1])
 
     def test_ranked_is_flat_positions_and_row_pointer(self):
         # query 0 ranks the gallery 0,1,2,3 and query 1 ranks it 3,2,1,0;
