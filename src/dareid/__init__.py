@@ -18,6 +18,7 @@ from .optimizer import LrSchedule, OptimState, amsgrad_step, lr_at_epoch
 from .sampling import (REAL, SYNTHETIC, Batch, BatchSpec, Sample, TrainSet,
                        bin_orientation, build_train_set, sample_batch)
 from .trainer import (DivergenceError, TrainConfig, TrainResult,
-                      domain_probe_accuracy, evaluate, id_accuracy, train)
+                      domain_probe_accuracy, evaluate, id_accuracy, train,
+                      train_on)
 
 __version__ = "0.1.0"

@@ -29,8 +29,8 @@ from .losses import LossWeights
 from .network import (CheckpointFormatError, ModelConfig, load_checkpoint,
                       save_checkpoint)
 from .optimizer import LrSchedule
-from .sampling import REAL, SYNTHETIC, BatchSpec, check_train_data
-from .trainer import DivergenceError, TrainConfig, _embedded, evaluate, train
+from .sampling import REAL, SYNTHETIC, BatchSpec, build_train_set
+from .trainer import DivergenceError, TrainConfig, _embedded, evaluate, train_on
 
 EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_DIVERGED = 0, 1, 2, 3
 
@@ -81,9 +81,12 @@ def read_config_file(path, table):
     the values and, per key, its "<file>:<line>"."""
     types = {opt.key: opt.type for opt in table}
     values, lines = {}, {}
-    with open(path) as f:
+    with open(path, "rb") as f:     # each line is decoded alone
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+            try:
+                line = line.decode().strip()
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}:{lineno}: not UTF-8 ({e})") from None
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
@@ -287,18 +290,17 @@ def cmd_train(args):
 
     def build(values):
         config = build_train_config(values, manifest)
-        # checked before the out-dir exists, not at the first batch
-        check_train_data(real_data, synth_data, config.batch,
-                         config.model.head_class_counts)
-        return config
-    config = build_settings(build, TRAIN_OPTIONS, vals)
+        # the rows are checked here, before the out-dir exists
+        return config, build_train_set(real_data, synth_data, config.batch,
+                                       config.model.head_class_counts)
+    config, train_set = build_settings(build, TRAIN_OPTIONS, vals)
 
     os.makedirs(args.out_dir, exist_ok=True)
     write_config_echo(args.out_dir, vals)
 
     start = time.monotonic()
     try:
-        result = train(config, real_data, synth_data)
+        result = train_on(config, train_set)
     except DivergenceError as e:
         _write_run_log(args.out_dir, e.run_log)
         with open(os.path.join(args.out_dir, "report.json"), "w") as f:
@@ -311,7 +313,7 @@ def cmd_train(args):
     save_checkpoint(os.path.join(args.out_dir, "checkpoint.bin"),
                     result.params, epoch=config.epochs,
                     seed=config.seed, optim_state=result.optim.to_dict())
-    report = _final_report(result.params, real_data)
+    report = _final_report(result.params, train_set.rows)
     report["status"] = "completed"
     with open(os.path.join(args.out_dir, "report.json"), "w") as f:
         json.dump(report, f, indent=2)
@@ -326,18 +328,19 @@ def _write_run_log(out_dir, run_log):
             f.write(json.dumps(entry) + "\n")
 
 
-def _final_report(params, real_data):
-    """Self-retrieval snapshot on the real training split, with and without
-    re-ranking when the gallery is large enough. The split is embedded once
-    and each query's own row is excluded."""
-    emb = _embedded(params, real_data, "real")
-    ids = np.array([s.id for s in real_data])
+def _final_report(params, rows):
+    """Self-retrieval snapshot on the real rows of a training set's rows,
+    with and without re-ranking when the gallery is large enough. The split
+    is embedded once and each query's own row is excluded."""
+    real = rows.domain_labels == REAL
+    emb = _embedded(params, rows.features[real], "real")
+    ids = rows.id_labels[real]
     rep = evaluate_retrieval(emb, emb, ids, ids, EvalConfig(),
                              exclude_self=True)
     out = {"mAP": rep.map_at_k, "cmc": {str(r): v for r, v in rep.cmc.items()},
            "config": rep.config, "mAP_reranked": None}
     rr = RerankParams()
-    if rr.k1 < len(real_data):
+    if rr.k1 < len(ids):
         out["mAP_reranked"] = evaluate_retrieval(
             emb, emb, ids, ids, EvalConfig(rerank=rr),
             exclude_self=True).map_at_k

@@ -155,36 +155,45 @@ def _is_finite_number(value):
         return False
 
 
-def _record_to_sample(rec, lineno):
-    def fail(msg):
-        raise DatasetFormatError(f"line {lineno}: {msg}")
-
+def _record_to_sample(line):
+    """The Sample of one dataset line, given as bytes. A line that is not
+    UTF-8, not JSON or not a valid record raises DatasetFormatError, which
+    read_dataset prefixes with the file and line."""
+    try:
+        rec = json.loads(line.decode())
+    except UnicodeDecodeError as e:
+        raise DatasetFormatError(f"not UTF-8 ({e})") from None
+    except json.JSONDecodeError as e:
+        raise DatasetFormatError(f"invalid JSON ({e})") from None
     if not isinstance(rec, dict):
-        fail("expected a JSON object")
+        raise DatasetFormatError("expected a JSON object")
     domain = rec.get("domain")
     if not isinstance(domain, str) or domain not in _DOMAIN_CODES:
-        fail(f"unknown domain {domain!r}")
+        raise DatasetFormatError(f"unknown domain {domain!r}")
     if "id" not in rec or "features" not in rec:
-        fail("missing id or features")
+        raise DatasetFormatError("missing id or features")
     for key in ("id", "color", "type"):     # color and type may be null
         value = rec.get(key)
         if (key == "id" or value is not None) and not (
                 _is_int(value) and -2**63 <= value < 2**63):
-            fail(f"{key} must be a 64-bit integer, got {value!r}")
+            raise DatasetFormatError(
+                f"{key} must be a 64-bit integer, got {value!r}")
     angle = rec.get("orientation_deg")
     if angle is not None and not _is_finite_number(angle):
-        fail(f"orientation_deg must be a finite number, got {angle!r}")
+        raise DatasetFormatError(
+            f"orientation_deg must be a finite number, got {angle!r}")
     try:
         features = np.asarray(rec["features"])
         if features.dtype.kind not in "iuf":
-            fail("features must be numbers")
+            raise DatasetFormatError("features must be numbers")
         sample = Sample(_DOMAIN_CODES[domain], rec["id"], features,
                         color=rec.get("color"), type=rec.get("type"),
                         orientation_deg=angle)
     except (TypeError, ValueError) as e:
-        fail(str(e))
+        raise DatasetFormatError(str(e)) from None
     if sample.features.ndim != 1 or not np.isfinite(sample.features).all():
-        fail("features must be a flat list of finite numbers")
+        raise DatasetFormatError(
+            "features must be a flat list of finite numbers")
     return sample
 
 
@@ -199,18 +208,19 @@ def write_dataset(samples, manifest, path):
 def read_dataset(path):
     """Parse and validate a JSONL dataset; derives a manifest if none exists."""
     samples = []
-    with open(path) as f:
+    with open(path, "rb") as f:     # each line is decoded alone
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetFormatError(f"line {lineno}: invalid JSON ({e})")
-            sample = _record_to_sample(rec, lineno)
-            if samples and len(sample.features) != len(samples[0].features):
-                raise DatasetFormatError(f"line {lineno}: feature count "
-                                         "differs from the first sample's")
+                sample = _record_to_sample(line)
+                if samples and (len(sample.features)
+                                != len(samples[0].features)):
+                    raise DatasetFormatError(
+                        "feature count differs from the first sample's")
+            except DatasetFormatError as e:
+                raise DatasetFormatError(
+                    f"{path}: line {lineno}: {e}") from None
             samples.append(sample)
 
     mpath = manifest_path_for(path)

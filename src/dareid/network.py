@@ -173,6 +173,8 @@ def params_from_checkpoint(ckpt):
         stored = np.asarray(ckpt["params"][name], dtype=np.float64)
         if stored.shape != p.data.shape:
             raise ValueError(f"checkpoint shape mismatch for {name}")
+        if not np.isfinite(stored).all():   # json reads NaN and Infinity
+            raise ValueError(f"checkpoint parameter {name} is not finite")
         p.data = stored
     return params
 

@@ -91,7 +91,12 @@ def amsgrad_step(state, named_params, lr):
     docstring's operation order, so bitwise equal to the per-tensor rule.
     Each p.data becomes a view of one fresh vector; no input is written.
     The parameters are read from the last step's vector while every p.data
-    is still the view that step set."""
+    is still the view that step set.
+
+    A non-finite gradient raises FloatingPointError before the state
+    changes. So do new parameter values that are not finite, after the
+    moments and the step count have taken the step but before any p.data
+    is re-pointed, so the parameters keep their last finite values."""
     pairs = list(named_params)
     g = np.concatenate([p.grad.reshape(-1) for _, p in pairs])
     if not np.isfinite(g).all():
@@ -117,7 +122,12 @@ def amsgrad_step(state, named_params, lr):
     np.sqrt(np.divide(vhat, 1.0 - BETA2 ** state.t, out=tmp), out=tmp)
     np.add(tmp, EPS, out=tmp)
     np.multiply(lr, np.divide(m1, 1.0 - BETA1 ** state.t, out=g), out=g)
-    param = state._param = np.subtract(param, np.divide(g, tmp, out=g))
+    param = np.subtract(param, np.divide(g, tmp, out=g))
+    if not np.isfinite(param).all():
+        name = next(name for (name, _), span in zip(pairs, state._spans)
+                    if not np.isfinite(param[span]).all())
+        raise FloatingPointError(f"non-finite step for parameter {name}")
+    state._param = param
     for (_, p), span in zip(pairs, state._spans):
         p.data = param[span].reshape(p.data.shape)
     state._views = [p.data for _, p in pairs]

@@ -70,14 +70,13 @@ def bin_orientation(angle_deg, num_bins):
     return min(int(angle / (360.0 / num_bins)), num_bins - 1)
 
 
-def check_train_data(real_data, synth_data, spec, class_counts):
-    """Check the training rows without gathering them; return their label
-    rows (id, domain, color, type, orientation bin), with orientations
-    binned at the orientation head's class count. The set has the real
-    domain, and the synthetic one exactly when synth_data is given, even
-    empty; each needs spec.n identities. Rows that do not fit the model's
-    class_counts, or real and synthetic rows of different widths, are
-    rejected."""
+def build_train_set(real_data, synth_data, spec, class_counts):
+    """Check the training rows and gather them into a TrainSet, in one pass,
+    with orientations binned at the orientation head's class count. The set
+    has the real domain, and the synthetic one exactly when synth_data is
+    given, even empty; each needs spec.n identities. Rows that do not fit
+    the model's class_counts, or real and synthetic rows of different
+    widths, are rejected."""
     real, synth = list(real_data), list(synth_data or [])
     if real and synth and len(real[0].features) != len(synth[0].features):
         raise ValueError(f"real rows have {len(real[0].features)} features, "
@@ -88,35 +87,23 @@ def check_train_data(real_data, synth_data, spec, class_counts):
           bin_orientation(s.orientation_deg, bins)) if s.domain == SYNTHETIC
          else (s.id, s.domain, 0, 0, 0) for s in real + synth],
         dtype=np.int64).reshape(-1, 5)
-    ids, domains, colors, types, _ = labels.T
+    ids, domains, colors, types, orientations = labels.T
     for kind, column in (("id", ids), ("color", colors), ("type", types)):
         count = class_counts[kind]
         outside = column[(column < 0) | (column >= count)]
         if outside.size:
             raise ValueError(f"{kind} label {outside[0]} is outside the "
                              f"{kind} head's {count} classes")
-    for d in (REAL,) if synth_data is None else (REAL, SYNTHETIC):
-        found = len(np.unique(ids[domains == d]))
-        if found < spec.n:
-            raise ValueError(f"domain {d} has {found} identities, "
-                             f"fewer than n={spec.n}")
-    return labels
-
-
-def build_train_set(real_data, synth_data, spec, class_counts):
-    """Gather the training rows that check_train_data accepts into a
-    TrainSet."""
-    real = list(real_data)
-    synth = None if synth_data is None else list(synth_data)
-    labels = check_train_data(real, synth, spec, class_counts)
-    ids, domains, colors, types, orientations = labels.T
     groups = {}
     for d in (REAL,) if synth_data is None else (REAL, SYNTHETIC):
         rows = np.flatnonzero(domains == d)
         rows = rows[np.argsort(ids[rows], kind="stable")]
         cuts = np.flatnonzero(np.diff(ids[rows])) + 1
         groups[d] = np.split(rows, cuts) if rows.size else []
-    features = np.stack([s.features for s in real + (synth or [])])
+        if len(groups[d]) < spec.n:
+            raise ValueError(f"domain {d} has {len(groups[d])} identities, "
+                             f"fewer than n={spec.n}")
+    features = np.stack([s.features for s in real + synth])
     return TrainSet(Batch(features, ids, domains, colors, types, orientations),
                     groups)
 

@@ -97,8 +97,14 @@ def _iteration_step(config, params, batch, two_domain):
 def train(config, real_data, synth_data=None, resume_from=None):
     """Train from scratch or resume from a checkpoint dict; on both domains
     when synth_data is given, else on the real domain alone."""
-    train_set = build_train_set(real_data, synth_data, config.batch,
-                                config.model.head_class_counts)
+    return train_on(config, build_train_set(
+        real_data, synth_data, config.batch, config.model.head_class_counts),
+        resume_from)
+
+
+def train_on(config, train_set, resume_from=None):
+    """train() on a set that build_train_set built for config: two-domain
+    exactly when the set has the synthetic domain."""
     domains = len(train_set.groups)
 
     if resume_from is not None:

@@ -93,17 +93,20 @@ class TestTrain:
         assert len(log_lines) == 2 * 4
         assert json.loads(log_lines[0])["iteration"] == 1
 
-    def test_training_set_is_built_once(self, tmp_path, monkeypatch):
-        # the early check gathers no rows; train() builds the set
-        _, data = run_gen(tmp_path)
-        train_set, built = sampling.TrainSet, []
-
-        def counting(*args):
-            built.append(args)
-            return train_set(*args)
-        monkeypatch.setattr(sampling, "TrainSet", counting)
+    def test_one_run_bins_and_gathers_its_rows_once(self, tmp_path,
+                                                   monkeypatch):
+        # one pass checks, bins and gathers the rows into the set the run
+        # trains on: each of the 36 synthetic rows is binned once
+        _, data = run_gen(tmp_path, extra=("--ids-real", "6", "--ids-synth",
+                                           "6", "--per-id", "6", "--dim", "8"))
+        calls = {"bin_orientation": 0, "TrainSet": 0}
+        for name in calls:
+            def counting(*args, original=getattr(sampling, name), name=name):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(sampling, name, counting)
         assert run_train(data, tmp_path / "run") == EXIT_OK
-        assert len(built) == 1
+        assert calls == {"bin_orientation": 36, "TrainSet": 1}
 
     def test_repeat_run_is_byte_identical(self, tmp_path):
         _, data = run_gen(tmp_path)
@@ -187,7 +190,9 @@ class TestTrain:
             calls.append(len(samples))
             return embed_samples(params, samples)
         monkeypatch.setattr(trainer, "embed_samples", counting)
-        report = cli._final_report(params, real)
+        rows = sampling.build_train_set(real, None, sampling.BatchSpec(2, 2),
+                                        params.config.head_class_counts).rows
+        report = cli._final_report(params, rows)
         assert calls == [24]
         assert report["mAP_reranked"] is not None
         written = json.loads((out / "report.json").read_text())
@@ -690,8 +695,40 @@ class TestBadInput:
         out = tmp_path / "run"
         assert run_train(data, out) == EXIT_RUNTIME
         err = capsys.readouterr().err
-        assert "line 3:" in err and "Traceback" not in err
+        assert f"error: {path}: line 3:" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bytes_not_utf8_name_the_file_and_line(self, trained, tmp_path,
+                                                   capsys, command):
+        data, ckpt, _ = trained
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes((data / "real.jsonl").read_bytes() + b"\xff\xfe")
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--data", str(bad), "--out-dir", str(out)]
+        else:
+            argv = ["eval", "--checkpoint", str(ckpt), "--query", str(bad),
+                    "--gallery", str(data / "real.jsonl"), "--out", str(out)]
+        assert main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 17: not UTF-8 (")
+        assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "train", "eval"])
+    def test_config_bytes_not_utf8_name_the_file_and_line(
+            self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"# settings\nseed=1\xff\n")
+        argv = {"gen": ["gen", "--out-dir", str(tmp_path / "o")],
+                "train": ["train", "--data", "d", "--out-dir",
+                          str(tmp_path / "o")],
+                "eval": ["eval", "--checkpoint", "c", "--query", "q",
+                         "--gallery", "g"]}
+        assert main(argv[command] + ["--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:2: not UTF-8 (")
+        assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda text, ckpt: text[:len(text) // 2],
@@ -706,8 +743,15 @@ class TestBadInput:
         lambda text, ckpt: json.dumps(
             {**ckpt, "config": {**ckpt["config"],
                                 "normalize_embeddings": True}}),
+        lambda text, ckpt: json.dumps(      # json writes NaN
+            {**ckpt, "params": {**ckpt["params"],
+                                "embed.1.b": [[float("nan")] * 4]}}),
+        lambda text, ckpt: json.dumps(
+            {**ckpt, "params": {**ckpt["params"],
+                                "embed.1.b": [[float("-inf")] * 4]}}),
     ], ids=["truncated", "a-list", "missing-layer", "unknown-config-key",
-            "wrong-shape", "normalised-embeddings"])
+            "wrong-shape", "normalised-embeddings", "nan-parameter",
+            "infinite-parameter"])
     def test_bad_checkpoint_names_the_file(self, trained, tmp_path, capsys,
                                            edit):
         data, ckpt, _ = trained
@@ -911,18 +955,33 @@ def test_gen_seed_below_zero_names_the_seed(tmp_path, capsys, where):
 
 def test_report_embedding_that_overflows_names_the_real_set(tmp_path,
                                                             capsys):
-    # one step at lr 1e308 leaves weights whose real-set embedding
+    # one step at lr 1e300 leaves finite weights whose real-set embedding
     # overflows; the run's files stay, and no report is written
     _, data = run_gen(tmp_path)
     capsys.readouterr()
     out = tmp_path / "run"
-    code, _ = train_once(data, out, [("base_lr", "1e308")], "flag")
+    code, _ = train_once(data, out, [("base_lr", "1e300")], "flag")
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: the real set's embedding is not finite")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert sorted(p.name for p in out.iterdir()) == [
         "checkpoint.bin", "config.echo", "run.log.jsonl"]
+
+
+def test_step_that_overflows_the_parameters_diverges(tmp_path, capsys):
+    # one step at lr 1e308 overflows the weights: the run stops as
+    # diverged, and no checkpoint holds the inf weights
+    _, data = run_gen(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code, _ = train_once(data, out, [("base_lr", "1e308")], "flag")
+    assert code == EXIT_DIVERGED
+    assert capsys.readouterr().err == "training diverged at iteration 1\n"
+    assert json.loads((out / "report.json").read_text()) == {
+        "status": "diverged", "iteration": 1}
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.echo", "report.json", "run.log.jsonl"]
 
 
 EDGE_OPTIONS = ("n", "m", "embed_dim", "orientation_bins", "hidden_dims",

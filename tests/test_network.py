@@ -3,9 +3,10 @@ import pytest
 
 from dareid.autodiff import (GraphError, NonFiniteError, Tensor,
                              softmax_cross_entropy)
-from dareid.network import (HEAD_NAMES, ModelConfig, checkpoint_dict, embed,
-                            head_logits, init_params, load_checkpoint,
-                            params_from_checkpoint, save_checkpoint)
+from dareid.network import (HEAD_NAMES, CheckpointFormatError, ModelConfig,
+                            checkpoint_dict, embed, head_logits, init_params,
+                            load_checkpoint, params_from_checkpoint,
+                            save_checkpoint)
 
 HEADS = {"id": 6, "domain": 2, "color": 3, "type": 4, "orientation": 6}
 
@@ -261,3 +262,19 @@ def test_checkpoint_version_check():
     ckpt["version"] = 99
     with pytest.raises(ValueError):
         params_from_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_checkpoint_parameter_not_finite_names_file_and_parameter(
+        tmp_path, value):
+    # json writes NaN and Infinity and reads them back
+    params = init_params(small_config(), seed=0)
+    params.heads["color"][1].data[0, 2] = value
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, params)
+    with pytest.raises(CheckpointFormatError,
+                       match=f"{path}: .*parameter head.color.b is not "
+                             "finite"):
+        load_checkpoint(path)
+    with pytest.raises(ValueError, match="head.color.b"):
+        params_from_checkpoint(checkpoint_dict(params))

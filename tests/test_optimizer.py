@@ -117,8 +117,27 @@ class TestAmsgradStep:
     def test_non_finite_gradient_rejected_with_name(self):
         p = make_param([[0.0]])
         p.grad = np.array([[np.inf]])
+        state = OptimState()
         with pytest.raises(FloatingPointError, match="p"):
-            amsgrad_step(OptimState(), [("p", p)], lr=0.1)
+            amsgrad_step(state, [("p", p)], lr=0.1)
+        assert state.t == 0 and state.slots == {}   # the state is untouched
+
+    def test_step_that_overflows_a_parameter_is_rejected_with_name(self):
+        # at lr 1e308 the first step moves each weight by about lr, so a
+        # weight of 1e308 pushed further overflows; "a" stays finite
+        a, b, c = (make_param([[0.0, 0.0]]), make_param([[1e308, 1.0]]),
+                   make_param([[-1e308]]))
+        for p, grad in ((a, [[0.0, 0.0]]), (b, [[-1.0, 0.0]]), (c, [[1.0]])):
+            p.grad = np.array(grad)
+        data = [p.data for p in (a, b, c)]
+        # train() steps with overflow warnings off, as here
+        with pytest.raises(FloatingPointError, match="parameter b$"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            amsgrad_step(OptimState(weight_decay=0.0),
+                         [("a", a), ("b", b), ("c", c)], lr=1e308)
+        # no p.data is re-pointed: every parameter keeps its values
+        assert all(p.data is d for p, d in zip((a, b, c), data))
+        assert b.data[0, 0] == 1e308 and c.data[0, 0] == -1e308
 
     def test_state_round_trip(self):
         rng = np.random.default_rng(2)
