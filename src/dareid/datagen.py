@@ -58,6 +58,14 @@ class ToySpec:
             raise ValueError("counts must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        # the sample loop runs once per row, so a dataset of more float64
+        # values than NumPy can address (its centres are fewer) would never
+        # finish; as trainer._check_sizes, smaller sizes are not checked
+        rows = (self.num_ids_real + self.num_ids_synth) * self.samples_per_id
+        if rows * self.input_dim * 8 > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"{rows} x {self.input_dim} features (ids_real, ids_synth, "
+                f"per_id, dim) are too many values for one array")
 
 
 def _draw_centers(rng, count, dim, sep, max_tries=1000):
@@ -74,12 +82,13 @@ def _draw_centers(rng, count, dim, sep, max_tries=1000):
     return centers
 
 
+@np.errstate(over="ignore", invalid="ignore")     # checked once, below
 def generate_toy_dataset(spec):
-    """Deterministically generate (samples, manifest) from a ToySpec."""
+    """Deterministically generate (samples, manifest) from a ToySpec. Scales
+    that overflow float64 raise ValueError, with no NumPy warning."""
     rng = np.random.default_rng(spec.seed)
     n_real, n_synth = spec.num_ids_real, spec.num_ids_synth
-    extra = max(0, n_synth - n_real)
-    centers = _draw_centers(rng, n_real + extra, spec.input_dim,
+    centers = _draw_centers(rng, max(n_real, n_synth), spec.input_dim,
                             spec.cluster_sep)
 
     if spec.domain_shift is None:
@@ -98,18 +107,20 @@ def generate_toy_dataset(spec):
     matched = []
     for j in range(n_synth):
         sid = n_real + j
-        center = centers[j] if j < n_real else centers[n_real + (j - n_real)]
         if j < n_real:
             matched.append([j, sid])
         color = int(rng.integers(spec.num_colors))
         vtype = int(rng.integers(spec.num_types))
         base_angle = float(rng.uniform(0.0, 360.0))
         for _ in range(spec.samples_per_id):
-            f = center + rng.normal(0.0, spec.noise_sigma, spec.input_dim)
+            f = centers[j] + rng.normal(0.0, spec.noise_sigma, spec.input_dim)
             f = shift_mat @ f + shift_off
             angle = (base_angle + rng.normal(0.0, 15.0)) % 360.0
             samples.append(Sample(SYNTHETIC, sid, f, color=color, type=vtype,
                                   orientation_deg=float(angle)))
+    if not all(np.isfinite(s.features).all() for s in samples):
+        raise ValueError("generated features are not finite; lower "
+                         "cluster_sep, noise_sigma or shift_offset")
 
     manifest = {
         "version": FORMAT_VERSION,

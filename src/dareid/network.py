@@ -30,6 +30,14 @@ class ModelConfig:
     head_class_counts: dict
 
     def __post_init__(self):
+        sizes = [("input_dim", self.input_dim), ("embed_dim", self.embed_dim),
+                 *(("hidden_dims", h) for h in self.hidden_dims),
+                 *((f"head_class_counts[{h!r}]", c)
+                   for h, c in self.head_class_counts.items())]
+        for name, value in sizes:   # NaN, inf, 8.0 and True compare as sizes
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.input_dim < 1 or self.embed_dim < 1:
             raise ValueError("dims must be >= 1")
         if any(h < 1 for h in self.hidden_dims):
@@ -47,26 +55,31 @@ class ModelConfig:
         return [self.input_dim] + list(self.hidden_dims) + [self.embed_dim]
 
 
+def _layout(config):
+    """(name, fan_in, fan_out) of each (W, b) pair: each embedder layer,
+    then each head in HEAD_NAMES order."""
+    dims = config.layer_dims()
+    return [*((f"embed.{i}", *d) for i, d in enumerate(zip(dims, dims[1:]))),
+            *((f"head.{h}", config.embed_dim, config.head_class_counts[h])
+              for h in HEAD_NAMES)]
+
+
 class ModelParams:
     """Embedder layer weights and per-head weights, as autodiff leaves."""
 
-    def __init__(self, config, embed_layers, heads):
+    def __init__(self, config, pairs):     # one (W, b) per _layout entry
         self.config = config
-        self.embed_layers = embed_layers   # list of (W, b) Tensors
-        self.heads = heads                 # head name -> (W, b) Tensors
+        self.embed_layers = pairs[:len(config.hidden_dims) + 1]
+        self.heads = dict(zip(HEAD_NAMES, pairs[len(self.embed_layers):]))
+        self._named = [(f"{name}.{k}", p) for (name, *_), wb in
+                       zip(_layout(config), pairs) for k, p in zip("Wb", wb)]
 
     def named(self):
-        """Flat iteration as (name, Tensor) pairs, in a fixed order."""
-        for i, (w, b) in enumerate(self.embed_layers):
-            yield f"embed.{i}.W", w
-            yield f"embed.{i}.b", b
-        for h in HEAD_NAMES:
-            w, b = self.heads[h]
-            yield f"head.{h}.W", w
-            yield f"head.{h}.b", b
+        """(name, Tensor) pairs in the layout's order, each W before its b."""
+        return self._named
 
     def zero_grad(self):
-        for _, p in self.named():
+        for _, p in self._named:
             p.zero_grad()
 
 
@@ -80,11 +93,7 @@ def init_params(config, seed):
         b = Tensor(np.zeros((1, fan_out)))
         return w, b
 
-    dims = config.layer_dims()
-    embed_layers = [layer(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-    heads = {h: layer(config.embed_dim, config.head_class_counts[h])
-             for h in HEAD_NAMES}
-    return ModelParams(config, embed_layers, heads)
+    return ModelParams(config, [layer(i, o) for _, i, o in _layout(config)])
 
 
 def embed(params, features):
@@ -168,15 +177,20 @@ def params_from_checkpoint(ckpt):
     if config.pop("normalize_embeddings", False) is not False:
         raise ValueError("normalised embeddings are not supported")
     cfg = ModelConfig(**config)
-    params = init_params(cfg, seed=0)
-    for name, p in params.named():
-        stored = np.asarray(ckpt["params"][name], dtype=np.float64)
-        if stored.shape != p.data.shape:
+
+    def read(name, shape):    # read before anything config-sized exists
+        try:
+            value = np.asarray(ckpt["params"][name], dtype=np.float64)
+        except OverflowError:   # json reads 1 and 400 zeros as an int
+            raise ValueError(
+                f"checkpoint parameter {name} is beyond float range") from None
+        if value.shape != shape:
             raise ValueError(f"checkpoint shape mismatch for {name}")
-        if not np.isfinite(stored).all():   # json reads NaN and Infinity
+        if not np.isfinite(value).all():   # json reads NaN and Infinity
             raise ValueError(f"checkpoint parameter {name} is not finite")
-        p.data = stored
-    return params
+        return Tensor(value)
+    return ModelParams(cfg, [(read(f"{n}.W", (i, o)), read(f"{n}.b", (1, o)))
+                             for n, i, o in _layout(cfg)])
 
 
 def save_checkpoint(path, params, epoch=0, seed=0, optim_state=None):

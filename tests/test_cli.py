@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,41 @@ class TestGen:
         code = main(["gen", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "y")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("counts", [
+        [("ids_real", str(2**63 - 1))],
+        [("ids_real", "2"), ("ids_synth", "2"), ("per_id", str(2**63 - 1))]])
+    def test_dataset_too_large_for_numpy_is_usage_error(self, tmp_path,
+                                                        capsys, where, counts):
+        # rejected at once, not after a loop that long
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in counts))
+        given = ([f"--{key.replace('_', '-')}={value}"
+                  for key, value in counts]
+                 if where == "flag" else ["--config", str(cfg)])
+        out = tmp_path / "big"
+        assert main(["gen", "--out-dir", str(out), *given]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        named = f"{cfg}:{len(counts)}: " if where == "config" else ""
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1
+        assert "(ids_real, ids_synth, per_id, dim) are too many" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_features_that_overflow_are_usage_error(self, tmp_path, capsys,
+                                                    seed):
+        out = tmp_path / "wide"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["gen", "--out-dir", str(out), "--ids-real", "8",
+                         "--ids-synth", "8", "--per-id", "2", "--dim", "4",
+                         "--cluster-sep", "1e308",
+                         "--seed", str(seed)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: generated features are not finite; lower cluster_sep, "
+            "noise_sigma or shift_offset\n")
+        assert not out.exists()
 
 
 class TestTrain:
@@ -749,9 +785,22 @@ class TestBadInput:
         lambda text, ckpt: json.dumps(
             {**ckpt, "params": {**ckpt["params"],
                                 "embed.1.b": [[float("-inf")] * 4]}}),
+        lambda text, ckpt: json.dumps(      # beyond float64
+            {**ckpt, "params": {**ckpt["params"],
+                                "embed.1.b": [[10**400] * 4]}}),
+        lambda text, ckpt: json.dumps(
+            {**ckpt, "config": {**ckpt["config"], "input_dim": float("nan")}}),
+        lambda text, ckpt: json.dumps(      # the rows' width, as a float
+            {**ckpt, "config": {**ckpt["config"], "input_dim": 6.0}}),
+        lambda text, ckpt: json.dumps(
+            {**ckpt, "config": {**ckpt["config"], "embed_dim": True}}),
+        lambda text, ckpt: json.dumps(
+            {**ckpt, "config": {**ckpt["config"], "head_class_counts": {
+                **ckpt["config"]["head_class_counts"], "domain": 2.0}}}),
     ], ids=["truncated", "a-list", "missing-layer", "unknown-config-key",
             "wrong-shape", "normalised-embeddings", "nan-parameter",
-            "infinite-parameter"])
+            "infinite-parameter", "huge-int-parameter", "nan-input-dim",
+            "float-input-dim", "bool-embed-dim", "float-domain-count"])
     def test_bad_checkpoint_names_the_file(self, trained, tmp_path, capsys,
                                            edit):
         data, ckpt, _ = trained

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,38 @@ class TestGenerate:
             with pytest.raises(ValueError, match="domain_shift"):
                 ToySpec(input_dim=2, domain_shift=([[1.0, bad], [0.0, 1.0]],
                                                    np.zeros(2)))
+
+    @pytest.mark.parametrize("counts", [
+        dict(num_ids_real=2**63 - 1), dict(samples_per_id=2**62),
+        dict(input_dim=2**60)])
+    def test_dataset_too_large_for_numpy_rejected(self, counts):
+        # checked before any loop over the rows or centres starts
+        with pytest.raises(ValueError, match=r"\(ids_real, ids_synth, "
+                           r"per_id, dim\) are too many values"):
+            ToySpec(**counts)
+
+    @pytest.mark.parametrize("scale", [dict(cluster_sep=1e308),
+                                       dict(noise_sigma=1e308)])
+    def test_features_that_overflow_rejected_without_warning(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite; lower "
+                               "cluster_sep, noise_sigma or shift_offset"):
+                generate_toy_dataset(ToySpec(input_dim=4, **scale))
+
+    @pytest.mark.parametrize("n_real,n_synth", [(3, 5), (5, 3), (4, 4)])
+    def test_synthetic_ids_beyond_the_real_ones_get_new_centres(
+            self, n_real, n_synth):
+        spec = ToySpec(num_ids_real=n_real, num_ids_synth=n_synth,
+                       samples_per_id=1, noise_sigma=0.0, seed=2)
+        samples, manifest = generate_toy_dataset(spec)
+        centres = [s.features for s in samples]
+        assert manifest["matched_id_pairs"] == [
+            [j, n_real + j] for j in range(min(n_real, n_synth))]
+        for j in range(n_synth):
+            same = [i for i, c in enumerate(centres[:n_real])
+                    if np.array_equal(c, centres[n_real + j])]
+            assert same == ([j] if j < n_real else [])
 
 
 class TestFileFormat:

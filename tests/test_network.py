@@ -1,6 +1,10 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dareid import network
 from dareid.autodiff import (GraphError, NonFiniteError, Tensor,
                              softmax_cross_entropy)
 from dareid.network import (HEAD_NAMES, CheckpointFormatError, ModelConfig,
@@ -278,3 +282,69 @@ def test_checkpoint_parameter_not_finite_names_file_and_parameter(
         load_checkpoint(path)
     with pytest.raises(ValueError, match="head.color.b"):
         params_from_checkpoint(checkpoint_dict(params))
+
+
+def test_layout_orders_names_and_shapes():
+    params = init_params(small_config(), seed=0)
+    names = [f"embed.{i}" for i in range(2)] + [f"head.{h}" for h in HEAD_NAMES]
+    assert [n for n, _ in params.named()] == [
+        f"{n}.{k}" for n in names for k in "Wb"]
+    shapes = [p.shape for _, p in params.named()]
+    assert shapes[:4] == [(5, 7), (1, 7), (7, 4), (1, 4)]
+    assert shapes[4::2] == [(4, HEADS[h]) for h in HEAD_NAMES]
+    assert params.named() is params.named()     # built once, not per call
+
+
+def test_checkpoint_loads_without_drawing_a_model(tmp_path, monkeypatch):
+    params = init_params(small_config(), seed=3)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, params)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("loading drew a model")
+    monkeypatch.setattr(network, "init_params", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    loaded, _ = load_checkpoint(path)
+    for (na, pa), (nb, pb) in zip(params.named(), loaded.named()):
+        assert na == nb and np.array_equal(pa.data, pb.data)
+    assert loaded.embed_layers[1][0] is loaded.named()[2][1]
+    assert loaded.heads["type"][1] is loaded.named()[11][1]
+
+
+def test_wide_config_fails_before_allocating_its_layers(tmp_path):
+    # the stored arrays are small; a config that names two 2000-wide
+    # hidden layers disagrees with the first and allocates none of its own
+    stored = checkpoint_dict(init_params(small_config(), seed=0))
+    stored["config"]["hidden_dims"] = [2000, 2000]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(stored))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointFormatError,
+                           match="shape mismatch for embed.0.W"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20     # a 2000 x 2000 layer alone is 32 MB
+
+
+@pytest.mark.parametrize("field,value", [
+    ("input_dim", float("nan")), ("input_dim", float("inf")),
+    ("input_dim", 5.0), ("embed_dim", True), ("hidden_dims", [7.0]),
+    ("head_class_counts", dict(HEADS, domain=2.0))])
+def test_size_that_is_not_an_integer_names_the_field(field, value):
+    with pytest.raises(ValueError, match=f"{field}.* must be an integer"):
+        small_config(**{field: value})
+
+
+def test_numpy_integer_sizes_pass():
+    cfg = small_config(input_dim=np.int64(5), hidden_dims=[np.int32(7)])
+    assert cfg.layer_dims() == [5, 7, 4]
+
+
+def test_parameter_beyond_float_range_names_it():
+    stored = checkpoint_dict(init_params(small_config(), seed=0))
+    stored["params"]["head.id.b"] = [[10**400] * HEADS["id"]]
+    with pytest.raises(ValueError, match="head.id.b is beyond float range"):
+        params_from_checkpoint(stored)
