@@ -272,44 +272,51 @@ def _finite_distances(q, g):
 
 # ---- certified GEMM ranking ----
 
-# Unit roundoff and smallest subnormal of float64. The bound below holds
-# while norms stay under _NORM_LIMIT, which also keeps every GEMM value and
-# exact distance finite.
-_U = 2.0 ** -53
-_ETA = 2.0 ** -1074
+# Unit roundoff and smallest subnormal of float64 and of float32. The bound
+# below holds while squared norms stay under _NORM_LIMIT (every exact
+# distance finite), and scaled ones under _NORM_LIMIT32 (the sgemm finite).
+_U, _ETA, _U32, _ETA32 = 2.0 ** -53, 2.0 ** -1074, 2.0 ** -24, 2.0 ** -149
 _NORM_LIMIT = np.finfo(np.float64).max / 8
+_NORM_LIMIT32 = float(np.finfo(np.float32).max) / 8
 
 
 def _certified_ranked(q, g, query_ids, gallery_ids, exclude_self):
     """_ranked for the distances between q and g, without computing them.
 
-    A BLAS product picks the entries and the exact kernel ranks them. Per
-    block of query rows, a = |g|^2 - 2 q.g (the GEMM distance less |q|^2)
-    is within E = (4D + 24)(u (|q|^2 + max |g|^2) + eta) (u = 2^-53, eta
-    the smallest subnormal) of the exact kernel's squared distance less
-    |q|^2. With M = |q|^2 + |g|^2, E covers, in any summation order: the
-    rounding of the GEMM, the norms and the kernel, (4D + 6) u M; the
-    rounding in forming the thresholds, 5 u M; 8 u M for the square root,
-    since squared distances v that differ by more than 4 u v still differ
-    after it and v <= 2M; 5 u M for second-order terms; and eta terms for
-    subnormal products. With v a relevant item's exact squared distance,
-    an entry whose a lies above v + E - |q|^2 for every relevant item of
-    its row ranks behind them all; every other entry, a candidate, is
-    ranked by its exact distance, ties to the lower column. A block takes
-    the exact path (_finite_distances and a sort of each row) if its norms
-    overflow or are too large for the bound, or if more than _budget's
-    share of its entries are candidates."""
+    A float32 BLAS product picks the entries and the exact kernel ranks
+    them. Per block of query rows, one sgemm by _scaled_gallery's matrix
+    gives a = (|g|^2 - 2 q.g) 2^-2e (2^e above every gallery norm; scaling
+    by a power of two is exact), within E = E64 2^-2e + E32 of the kernel's
+    S - |q|^2 scaled alike. With M = |q|^2 + max |g|^2, m = M 2^-2e and
+    Higham's gamma_n = n u / (1 - n u), in any summation order:
+    - E64 = (4D + 24)(u M + eta) (u = 2^-53, eta the smallest subnormal)
+      covers the rounding of the norms and the kernel, (4D + 6) u M; of the
+      thresholds, 5 u M; 8 u M for the square root, since squared distances
+      v that differ by more than 4 u v still differ after it and v <= 2M;
+      5 u M for second-order terms; and eta terms for subnormal products.
+    - E32 = ((2D + 8) u' m + (2D + 4) eta' (m + 1)) / (1 - (D + 1) u')
+      (u' = 2^-24, eta' = 2^-149) covers rounding the sgemm's inputs to
+      float32, 3 u' m; its D + 1 terms, whose absolute values sum to at most
+      2m, 2 gamma_{D+1} m; 3 u' m for second-order terms; and underflow in
+      the inputs and products, (2D + 4) eta' (m + 1).
+    An entry whose a is above t = max(a) + 2E over its row's relevant items
+    (each at least its S - |q|^2 - E; t formed in float64 and compared in
+    float32 by _float32) ranks behind them all; every other entry, a
+    candidate, is ranked by its exact distance, ties to the lower column. A
+    block takes the exact path (_finite_distances and a sort of each row)
+    if a norm is not below its limit, or if more than _budget's share of
+    its entries are candidates."""
     relevant = _relevant(query_ids, gallery_ids, exclude_self)
-    qn, gn = _norms(q), _norms(g)
-    gmax = gn.max()
+    qn = _norms(q)
+    gallery = _scaled_gallery(g, _norms(g))
     step = _block_rows(len(g))
     positions = []
     for start in range(0, len(q), step):
         rows = slice(start, start + step)
-        block = _gemm_rows(q[rows], qn[rows], g, gn, gmax)
+        block = gallery and _gemm_rows(q[rows], qn[rows], gallery)
         if block is not None:
-            block = _certified_rows(q[rows], g, qn[rows], *block, start,
-                                    relevant, exclude_self)
+            block = _certified_rows(q[rows], g, *block, start, relevant,
+                                    exclude_self)
         if block is None:
             block = _rank_rows(_finite_distances(q[rows], g), start,
                                relevant, exclude_self)
@@ -323,24 +330,54 @@ def _norms(x):
         return np.einsum("ij,ij->i", x, x)
 
 
-def _gemm_rows(q, qn, g, gn, gmax):
-    """GEMM values a = |g|^2 - 2 q.g and the bound E of _certified_ranked per
-    row of q (qn, gn squared norms, gmax = max(gn)); None if a norm is not
-    below _NORM_LIMIT (inf where it overflows)."""
-    if not (gmax < _NORM_LIMIT and (qn < _NORM_LIMIT).all()):
+def _scaled_gallery(g, gn):
+    """The gallery side of _gemm_rows, built once per pass from the rows g
+    and their squared norms gn: e with sqrt(max(gn)) < 2^e, max(gn) and the
+    (D + 1) x Ng float32 rows g 2^-e over gn 2^-2e; None if max(gn) is not
+    below _NORM_LIMIT or if D is too large for E32, (D + 1) u' >= 1/2."""
+    gmax = gn.max()
+    if not (gmax < _NORM_LIMIT and (g.shape[1] + 1) * _U32 < 0.5):
         return None
-    a = np.matmul(-2.0 * q, g.T)
-    a += gn
-    return a, (4 * q.shape[1] + 24) * (_U * (qn + gmax) + _ETA)
+    e = int(np.frexp(np.sqrt(gmax))[1])
+    rows = np.empty((g.shape[1] + 1, len(g)), np.float32)
+    np.ldexp(g.T, -e, out=rows[:-1])
+    np.ldexp(gn, -2 * e, out=rows[-1])
+    return e, gmax, rows
+
+
+def _gemm_rows(q, qn, gallery):
+    """Float32 GEMM values a = (|g|^2 - 2 q.g) 2^-2e and the bound E of
+    _certified_ranked, per row of q (qn its squared norms), from
+    _scaled_gallery's (e, max |g|^2, rows); None if a norm |q|^2, or its
+    m = (|q|^2 + max |g|^2) 2^-2e, is not below its limit."""
+    e, gmax, rows = gallery
+    d = q.shape[1]
+    m = np.ldexp(qn + gmax, -2 * e)
+    if not ((qn < _NORM_LIMIT).all() and (m < _NORM_LIMIT32).all()):
+        return None
+    x = np.ones((len(q), d + 1), np.float32)
+    x[:, :d] = np.ldexp(-2.0 * q, -e)
+    e64 = (4 * d + 24) * (_U * (qn + gmax) + _ETA)
+    e32 = ((2 * d + 8) * _U32 * m + (2 * d + 4) * _ETA32 * (m + 1)) / (
+        1 - (d + 1) * _U32)
+    return x @ rows, np.ldexp(e64, -2 * e) + e32
+
+
+def _float32(t, le):
+    """The float64 thresholds t in float32, so that a float32 a compares
+    with them as with t: rounded down for a <= t (le), up for a >= t."""
+    r = t.astype(np.float32)
+    far = np.float32(-np.inf if le else np.inf)
+    return np.where(r > t if le else r < t, np.nextafter(r, far), r)
 
 
 def _budget(d):
     """The share of a certified block's entries that may be candidates at
     dimension d; the cap keeps the ranking's within BLOCK_BYTES / 64. At
     this share, ms per block (GEMM included, median of 9, 2-core Xeon) at
-    D = 8/16/32/128, certified against exact: ranking, 64 x 8192, 9.1/17/30/66
-    against 21/28/38/127; re-ranker, 64 x 2048, 2.9/4.7/8.7/17 against
-    5.1/7.9/13/43. With d / 160 the ranking is the slower at D = 16."""
+    D = 8/16/32/128, certified against exact: ranking, 64 x 8192,
+    3.1/6.2/14/30 against 11/15/22/78; re-ranker, 64 x 2048,
+    1.0/1.8/3.8/8.8 against 3.3/5.0/9.2/38."""
     return min(d / 320, 1 / 8)
 
 
@@ -361,17 +398,16 @@ def _candidates(x, y, *masks):
     return rows, cols, _pair_sums(x, y, rows, cols)
 
 
-def _certified_rows(q, g, qn, a, bound, start, relevant, exclude_self):
+def _certified_rows(q, g, a, bound, start, relevant, exclude_self):
     """The positions _rank_rows gives for the distances between the block of
     query rows q (rows start, start + 1, ...) and g, certified by the GEMM
     values a and the bound (see _certified_ranked); None past _budget."""
     ng = len(g)
     rel_rows, rel_cols = _block(relevant, start, start + len(q), ng)
-    v = _pair_sums(q, g, rel_rows, rel_cols)
-    hi = (v + bound[rel_rows]) - qn[rel_rows]
     # candidates: entries not certainly behind their row's relevant items
-    row_hi = np.maximum.reduceat(hi, _row_ptr(rel_rows, len(q))[:-1])
-    cand = _candidates(q, g, a <= row_hi[:, None])
+    row_hi = np.maximum.reduceat(a[rel_rows, rel_cols],
+                                 _row_ptr(rel_rows, len(q))[:-1]) + 2 * bound
+    cand = _candidates(q, g, a <= _float32(row_hi, le=True)[:, None])
     if cand is None:
         return None
     rows, cols, w = cand
@@ -383,9 +419,10 @@ def _certified_rows(q, g, qn, a, bound, start, relevant, exclude_self):
 
 
 def _resolve(rows, cols, dist, kept, at):
-    """Per candidate at the indices at (rows ascending): the kept
-    candidates of its row ahead of it by dist, ties to the lower column."""
-    order = np.lexsort((cols, dist, rows))
+    """Per candidate at the indices at: the kept candidates of its row ahead
+    of it by dist, ties to the lower column. The candidates are one mask's
+    entries, in the (row, col) order ties keep in a stable lexsort."""
+    order = np.lexsort((dist, rows))
     slot = np.empty_like(order)
     slot[order] = np.arange(len(order))
     seen = np.concatenate([[0], np.cumsum(kept[order])])
@@ -448,9 +485,9 @@ def precision_recall_points(positions):
 
 def _first_k(rows, cols, vals, k):
     """Per row, the columns of its first k entries by (value, column), as a
-    stable argsort orders them, from candidate entries that hold them (rows
-    ascending block-local row numbers)."""
-    order = np.lexsort((cols, vals, rows))
+    stable argsort orders them, from one mask's entries that hold them (rows
+    block-local), whose ties a stable lexsort keeps in column order."""
+    order = np.lexsort((vals, rows))
     rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
     return cols[order[rank < k]].reshape(-1, k)
 
@@ -505,27 +542,29 @@ def _distance_pass(allf, k):
     column).
 
     A block of rows x is certified by the GEMM values a of
-    _certified_ranked, within E' = E - 13uM of S - |x|^2 (S the kernel's
-    squared distance, M = |x|^2 + max |y|^2: E less its threshold and
-    square-root terms); a threshold t formed from a and E rounds by under
-    3uM, as |a| <= 2M. The largest S has a >= max(a) - 2E' > t = max(a) -
-    2E, so the exact values of the entries with a >= t give the maximum p
-    (_original_distances never decreases). With A the row's k-th smallest a,
-    an entry with a > t = A + 4E has S more than 4E - 2E' - 3uM > 2E >=
-    56(uM + eta) above k others' (eta the smallest subnormal). sqrt and
-    square move S by at most 3.01uS + eta/2, dividing by p <= 2.01M rounds
-    by u of the quotient plus eta/2, so S more than 16.1uM + (2.01M + 1) eta
-    apart stay strictly ordered, and the first k by (value, column) have a
-    <= t. A block takes the exact path (_exact_rows) if a norm is not below
-    _NORM_LIMIT, if over _budget's share of its entries are candidates, or
-    if a maximum is 0, which the exact path raises."""
+    _certified_ranked, in their units of 2^2e: within E' = E - 13um of
+    (S - |x|^2) 2^-2e (S the kernel's squared distance, m = (|x|^2 +
+    max |y|^2) 2^-2e: E less its threshold and square-root terms); a
+    threshold t formed from a and E rounds by under 3um, as |a| <= 2m, and
+    _float32 changes no comparison with it. The largest S has a >= max(a) -
+    2E' > t = max(a) - 2E, so the exact values of the entries with a >= t
+    give the maximum p (_original_distances never decreases). With A the
+    row's k-th smallest a, an entry with a > t = A + 4E has S more than
+    (4E - 2E' - 3um) 2^2e > 2E 2^2e >= 56(uM + eta) above k others' (M =
+    m 2^2e, eta the smallest subnormal). sqrt and square move S by at most
+    3.01uS + eta/2, dividing by p <= 2.01M rounds by u of the quotient plus
+    eta/2, so S more than 16.1uM + (2.01M + 1) eta apart stay strictly
+    ordered, and the first k by (value, column) have a <= t. A block takes
+    the exact path (_exact_rows) if a norm is not below its limit, if over
+    _budget's share of its entries are candidates, or if a maximum is 0,
+    which the exact path raises."""
     norms = _norms(allf)
-    top = norms.max()
+    gallery = _scaled_gallery(allf, norms)
     step = _block_rows(4 * len(allf))
     blocks = []
     for start in range(0, len(allf), step):
         rows = slice(start, start + step)
-        got = _gemm_rows(allf[rows], norms[rows], allf, norms, top)
+        got = gallery and _gemm_rows(allf[rows], norms[rows], gallery)
         if got is not None:
             got = _certified_neighbours(allf[rows], allf, *got, k)
         blocks.append(got or _exact_rows(allf[rows], allf, k))
@@ -553,8 +592,9 @@ def _exact_rows(x, allf, k):
 def _certified_neighbours(x, allf, a, bound, k):
     """_exact_rows' maxima and neighbours from the rows' GEMM values a and
     bounds (see _distance_pass); None where the exact path must decide."""
-    tops = a >= (a.max(axis=1) - 2 * bound)[:, None]
-    near = a <= (np.partition(a, k - 1, axis=1)[:, k - 1] + 4 * bound)[:, None]
+    tops = a >= _float32(a.max(axis=1) - 2 * bound, le=False)[:, None]
+    near = a <= _float32(np.partition(a, k - 1, axis=1)[:, k - 1]
+                         + 4 * bound, le=True)[:, None]
     cand = _candidates(x, allf, tops, near)
     if cand is None:
         return None

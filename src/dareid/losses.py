@@ -84,12 +84,14 @@ def batch_hard_triplet(x, ids, margin):
     # a distance of 0 contributes 0
     d = dist[a, pn][..., None]
     dp, dn = np.divide(diff, d, out=np.zeros_like(diff), where=d > 0)
-    # rows a, p, n of each active anchor in turn: np.add.at adds them
-    # unbuffered in this order, as a loop over the anchors would
-    grad = np.zeros_like(x)
-    np.add.at(grad, np.stack([a, *pn], axis=1).reshape(-1),
-              np.stack([dp - dn, -dp, dn], axis=1).reshape(-1, x.shape[1]))
-    return value, grad
+    # rows a, p, n of each active anchor in turn, keyed row * D + column:
+    # bincount adds them from +0.0 in this order, as a loop over the
+    # anchors would (and counts in int64 when no anchor is active)
+    d = x.shape[1]
+    rows = np.stack([a, *pn], axis=1).reshape(-1, 1)
+    grad = np.bincount((rows * d + np.arange(d)).ravel(),
+                       np.stack([dp - dn, -dp, dn], axis=1).ravel(), x.size)
+    return value, grad.astype(x.dtype, copy=False).reshape(x.shape)
 
 
 def triplet_batch_hard(embeddings, ids, margin):

@@ -50,6 +50,13 @@ class ModelConfig:
             raise ValueError(f"head class counts must be >= 1, got {small}")
         if self.head_class_counts["domain"] != 2:
             raise ValueError("domain head must have exactly 2 classes")
+        # NumPy integers pass the checks; the sizes are kept as plain ints,
+        # which a checkpoint's JSON can hold
+        self.input_dim = int(self.input_dim)
+        self.embed_dim = int(self.embed_dim)
+        self.hidden_dims = [int(h) for h in self.hidden_dims]
+        self.head_class_counts = {h: int(c)
+                                  for h, c in self.head_class_counts.items()}
 
     def layer_dims(self):
         return [self.input_dim] + list(self.hidden_dims) + [self.embed_dim]
@@ -194,8 +201,11 @@ def params_from_checkpoint(ckpt):
 
 
 def save_checkpoint(path, params, epoch=0, seed=0, optim_state=None):
+    """Writes the checkpoint file, serialised before it is opened, so that a
+    value JSON cannot hold raises without leaving a partial file."""
+    text = json.dumps(checkpoint_dict(params, epoch, seed, optim_state))
     with open(path, "w") as f:
-        json.dump(checkpoint_dict(params, epoch, seed, optim_state), f)
+        f.write(text)
 
 
 def load_checkpoint(path):

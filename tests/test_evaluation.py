@@ -47,23 +47,42 @@ ERROR_PATTERNS = {
 }
 
 
+def float32_share(d, m):
+    """The float32 GEMM's share E32 of the bound, in the scaled units of the
+    GEMM values (m = (|q|^2 + max |g|^2) 2^-2e), less 3u'm (u' = 2^-24) for
+    rounding the perturbed values to float32."""
+    u, eta = 2.0 ** -24, 2.0 ** -149
+    return ((2 * d + 8) * u * m + (2 * d + 4) * eta * (m + 1)) / (
+        1 - (d + 1) * u) - 3 * u * m
+
+
 @pytest.fixture
 def gemm_error(monkeypatch):
     """Replaces the GEMM values of _gemm_rows, keeping its bound, by the
-    exact kernel's S - |q|^2 moved by error["size"](d, qn, gn, gmax) per
-    entry in the direction error["signs"](S), so that the certified paths
+    exact kernel's (S - |q|^2) 2^-2e moved by error["size"](d, m) per entry
+    (m = (|q|^2 + max |g|^2) 2^-2e, per row) in the direction
+    error["signs"](S) and rounded to float32, so that the certified paths
     meet the largest error their derivations allow, not the small one a
     BLAS kernel makes. A block may hold any number of candidates."""
-    error = {}
+    error, seen = {}, {}
+    scaled_gallery = evaluation._scaled_gallery
     gemm_rows = evaluation._gemm_rows
 
-    def perturbed(q, qn, g, gn, gmax):
-        got = gemm_rows(q, qn, g, gn, gmax)
+    def recording(g, gn):
+        seen["g"] = g
+        return scaled_gallery(g, gn)
+
+    def perturbed(q, qn, gallery):
+        got = gemm_rows(q, qn, gallery)
         if got is None:
             return None
-        s = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
-        size = error["size"](q.shape[1], qn, gn, gmax)
-        return (s - qn[:, None]) + size * error["signs"](s), got[1]
+        e, gmax, _ = gallery
+        s = ((q[:, None, :] - seen["g"][None, :, :]) ** 2).sum(axis=2)
+        m = np.ldexp(qn + gmax, -2 * e)[:, None]
+        a = np.ldexp(s - qn[:, None], -2 * e) + error["size"](
+            q.shape[1], m) * error["signs"](s)
+        return a.astype(np.float32), got[1]
+    monkeypatch.setattr(evaluation, "_scaled_gallery", recording)
     monkeypatch.setattr(evaluation, "_gemm_rows", perturbed)
     monkeypatch.setattr(evaluation, "_budget", lambda d: 2.0)
     return error
@@ -634,11 +653,11 @@ class TestCertifiedRanking:
     def test_any_gemm_error_within_its_share_of_the_bound(
             self, pattern, gemm_error, fallback_rows):
         # the relevant items are the items; the error is the GEMM and norm
-        # share of E, (4D + 6)uM with M = |q|^2 + |g|^2, less 4uM for
-        # forming S - |q|^2 and adding the error
+        # share of E: its float64 share (4D + 6)um (u = 2^-53), less 4um for
+        # forming S - |q|^2 and adding the error, plus float32_share
         rng = np.random.default_rng(43)
-        gemm_error["size"] = lambda d, qn, gn, gmax: (
-            (4 * d + 2) * 2.0 ** -53 * (qn[:, None] + gn))
+        gemm_error["size"] = lambda d, m: (
+            (4 * d + 2) * 2.0 ** -53 * m + float32_share(d, m))
         for d in (3, 8, 33):
             g, q, _, _ = self.clustered(rng, d)
             base = rng.normal(size=(self.NG // 4, d))
@@ -653,6 +672,44 @@ class TestCertifiedRanking:
                     gemm_error["signs"] = lambda s: ERROR_PATTERNS[pattern](
                         qids[:, None] == gids, rng)
                     self.assert_exact(q, g, qids, gids, exclude_self)
+        assert not fallback_rows
+
+    @pytest.mark.parametrize("rel", [1e-7, 1e-9, 1e-12])
+    def test_near_ties_at_float32_resolution(self, rel, blocks):
+        # ten clustered rows, each shared by ids c and c + 10 and moved by
+        # a relative rel, at or below what the float32 GEMM resolves: the
+        # exact kernel orders each cluster, relevant items and others alike
+        rng = np.random.default_rng(46)
+        for d in (3, 32):
+            base = rng.normal(size=(10, d))
+            gids = np.arange(self.NG) % 20
+            qids = rng.integers(20, size=14)
+            g = base[gids % 10] * (1 + rel * rng.normal(size=(self.NG, d)))
+            q = base[qids % 10] * (1 + rel * rng.normal(size=(14, d)))
+            self.assert_exact(q, g, qids, gids, False)
+            self.assert_exact(g, g, gids, gids, True)
+
+    def test_a_query_far_beyond_the_gallery_takes_the_exact_path(
+            self, blocks, fallback_rows):
+        # a squared norm 2^300 times the gallery's does not fit float32
+        # once scaled by the gallery's 2^-2e: only its block falls back
+        rng = np.random.default_rng(47)
+        g, q, gids, qids = self.clustered(rng, 4)
+        q[4] = np.ldexp(g[0], 150)
+        self.assert_exact(q, g, qids, gids, False)
+        assert fallback_rows == ([3] if blocks else [14])
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-160])
+    def test_scaled_inputs_are_certified(self, scale, fallback_rows,
+                                         monkeypatch):
+        # the gallery is scaled by a power of two before the float32 GEMM,
+        # so neither large norms nor subnormal products leave its range;
+        # the one block may hold any number of candidates
+        monkeypatch.setattr(evaluation, "_budget", lambda d: 2.0)
+        rng = np.random.default_rng(48)
+        g, q, gids, qids = self.clustered(rng, 8)
+        self.assert_exact(scale * q, scale * g, qids, gids, False)
+        self.assert_exact(scale * g, scale * g, gids, gids, True)
         assert not fallback_rows
 
     @pytest.mark.parametrize("spread", [0.3, None],
@@ -1005,12 +1062,12 @@ class TestCertifiedDistancePass:
     @pytest.mark.parametrize("pattern", ERROR_PATTERNS)
     def test_any_gemm_error_within_its_share_of_the_bound(
             self, pattern, gemm_error, exact_rows):
-        # each row's k-th neighbour is the item; the error is E' = E - 13uM
-        # with M = |x|^2 + max |y|^2, less 4uM for forming S - |x|^2 and
-        # adding the error
+        # each row's k-th neighbour is the item; the error is E' = E - 13um
+        # (u = 2^-53), less 4um for forming S - |x|^2 and adding the error
+        # and 3u'm for rounding it to float32 (float32_share)
         rng = np.random.default_rng(44)
-        gemm_error["size"] = lambda d, qn, gn, gmax: (
-            (4 * d + 7) * 2.0 ** -53 * (qn + gmax))[:, None]
+        gemm_error["size"] = lambda d, m: (
+            (4 * d + 7) * 2.0 ** -53 * m + float32_share(d, m))
         for d in (1, 3, 8, 33, 129):
             for kind, q, g in self.inputs(rng, d):
                 for k in (3, 7, len(g)):
@@ -1021,6 +1078,18 @@ class TestCertifiedDistancePass:
                     assert self.check(q, g, k, exact_rows) == 0, (
                         kind, d, k)
 
+    @pytest.mark.parametrize("rel", [1e-7, 1e-9, 1e-12])
+    def test_near_ties_at_float32_resolution(self, rel, blocks, exact_rows):
+        # six clustered rows moved by a relative rel, at or below what the
+        # float32 GEMM resolves: the exact kernel orders each cluster
+        rng = np.random.default_rng(52)
+        n = self.NQ + self.NG
+        for d in (3, 32):
+            x = rng.normal(size=(6, d))[rng.integers(6, size=n)]
+            x *= 1 + rel * rng.normal(size=(n, d))
+            for k in (3, 7, self.NG):
+                self.check(x[:self.NQ], x[self.NQ:], k, exact_rows)
+
     def test_norms_at_the_limit_take_the_exact_path(self, exact_rows):
         rng = np.random.default_rng(42)
         q, g = rng.normal(size=(self.NQ, 4)), rng.normal(size=(self.NG, 4))
@@ -1028,6 +1097,64 @@ class TestCertifiedDistancePass:
         # squared distance stays finite
         g[5] *= np.sqrt(3e307) / np.linalg.norm(g[5])
         assert self.check(q, g, 7, exact_rows) == self.NQ + self.NG
+
+
+class TestScaledGallery:
+    """The float32 side of the certified paths: the gallery matrix, built
+    once per pass, and thresholds converted to float32."""
+
+    @pytest.mark.parametrize("path", ["ranking", "re-ranker"])
+    def test_built_once_per_pass(self, path, monkeypatch):
+        built = []
+        scaled_gallery = evaluation._scaled_gallery
+
+        def counting(g, gn):
+            built.append(len(g))
+            return scaled_gallery(g, gn)
+        monkeypatch.setattr(evaluation, "_scaled_gallery", counting)
+        gemm_rows = evaluation._gemm_rows
+        blocks = []
+
+        def recording(q, *args):
+            blocks.append(len(q))
+            return gemm_rows(q, *args)
+        monkeypatch.setattr(evaluation, "_gemm_rows", recording)
+        # blocks of 4 rows
+        monkeypatch.setattr(evaluation, "BLOCK_BYTES", 4 * 8 * 64 * 4)
+        rng = np.random.default_rng(49)
+        if path == "ranking":
+            g, q = rng.normal(size=(64, 8)), rng.normal(size=(30, 8))
+            evaluate_retrieval(q, g, np.arange(30) % 16, np.arange(64) % 16)
+        else:
+            evaluation._distance_pass(rng.normal(size=(64, 8)), 7)
+        assert built == [64] and len(blocks) > 1
+
+    def test_scaling_is_exact(self):
+        rng = np.random.default_rng(50)
+        for scale in (1e-160, 1.0, 3e150):
+            g = scale * rng.normal(size=(20, 5))
+            gn = evaluation._norms(g)
+            e, gmax, rows = evaluation._scaled_gallery(g, gn)
+            assert gmax == gn.max()
+            assert np.sqrt(gmax) < 2.0 ** e <= 2 * np.sqrt(gmax)
+            assert rows.dtype == np.float32 and rows.shape == (6, 20)
+            assert np.array_equal(rows[:5], np.ldexp(g.T, -e).astype(
+                np.float32))
+            assert np.array_equal(rows[5],
+                                  np.ldexp(gn, -2 * e).astype(np.float32))
+
+    def test_float32_thresholds_compare_as_float64(self):
+        rng = np.random.default_rng(51)
+        t = rng.normal(size=2000) * 10.0 ** rng.integers(-30, 30, size=2000)
+        t[:3] = 1.0, np.float32(0.1), 2.0 ** -140
+        a = np.concatenate([t, np.nextafter(t, np.inf),
+                            np.nextafter(t, -np.inf)]).astype(np.float32)
+        for le in (True, False):
+            r = evaluation._float32(t, le)
+            assert r.dtype == np.float32
+            for x in a[::37]:
+                assert np.array_equal(x <= r if le else x >= r,
+                                      x <= t if le else x >= t)
 
 
 class TestCandidateBudget:

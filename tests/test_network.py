@@ -343,6 +343,28 @@ def test_numpy_integer_sizes_pass():
     assert cfg.layer_dims() == [5, 7, 4]
 
 
+def test_numpy_integer_sizes_save_a_whole_checkpoint(tmp_path):
+    # the sizes are kept as plain ints, so the checkpoint is the one the
+    # same int sizes give, byte for byte
+    cfg = small_config(
+        input_dim=np.int64(5), hidden_dims=[np.int64(7)],
+        embed_dim=np.int32(4),
+        head_class_counts={h: np.int64(c) for h, c in HEADS.items()})
+    paths = tmp_path / "numpy.ckpt", tmp_path / "int.ckpt"
+    for path, config in zip(paths, (cfg, small_config())):
+        save_checkpoint(path, init_params(config, seed=3))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert load_checkpoint(paths[0])[0].config == small_config()
+
+
+def test_checkpoint_that_does_not_serialise_leaves_no_file(tmp_path):
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_checkpoint(path, init_params(small_config(), seed=0),
+                        optim_state={"t": object()})
+    assert not path.exists()
+
+
 def test_parameter_beyond_float_range_names_it():
     stored = checkpoint_dict(init_params(small_config(), seed=0))
     stored["params"]["head.id.b"] = [[10**400] * HEADS["id"]]
