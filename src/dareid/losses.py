@@ -52,7 +52,9 @@ def batch_hard_triplet(x, ids, margin):
     Per anchor, hinge on margin + (farthest same-id distance) - (nearest
     different-id distance); the loss is the sum over anchors. The distances
     are the square root of the broadcast N x N x D squared differences
-    summed over their last axis, bit for bit pairwise_distances(x, x).
+    summed over their last axis in NumPy's order, which is not
+    pairwise_distances' index order: an entry may differ from
+    pairwise_distances(x, x) in its last few ulps.
     """
     if not 0 <= margin < np.inf:
         raise GraphError("margin must be finite and non-negative")

@@ -107,6 +107,8 @@ class TestPairwiseDistances:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pairwise_distances(np.zeros((1, 3)), np.zeros((1, 4)))
+        with pytest.raises(ValueError, match=r"\(3,\).*\(4,\)"):
+            pairwise_distances(np.zeros(3), np.zeros(4))
 
     def test_metric_is_not_a_parameter(self):
         params = inspect.signature(pairwise_distances).parameters
@@ -121,27 +123,29 @@ class TestPairwiseDistances:
         assert np.allclose(pairwise_distances(a, b),
                            pairwise_distances(b, a).T, atol=1e-12)
 
-    def test_blocked_equals_unblocked_broadcast_bitwise(self):
+    def test_blocked_equals_index_order_sum_bitwise(self):
         rng = np.random.default_rng(3)
         g = rng.normal(size=(4096, 8))
         rows = evaluation.BLOCK_BYTES // (9 * 8 * len(g))
         # three full blocks and a ragged fourth
         cases = [(rng.normal(size=(3 * rows + rows // 2, 8)), g)]
-        # every branch of NumPy's pairwise summation order: no term, fewer
-        # than 8, up to 128 with and without a D % 8 tail, above 128 (one
-        # split) and above 256 (a split within a split)
+        # no term, one, fewer than 8, 8 with and without more, and above
+        # 128 and 256 terms
         for d in (0, 1, 7, 8, 9, 32, 129, 300):
             cases.append((rng.normal(size=(5, d)), rng.normal(size=(64, d))))
         # integer values: repeated rows, equal distances and zeros
         ints = rng.integers(-2, 3, size=(64, 9)).astype(float)
         cases.append((ints[:16], ints))
         for q, g in cases:
-            sq = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
-            # the squared sums, from the kernel itself
-            got = np.empty(sq.shape)
-            evaluation._sum_squares(q, np.ascontiguousarray(g.T), got,
-                                    np.empty((9, *sq.shape)))
-            assert np.array_equal(got, sq)
+            # the squared differences added in index order, ((t0 + t1) + t2)
+            terms = (q[:, None, :] - g[None, :, :]) ** 2
+            sq = np.zeros(terms.shape[:2])
+            for j in range(terms.shape[2]):
+                sq += terms[:, :, j]
+            # every (row, col) pair, one pair at a time
+            pair_rows, pair_cols = np.divmod(np.arange(sq.size), sq.shape[1])
+            assert np.array_equal(
+                evaluation._pair_sums(q, g, pair_rows, pair_cols), sq.ravel())
             assert np.array_equal(pairwise_distances(q, g),
                                   np.sqrt(np.maximum(sq, 0.0)))
             # a Fortran-order gallery, as evaluate_retrieval passes it
@@ -175,6 +179,12 @@ class TestMeanAveragePrecision:
         dist = np.array([[0.1, 0.2, 0.3, 0.4]])
         map_k, _ = mean_average_precision(dist, [1], [0, 1, 0, 1], k=1)
         assert map_k == 0.0
+
+    def test_k_below_one_rejected(self):
+        dist = np.array([[0.1, 0.2, 0.3, 0.4]])
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                mean_average_precision(dist, [1], [0, 1, 0, 1], k=k)
 
     def test_single_relevant_item_at_rank_r(self):
         for r in (1, 2, 5):
