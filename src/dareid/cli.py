@@ -27,7 +27,7 @@ from .evaluation import (EvalConfig, RerankParams, evaluate_retrieval,
                          precision_recall_points)
 from .losses import LossWeights
 from .network import (CheckpointFormatError, ModelConfig, load_checkpoint,
-                      save_checkpoint)
+                      save_checkpoint, whole_file)
 from .optimizer import LrSchedule
 from .sampling import REAL, SYNTHETIC, BatchSpec, build_train_set
 from .trainer import DivergenceError, TrainConfig, _embedded, evaluate, train_on
@@ -303,7 +303,7 @@ def cmd_train(args):
         result = train_on(config, train_set)
     except DivergenceError as e:
         _write_run_log(args.out_dir, e.run_log)
-        with open(os.path.join(args.out_dir, "report.json"), "w") as f:
+        with whole_file(os.path.join(args.out_dir, "report.json")) as f:
             json.dump({"status": "diverged", "iteration": e.iteration}, f,
                       indent=2)
         print(f"training diverged at iteration {e.iteration}", file=sys.stderr)
@@ -315,7 +315,7 @@ def cmd_train(args):
                     seed=config.seed, optim_state=result.optim.to_dict())
     report = _final_report(result.params, train_set.rows)
     report["status"] = "completed"
-    with open(os.path.join(args.out_dir, "report.json"), "w") as f:
+    with whole_file(os.path.join(args.out_dir, "report.json")) as f:
         json.dump(report, f, indent=2)
     with open(os.path.join(args.out_dir, "timing.txt"), "w") as f:
         f.write(f"wall_clock_sec={time.monotonic() - start:.3f}\n")
@@ -323,7 +323,7 @@ def cmd_train(args):
 
 
 def _write_run_log(out_dir, run_log):
-    with open(os.path.join(out_dir, "run.log.jsonl"), "w") as f:
+    with whole_file(os.path.join(out_dir, "run.log.jsonl")) as f:
         for entry in run_log:
             f.write(json.dumps(entry) + "\n")
 

@@ -5,7 +5,9 @@ hidden ReLU layers (final layer linear). Each head is a single affine layer
 producing pre-softmax logits; softmax lives inside the fused loss node.
 """
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +74,20 @@ def _layout(config):
 
 
 class ModelParams:
-    """Embedder layer weights and per-head weights, as autodiff leaves."""
+    """Embedder layer weights and per-head weights, as autodiff leaves whose
+    data and grad are views of one parameter and one gradient vector."""
 
-    def __init__(self, config, pairs):     # one (W, b) per _layout entry
+    def __init__(self, config, arrays):    # (W, b) values per _layout entry
         self.config = config
+        values = [a for wb in arrays for a in wb]
+        self.vector = np.concatenate([a.reshape(-1) for a in values])
+        self.grad_vector = np.zeros_like(self.vector)
+        cuts = np.cumsum([a.size for a in values])[:-1]
+        leaves = [Tensor(p.reshape(a.shape))
+                  for a, p in zip(values, np.split(self.vector, cuts))]
+        for leaf, g in zip(leaves, np.split(self.grad_vector, cuts)):
+            leaf.grad = g.reshape(leaf.shape)
+        pairs = list(zip(leaves[::2], leaves[1::2]))
         self.embed_layers = pairs[:len(config.hidden_dims) + 1]
         self.heads = dict(zip(HEAD_NAMES, pairs[len(self.embed_layers):]))
         self._named = [(f"{name}.{k}", p) for (name, *_), wb in
@@ -86,8 +98,7 @@ class ModelParams:
         return self._named
 
     def zero_grad(self):
-        for _, p in self._named:
-            p.zero_grad()
+        self.grad_vector.fill(0.0)
 
 
 def init_params(config, seed):
@@ -96,9 +107,8 @@ def init_params(config, seed):
 
     def layer(fan_in, fan_out):
         bound = 1.0 / np.sqrt(fan_in)
-        w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        b = Tensor(np.zeros((1, fan_out)))
-        return w, b
+        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        return w, np.zeros((1, fan_out))
 
     return ModelParams(config, [layer(i, o) for _, i, o in _layout(config)])
 
@@ -195,16 +205,31 @@ def params_from_checkpoint(ckpt):
             raise ValueError(f"checkpoint shape mismatch for {name}")
         if not np.isfinite(value).all():   # json reads NaN and Infinity
             raise ValueError(f"checkpoint parameter {name} is not finite")
-        return Tensor(value)
+        return value
     return ModelParams(cfg, [(read(f"{n}.W", (i, o)), read(f"{n}.b", (1, o)))
                              for n, i, o in _layout(cfg)])
 
 
+@contextlib.contextmanager
+def whole_file(path):
+    """A text file to write path through: it is written beside path, as
+    path + ".tmp", and replaces path when the block ends. On an exception
+    it is removed, and path is left as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, params, epoch=0, seed=0, optim_state=None):
-    """Writes the checkpoint file, serialised before it is opened, so that a
-    value JSON cannot hold raises without leaving a partial file."""
+    """Writes the checkpoint file whole, serialised before it is opened."""
     text = json.dumps(checkpoint_dict(params, epoch, seed, optim_state))
-    with open(path, "w") as f:
+    with whole_file(path) as f:
         f.write(text)
 
 

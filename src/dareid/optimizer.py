@@ -47,17 +47,24 @@ class OptimState:
     t: int = 0
     slots: dict = field(default_factory=dict)  # name -> {m1, v, vhat}
     _names = None  # parameter order of the flat vectors
-    _param = None  # the last step's parameter vector
-    _views = ()    # the p.data views of _param that the last step set
 
     def _layout(self, pairs):
-        """Flat m1, v, vhat and scratch vectors in the order of pairs;
-        existing slots keep their values, new ones start at 0."""
+        """Flat m1, v, vhat and two scratch vectors in the order of pairs.
+        Slots already held must be those of pairs, in any order and shape
+        for shape, else ValueError before anything changes; they keep their
+        values, and without them the moments start at 0."""
+        shapes = {name: p.data.shape for name, p in pairs}
+        for name in sorted(set(self.slots) | set(shapes)) if self.slots else ():
+            s = self.slots.get(name, {})
+            if (name not in shapes or sorted(s) != ["m1", "v", "vhat"]
+                    or any(np.shape(x) != shapes[name] for x in s.values())):
+                raise ValueError(f"optimizer state slot {name!r} does not "
+                                 f"fit the parameters")
         self._names = tuple(name for name, _ in pairs)
         ends = np.cumsum([p.data.size for _, p in pairs])
         self._spans = [slice(e - p.data.size, e)
                        for (_, p), e in zip(pairs, ends)]
-        self._flat = [np.zeros(ends[-1]) for _ in range(4)]
+        self._flat = [np.zeros(ends[-1]) for _ in range(5)]
         for (name, p), span in zip(pairs, self._spans):
             views = {k: f[span].reshape(p.data.shape)
                      for k, f in zip(("m1", "v", "vhat"), self._flat)}
@@ -86,34 +93,46 @@ class OptimState:
         return state
 
 
+def _vector(arrays, what):
+    """The C-ordered vector that arrays are consecutive views of, in order;
+    a lone C-ordered array is its own. Anything else is a ValueError."""
+    if len(arrays) == 1 and arrays[0].flags.c_contiguous:
+        return arrays[0].reshape(-1)
+    vec = arrays[0].base
+    at = vec.ctypes.data if isinstance(vec, np.ndarray) else None
+    for a in arrays:    # each starts where the one before it ends
+        if (a.base is not vec or not a.flags.c_contiguous
+                or a.ctypes.data != at):
+            break
+        at += a.nbytes
+    else:               # and together they are the whole of vec
+        if at == vec.ctypes.data + vec.nbytes and vec.flags.c_contiguous:
+            return vec.reshape(-1)
+    raise ValueError(f"the parameters' {what} are not views of one vector")
+
+
 def amsgrad_step(state, named_params, lr):
-    """One AMSGrad step over (name, Tensor) pairs, on flat vectors in the
-    docstring's operation order, so bitwise equal to the per-tensor rule.
-    Each p.data becomes a view of one fresh vector; no input is written.
-    The parameters are read from the last step's vector while every p.data
-    is still the view that step set.
+    """One AMSGrad step over (name, Tensor) pairs: in place on the vector
+    that their values view, from the vector that their gradients view (see
+    _vector), which it does not write. The operations run on flat vectors
+    in the docstring's order, so bitwise equal to the per-tensor rule.
 
     A non-finite gradient raises FloatingPointError before the state
     changes. So do new parameter values that are not finite, after the
-    moments and the step count have taken the step but before any p.data
-    is re-pointed, so the parameters keep their last finite values."""
+    moments and the step count have taken the step but before the values
+    are written, so the parameters keep their last finite values."""
     pairs = list(named_params)
-    g = np.concatenate([p.grad.reshape(-1) for _, p in pairs])
-    if not np.isfinite(g).all():
+    param = _vector([p.data for _, p in pairs], "values")
+    grad = _vector([p.grad for _, p in pairs], "gradients")
+    if not np.isfinite(grad).all():
         name = next(name for name, p in pairs
                     if not np.isfinite(p.grad).all())
         raise FloatingPointError(f"non-finite gradient for parameter {name}")
     if state._names != tuple(name for name, _ in pairs):
         state._layout(pairs)
     state.t += 1
-    m1, v, vhat, tmp = state._flat
-    if (len(state._views) == len(pairs)
-            and all(p.data is view
-                    for (_, p), view in zip(pairs, state._views))):
-        param = state._param
-    else:
-        param = np.concatenate([p.data.reshape(-1) for _, p in pairs])
-    np.add(g, np.multiply(state.weight_decay, param, out=tmp), out=g)
+    m1, v, vhat, g, tmp = state._flat
+    np.add(grad, np.multiply(state.weight_decay, param, out=tmp), out=g)
     np.add(np.multiply(BETA1, m1, out=m1),
            np.multiply(1.0 - BETA1, g, out=tmp), out=m1)
     np.multiply(1.0 - BETA2, g, out=tmp)
@@ -122,13 +141,10 @@ def amsgrad_step(state, named_params, lr):
     np.sqrt(np.divide(vhat, 1.0 - BETA2 ** state.t, out=tmp), out=tmp)
     np.add(tmp, EPS, out=tmp)
     np.multiply(lr, np.divide(m1, 1.0 - BETA1 ** state.t, out=g), out=g)
-    param = np.subtract(param, np.divide(g, tmp, out=g))
-    if not np.isfinite(param).all():
+    new = np.subtract(param, np.divide(g, tmp, out=g), out=g)
+    if not np.isfinite(new).all():
         name = next(name for (name, _), span in zip(pairs, state._spans)
-                    if not np.isfinite(param[span]).all())
+                    if not np.isfinite(new[span]).all())
         raise FloatingPointError(f"non-finite step for parameter {name}")
-    state._param = param
-    for (_, p), span in zip(pairs, state._spans):
-        p.data = param[span].reshape(p.data.shape)
-    state._views = [p.data for _, p in pairs]
+    param[...] = new
     return state

@@ -215,13 +215,15 @@ def domain_probe_accuracy(train_emb, train_dom, test_emb, test_dom):
     b = Tensor(np.zeros((1, 2)))
     x = Tensor(train_emb)
     labels = np.asarray(train_dom, dtype=np.int64)
-    optim = OptimState(weight_decay=0.0)
+    w_state = OptimState(weight_decay=0.0)
+    b_state = OptimState(weight_decay=0.0)
     for _ in range(400):
         loss = softmax_cross_entropy(x @ w + b, labels)
         w.zero_grad()
         b.zero_grad()
         loss.backward()
-        amsgrad_step(optim, [("w", w), ("b", b)], 0.05)
+        amsgrad_step(w_state, [("w", w)], 0.05)   # AMSGrad is elementwise:
+        amsgrad_step(b_state, [("b", b)], 0.05)   # one joint step's bits
     logits = np.asarray(test_emb) @ w.data + b.data
     pred = logits.argmax(axis=1)
     return float((pred == np.asarray(test_dom)).mean())

@@ -1033,6 +1033,25 @@ def test_step_that_overflows_the_parameters_diverges(tmp_path, capsys):
         "config.echo", "report.json", "run.log.jsonl"]
 
 
+@pytest.mark.parametrize("existing", [None, "a run log from before\n"])
+def test_run_log_write_that_raises_leaves_the_file_as_it_was(tmp_path,
+                                                             existing):
+    # the second row is no JSON, so the first has been written when it
+    # raises; neither the row nor the temporary file is left behind
+    target = tmp_path / "run.log.jsonl"
+    if existing is not None:
+        target.write_text(existing)
+    with pytest.raises(TypeError):
+        cli._write_run_log(str(tmp_path), [{"iteration": 1},
+                                           {"iteration": object()}])
+    if existing is None:
+        assert not target.exists()
+    else:
+        assert target.read_text() == existing
+    assert [p.name for p in tmp_path.iterdir()] == (
+        [] if existing is None else ["run.log.jsonl"])
+
+
 EDGE_OPTIONS = ("n", "m", "embed_dim", "orientation_bins", "hidden_dims",
                 "seed", "margin", "grl_lambda", "disjoint_weight", "base_lr")
 EDGE_VALUES = (BIG, "-1", "0", "nan", "inf", "1e308")

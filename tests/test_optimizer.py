@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dareid.autodiff import Tensor
+from dareid.network import ModelConfig, ModelParams, _layout, init_params
 from dareid.optimizer import LrSchedule, OptimState, amsgrad_step, lr_at_epoch
 
 
@@ -35,8 +37,21 @@ class TestLrSchedule:
 
 
 def make_param(values):
-    p = Tensor(values)
-    return p
+    # a copy: the step writes the leaf's values in place
+    return Tensor(np.array(values, dtype=np.float64))
+
+
+def flat_pairs(named_values):
+    """(name, Tensor) pairs whose values and gradients are consecutive views
+    of one vector each, as ModelParams lays them out; the gradients are 0."""
+    shapes = [np.shape(v) for _, v in named_values]
+    cuts = np.cumsum([np.prod(shape) for shape in shapes])[:-1]
+    vector = np.concatenate([np.ravel(v) for _, v in named_values])
+    leaves = [Tensor(p.reshape(shape))
+              for p, shape in zip(np.split(vector, cuts), shapes)]
+    for leaf, g in zip(leaves, np.split(np.zeros_like(vector), cuts)):
+        leaf.grad = g.reshape(leaf.shape)
+    return [(name, leaf) for (name, _), leaf in zip(named_values, leaves)]
 
 
 class TestAmsgradStep:
@@ -125,18 +140,18 @@ class TestAmsgradStep:
     def test_step_that_overflows_a_parameter_is_rejected_with_name(self):
         # at lr 1e308 the first step moves each weight by about lr, so a
         # weight of 1e308 pushed further overflows; "a" stays finite
-        a, b, c = (make_param([[0.0, 0.0]]), make_param([[1e308, 1.0]]),
-                   make_param([[-1e308]]))
+        pairs = flat_pairs([("a", [[0.0, 0.0]]), ("b", [[1e308, 1.0]]),
+                            ("c", [[-1e308]])])
+        (_, a), (_, b), (_, c) = pairs
         for p, grad in ((a, [[0.0, 0.0]]), (b, [[-1.0, 0.0]]), (c, [[1.0]])):
-            p.grad = np.array(grad)
-        data = [p.data for p in (a, b, c)]
+            p.grad[...] = grad
+        data = [p.data.copy() for p in (a, b, c)]
         # train() steps with overflow warnings off, as here
         with pytest.raises(FloatingPointError, match="parameter b$"), \
                 np.errstate(over="ignore", invalid="ignore"):
-            amsgrad_step(OptimState(weight_decay=0.0),
-                         [("a", a), ("b", b), ("c", c)], lr=1e308)
-        # no p.data is re-pointed: every parameter keeps its values
-        assert all(p.data is d for p, d in zip((a, b, c), data))
+            amsgrad_step(OptimState(weight_decay=0.0), pairs, lr=1e308)
+        # the vector is not written: every parameter keeps its values
+        assert all(np.array_equal(p.data, d) for p, d in zip((a, b, c), data))
         assert b.data[0, 0] == 1e308 and c.data[0, 0] == -1e308
 
     def test_state_round_trip(self):
@@ -151,6 +166,24 @@ class TestAmsgradStep:
         for key in ("m1", "v", "vhat"):
             assert np.array_equal(restored.slots["p"][key],
                                   state.slots["p"][key])
+
+    @pytest.mark.parametrize("slots, name", [
+        ({"p": {"m1": [[5.0]], "v": [[0.0]], "vhat": [[0.0]]}}, "p"),
+        ({"p": {"m1": [[0.0] * 3] * 2, "v": [[0.0] * 3] * 2}}, "p"),
+        ({"p": {k: [[0.0] * 3] * 2 for k in ("m1", "v", "vhat")},
+          "ghost": {k: [[0.0]] for k in ("m1", "v", "vhat")}}, "ghost"),
+        ({"q": {k: [[0.0] * 3] * 2 for k in ("m1", "v", "vhat")}}, "p")])
+    def test_stored_slots_that_do_not_fit_are_rejected(self, slots, name):
+        # a (1, 1) moment once broadcast over a 2 x 3 parameter, and a slot
+        # of no parameter was kept and saved back
+        d = {**OptimState().to_dict(), "t": 4, "slots": slots}
+        state = OptimState.from_dict(d)
+        p = make_param(np.ones((2, 3)))
+        p.grad = np.ones((2, 3))
+        with pytest.raises(ValueError, match=f"slot '{name}' does not fit"):
+            amsgrad_step(state, [("p", p)], lr=0.1)
+        assert state.to_dict() == d
+        assert np.array_equal(p.data, np.ones((2, 3)))
 
     @pytest.mark.parametrize("key, value", [("beta1", 0.8), ("beta2", 0.99),
                                             ("eps", 1e-6)])
@@ -182,8 +215,8 @@ SHAPES = {"a": (3, 4), "b": (1, 4), "c": (4, 2), "d": (1, 1)}
 
 
 def random_params(rng):
-    return [(name, Tensor(rng.normal(size=shape)))
-            for name, shape in sorted(SHAPES.items())]
+    return flat_pairs([(name, rng.normal(size=shape))
+                       for name, shape in sorted(SHAPES.items())])
 
 
 class TestFlatState:
@@ -196,7 +229,7 @@ class TestFlatState:
         state = OptimState()
         for t in range(1, 301):
             for _, p in pairs:
-                p.grad = rng.normal(size=p.shape) * rng.uniform(0.01, 100)
+                p.grad[...] = rng.normal(size=p.shape) * rng.uniform(0.01, 100)
             grads = [p.grad.copy() for _, p in pairs]
             amsgrad_step(state, pairs, lr=1e-2)
             ref = reference_step(slots, t, grads, ref, lr=1e-2)
@@ -207,56 +240,40 @@ class TestFlatState:
                             == slots[name][k].tobytes()), (t, name, k)
 
     def test_caller_arrays_are_not_written(self):
+        # ModelParams copies the arrays it is built from into its vector
+        config = ModelConfig(3, [4], 2, {"id": 3, "domain": 2, "color": 2,
+                                         "type": 2, "orientation": 2})
         rng = np.random.default_rng(7)
-        values = rng.normal(size=(3, 4))
-        before = values.copy()
-        p = Tensor(values)
+        arrays = [(rng.normal(size=(i, o)), rng.normal(size=(1, o)))
+                  for _, i, o in _layout(config)]
+        values = [a for wb in arrays for a in wb]
+        before = [a.copy() for a in values]
+        params = ModelParams(config, arrays)
+        state = OptimState()
         for _ in range(3):
-            p.grad = rng.normal(size=(3, 4))
-            amsgrad_step(OptimState(), [("p", p)], lr=0.1)
-        assert np.array_equal(values, before)
-        assert not np.array_equal(p.data, before)
+            params.grad_vector[...] = rng.normal(size=params.grad_vector.size)
+            amsgrad_step(state, params.named(), lr=0.1)
+        assert all(np.array_equal(a, b) for a, b in zip(values, before))
+        assert not any(np.array_equal(p.data, b)
+                       for (_, p), b in zip(params.named(), before))
 
-    def test_last_steps_arrays_are_not_written(self):
-        # a step reads the vector the last one set, and writes a new one
+    def test_step_writes_the_vector_in_place_and_not_the_gradient(self):
         rng = np.random.default_rng(9)
         pairs = random_params(rng)
         state = OptimState()
-        kept = []
+        held = [(p.data, p.grad) for _, p in pairs]
         for _ in range(4):
             for _, p in pairs:
-                p.grad = rng.normal(size=p.shape)
+                p.grad[...] = rng.normal(size=p.shape)
+            grads = [p.grad.copy() for _, p in pairs]
+            values = [p.data.copy() for _, p in pairs]
             amsgrad_step(state, pairs, lr=0.1)
-            kept.append([(p.data, p.data.copy()) for _, p in pairs])
-        for arrays in kept:
-            for held, values in arrays:
-                assert held.tobytes() == values.tobytes()
-        assert not np.shares_memory(pairs[0][1].data, kept[-2][0][0])
+            for (_, p), (data, grad), g, v in zip(pairs, held, grads, values):
+                assert p.data is data and p.grad is grad
+                assert grad.tobytes() == g.tobytes()
+                assert not np.array_equal(data, v)
 
-    def test_parameters_are_gathered_only_when_replaced(self, monkeypatch):
-        rng = np.random.default_rng(10)
-        pairs = random_params(rng)
-        state = OptimState()
-        concatenate, calls = np.concatenate, [0]
-
-        def counting(*args, **kwargs):
-            calls[-1] += 1
-            return concatenate(*args, **kwargs)
-        monkeypatch.setattr(np, "concatenate", counting)
-        for step in range(6):
-            if step == 2:
-                pairs[1][1].data = pairs[1][1].data + 1.0
-            if step == 4:       # written in place, p.data stays the view
-                pairs[1][1].data[...] = 2.0
-            for _, p in pairs:
-                p.grad = rng.normal(size=p.shape)
-            amsgrad_step(state, pairs, lr=0.1)
-            calls.append(0)
-        # the gradients every step; the parameters at the first step and
-        # after one was assigned
-        assert calls[:-1] == [2, 1, 2, 1, 1, 1]
-
-    def test_replaced_parameters_match_per_tensor_reference(self):
+    def test_replaced_leaves_raise_and_in_place_writes_follow_reference(self):
         rng = np.random.default_rng(11)
         pairs = random_params(rng)
         ref = [p.data.copy() for _, p in pairs]
@@ -265,18 +282,68 @@ class TestFlatState:
         state = OptimState()
         for t in range(1, 9):
             if t == 3:
-                pairs[0][1].data = pairs[0][1].data * 0.5
+                pairs[0][1].data *= 0.5
                 ref[0] = ref[0] * 0.5
             if t == 6:
                 pairs[2][1].data[0] = 1.0
                 ref[2][0] = 1.0
             for _, p in pairs:
-                p.grad = rng.normal(size=p.shape)
+                p.grad[...] = rng.normal(size=p.shape)
             grads = [p.grad.copy() for _, p in pairs]
             amsgrad_step(state, pairs, lr=1e-2)
             ref = reference_step(slots, t, grads, ref, lr=1e-2)
             for (name, p), want in zip(pairs, ref):
                 assert p.data.tobytes() == want.tobytes(), (t, name)
+        # an array put in place of a leaf's values or gradient is no view
+        # of the vectors; the step raises before the state changes
+        for attr in ("data", "grad"):
+            leaf = pairs[1][1]
+            kept = getattr(leaf, attr)
+            setattr(leaf, attr, kept.copy())
+            with pytest.raises(ValueError, match="not views of one vector"):
+                amsgrad_step(state, pairs, lr=1e-2)
+            setattr(leaf, attr, kept)
+            assert state.t == 8
+
+    @pytest.mark.parametrize("case", ["separate", "reordered", "transposed"])
+    def test_pairs_that_do_not_tile_one_vector_are_rejected(self, case):
+        rng = np.random.default_rng(12)
+        pairs = random_params(rng)
+        if case == "separate":
+            pairs = [(name, make_param(p.data)) for name, p in pairs]
+        elif case == "reordered":
+            pairs = pairs[::-1]
+        else:   # a view of the right bytes, in another element order
+            square = Tensor(pairs[1][1].data.reshape(2, 2).T)
+            pairs = [pairs[0], ("b", square), *pairs[2:]]
+        values = [p.data.copy() for _, p in pairs]
+        state = OptimState()
+        with pytest.raises(ValueError, match="not views of one vector"):
+            amsgrad_step(state, pairs, lr=0.1)
+        assert state.t == 0 and state.slots == {}
+        assert all(np.array_equal(p.data, v) for (_, p), v in zip(pairs, values))
+
+    def test_a_step_allocates_no_parameter_sized_vector(self):
+        # the benchmark's train shape: 64 -> 128 -> 32 with five heads;
+        # only the finiteness checks' one-byte masks scale with the values
+        config = ModelConfig(64, [128], 32, {"id": 256, "domain": 2,
+                                             "color": 12, "type": 11,
+                                             "orientation": 6})
+        params = init_params(config, seed=0)
+        rng = np.random.default_rng(13)
+        state = OptimState()
+        for _ in range(3):
+            params.zero_grad()
+            for _, p in params.named():     # as the backward pass adds them
+                p._accumulate(rng.normal(size=p.shape))
+            tracemalloc.start()
+            try:
+                amsgrad_step(state, params.named(), lr=1e-3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert state.t == 3     # two warm-up steps, then the measured one
+        assert peak < 4 * sum(p.data.size for _, p in params.named()), peak
 
     @pytest.mark.parametrize("reorder", [False, True])
     def test_resume_from_dict_continues_bitwise(self, reorder):
@@ -284,18 +351,18 @@ class TestFlatState:
         # parameters, so the flat layout is rebuilt from the per-name slots
         rng = np.random.default_rng(8)
         pairs = random_params(rng)
-        resumed = [(name, Tensor(p.data.copy())) for name, p in pairs]
+        resumed = flat_pairs([(name, p.data) for name, p in pairs])
         grads = [[rng.normal(size=p.shape) for _, p in pairs]
                  for _ in range(20)]
         state = OptimState()
         for step, gs in enumerate(grads):
             for (_, p), g in zip(pairs, gs):
-                p.grad = g
+                p.grad[...] = g
             amsgrad_step(state, pairs, lr=1e-2)
             if step == 9:
                 saved = json.loads(json.dumps(state.to_dict()))
                 for (_, p), (_, q) in zip(pairs, resumed):
-                    q.data = p.data.copy()
+                    q.data[...] = p.data
         # the stored format, fixed moments included, is unchanged
         assert {k: v for k, v in saved.items() if k != "slots"} == {
             "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
@@ -305,7 +372,7 @@ class TestFlatState:
         restored = OptimState.from_dict(saved)
         for gs in grads[10:]:
             for (_, p), g in zip(resumed, gs):
-                p.grad = g
+                p.grad[...] = g
             amsgrad_step(restored, resumed, lr=1e-2)
         assert restored.t == state.t
         for (name, p), (_, q) in zip(pairs, resumed):

@@ -150,6 +150,20 @@ class TestTrain:
             assert np.array_equal(pa.data, pb.data)
         assert resumed.run_log == full.run_log[2 * 6:]
 
+    @pytest.mark.parametrize("doctor", ["shape", "ghost"])
+    def test_resume_from_a_state_that_does_not_fit_is_rejected(self, doctor):
+        # a (1, 1) moment for a (1, 8) bias, or a slot of no parameter
+        real, synth, _ = toy_data()
+        half = train(small_train_config(epochs=1), real, synth)
+        optim = half.optim.to_dict()
+        name = "head.id.b" if doctor == "shape" else "ghost"
+        optim["slots"][name] = {k: [[5.0]] for k in ("m1", "v", "vhat")}
+        ckpt = checkpoint_dict(half.params, epoch=1, seed=0,
+                               optim_state=optim)
+        with pytest.raises(ValueError, match=f"slot '{name}' does not fit"):
+            train(small_train_config(epochs=2), real, synth,
+                  resume_from=ckpt)
+
     def test_divergence_guard_reports_iteration(self):
         real, synth, _ = toy_data()
         # AMSGrad bounds each step by roughly lr, so an absurd rate inflates
